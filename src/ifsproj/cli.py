@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -168,6 +167,8 @@ def cmd_dimdrop(args) -> int:
             "s_reduced": result.s_reduced,
             "witness_word_a": list(result.overlap_witness.word_a.indices),
             "witness_word_b": list(result.overlap_witness.word_b.indices),
+            "closure_reason": result.group.reason,
+            "closure_size": result.group.witness_count,
         }
     )
     _emit(args, out)
@@ -288,6 +289,8 @@ def _estimate_cylinders(args, ifs, out):
             "word_count": len(selection.words),
             "partial": selection.partial,
             "depth_cap": selection.depth_cap,
+            "closure_reason": selection.group.reason,
+            "closure_size": selection.group.witness_count,
         }
     )
     return EXIT_OK

@@ -36,7 +36,7 @@ from .geometry import (
     attractor_bounding_ball,
     cylinder_ball,
 )
-from .groups import TransformationGroup, group_closure, rotation_distance
+from .groups import TransformationGroup, _RotationTable, group_closure, rotation_distance
 
 
 class HypothesisViolationError(GeometryError):
@@ -46,8 +46,12 @@ class HypothesisViolationError(GeometryError):
 @dataclass(frozen=True)
 class ProjectionGdifsResult:
     gdifs: GDIFS
-    vertex_labels: tuple[np.ndarray, ...]
+    group: TransformationGroup
     source_dim: float
+
+    @property
+    def vertex_labels(self) -> tuple[np.ndarray, ...]:
+        return self.group.elements
 
 
 def build_projection_gdifs(ifs: SSIFS, linear_map: LinearMap) -> ProjectionGdifsResult:
@@ -68,19 +72,20 @@ def build_projection_gdifs(ifs: SSIFS, linear_map: LinearMap) -> ProjectionGdifs
             "rotation group closure exceeded the cap; the projection "
             "graph-directed construction needs a finite group"
         )
-    d2 = linear_map.codomain_dim
-    identity_d2 = np.eye(d2)
+    d = ifs.ambient_dim
+    identity_d2 = np.eye(linear_map.codomain_dim)
+    products = np.array(group.elements)[:, None] @ np.array([s.rotation for s in ifs])[None]
+    targets = group.indices_of(products.reshape(-1, d, d)).reshape(group.order, -1).tolist()
     edges = []
     for i, o_i in enumerate(group.elements):
-        for s in ifs:
-            j = group.index_of(o_i @ s.rotation)
+        for n, s in enumerate(ifs):
             translation = linear_map(o_i @ s.translation)
-            edges.append(Edge(i, j, Similarity(s.ratio, identity_d2, translation)))
+            edges.append(Edge(i, targets[i][n], Similarity(s.ratio, identity_d2, translation)))
     gdifs = GDIFS(group.order, edges, name=ifs.name)
     if not is_strongly_connected(gdifs):
         raise NumericFailureError("projection graph is unexpectedly not strongly connected")
     source_dim = sim_dim_ssifs(ifs).value
-    return ProjectionGdifsResult(gdifs, group.elements, source_dim)
+    return ProjectionGdifsResult(gdifs, group, source_dim)
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,7 @@ class DimensionDropResult:
     s_original: float
     s_reduced: float
     overlap_witness: OverlapWitness
+    group: TransformationGroup
 
 
 def _indices_of_flat(k: int, depth: int, m: int) -> tuple[int, ...]:
@@ -170,7 +176,7 @@ def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> Dimens
 
     projection = LinearMap.projection_onto(subspace)
     built = build_projection_gdifs(level, projection)
-    identity_vertex = _identity_vertex(built.vertex_labels)
+    identity_vertex = built.group.index_of(eye)
     # Edges are emitted in (vertex, map) order.
     edge_a = built.gdifs.edges[identity_vertex * len(level) + ka]
     edge_b = built.gdifs.edges[identity_vertex * len(level) + kb]
@@ -193,16 +199,8 @@ def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> Dimens
         s_original,
         s_reduced,
         OverlapWitness(word_a, word_b, shared),
+        group,
     )
-
-
-def _identity_vertex(labels) -> int:
-    d = labels[0].shape[0]
-    eye = np.eye(d)
-    for i, o in enumerate(labels):
-        if np.abs(o - eye).max() <= 1e-9:
-            return i
-    raise NumericFailureError("group element list lacks the identity")
 
 
 def _balls_disjoint(ball_a, ball_b, separation: float) -> bool:
@@ -391,6 +389,7 @@ class CylinderSelection:
     mass: float
     depth_cap: int
     partial: bool
+    group: TransformationGroup
     exponent_is_estimate: bool = False
 
 
@@ -407,8 +406,8 @@ def _rotation_word_search(
     Breadth-first search over the rotation Cayley graph with tolerance
     deduplication of visited rotations; returns None when exhausted.
     """
-    dedup = max(tol / 4.0, 1e-12)
-    visited = [start]
+    visited = _RotationTable(start.shape[0], max(tol / 4.0, 1e-12))
+    visited.add(start)
     queue = deque([(start, ())])
     while queue:
         rot, word = queue.popleft()
@@ -418,10 +417,9 @@ def _rotation_word_search(
             nxt = rot @ s.rotation
             if rotation_distance(nxt, target) < tol:
                 return word + (n,)
-            if len(visited) >= state_cap:
+            if visited.size >= state_cap:
                 continue
-            if all(np.abs(nxt - v).max() > dedup for v in visited):
-                visited.append(nxt)
+            if visited.add_if_new(nxt):
                 queue.append((nxt, word + (n,)))
     return None
 
@@ -578,7 +576,7 @@ def select_disjoint_cylinders(
             f"selected mass {mass} exceeds 1; the exponent t is likely wrong"
         )
     return CylinderSelection(
-        tuple(accepted), o, delta, t, mass, depth_cap, partial, t_is_estimate
+        tuple(accepted), o, delta, t, mass, depth_cap, partial, group, t_is_estimate
     )
 
 
@@ -616,8 +614,8 @@ def annihilating_rotation(
             if residual(o) < threshold:
                 return o
     else:
-        dedup = 1e-9
-        visited = [identity]
+        visited = _RotationTable(d, 1e-9)
+        visited.add(identity)
         queue = deque([identity])
         examined = 0
         while queue and examined < word_cap:
@@ -627,8 +625,7 @@ def annihilating_rotation(
                 examined += 1
                 if residual(nxt) < threshold:
                     return nxt
-                if all(np.abs(nxt - s).max() > dedup for s in visited):
-                    visited.append(nxt)
+                if visited.add_if_new(nxt):
                     queue.append(nxt)
     raise NumericFailureError(
         "no annihilating rotation found within the word cap; "

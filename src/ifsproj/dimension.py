@@ -1,10 +1,14 @@
-"""Similarity-dimension solvers and spectral-radius machinery.
+"""Similarity-dimension solver and spectral-radius machinery.
 
-The similarity dimension of a self-similar system is the unique root of
-sum(r_i^s) = 1; for a strongly connected graph-directed system it is the
-unique s with spectral radius rho(A(s)) = 1, where A(s)[i, j] sums r_e^s over
-the edges from i to j.  Both maps are strictly decreasing in s, so bisection
-applies.
+For a strongly connected graph-directed system the similarity dimension is
+the unique s with spectral radius rho(A(s)) = 1, where A(s)[i, j] sums r_e^s
+over the edges from i to j (Mauldin and Williams 1988); a self-similar system
+is the one-vertex case, where rho(A(s)) = sum(r_i^s) is Moran's equation.
+Every entry of A(s) is log-linear in s, so phi(s) = log rho(A(s)) is convex
+(Kingman 1961) and strictly decreasing.  One safeguarded Newton iteration on
+phi from s = 0 therefore climbs monotonically to the root, with no bracket
+search; the derivative is phi'(s) = u^T A'(s) v / (rho u^T v) for the left
+and right Perron vectors u, v.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import tolerances
 from .geometry import DimensionMismatchError, GeometryError, NumericFailureError, SSIFS, Similarity
@@ -53,6 +58,11 @@ class GDIFS:
         self.vertex_count = vertex_count
         self.edges = edges
         self.name = name
+        # Edge arrays of A(s): the flat cell source * q + target and log r_e.
+        self._cell = np.fromiter(
+            (e.source * vertex_count + e.target for e in edges), np.intp, len(edges)
+        )
+        self._log_ratio = np.log(np.fromiter((e.map.ratio for e in edges), float, len(edges)))
 
     @property
     def ambient_dim(self) -> int:
@@ -60,11 +70,7 @@ class GDIFS:
 
     def transition_matrix(self, s: float) -> np.ndarray:
         """A(s)[i, j] = sum of r_e^s over edges from i to j."""
-        q = self.vertex_count
-        a = np.zeros((q, q))
-        for e in self.edges:
-            a[e.source, e.target] += e.map.ratio**s
-        return a
+        return _cell_sums(self._cell, np.exp(s * self._log_ratio), self.vertex_count)
 
     def delete_edge(self, index: int) -> "GDIFS":
         if not 0 <= index < len(self.edges):
@@ -206,47 +212,69 @@ class DimensionReport:
     method: DimensionMethod
 
 
-def _bisect_root(f, hi_start: float, max_iter: int = 200):
-    """Root of a strictly decreasing f with f(0) >= 0 on [0, inf)."""
+def _cell_sums(cell: np.ndarray, weights: np.ndarray, q: int) -> np.ndarray:
+    return np.bincount(cell, weights=weights, minlength=q * q).reshape(q, q)
+
+
+def _dimension_root(cell: np.ndarray, log_ratio: np.ndarray, q: int, max_iter: int = 100):
+    """(s, rho(A(s)) - 1, steps) at the root of rho(A(s)) = 1.
+
+    Newton steps on phi(s) = log rho(A(s)) from s = 0; a step that leaves the
+    bracket seen so far is replaced by bisection (doubling while no point
+    with phi < 0 is known).  Stops once |rho - 1| <= tau_dim and either the
+    next Newton step or the bracket is below 1e-14 (1 + s), the resolution
+    bisection used to stop at.  The matrix must be irreducible.
+    """
     tau = tolerances.tau_dim()
-    f0 = f(0.0)
-    if f0 < -tau:
+
+    def evaluate(s: float):
+        weights = np.exp(s * log_ratio)
+        a = _cell_sums(cell, weights, q)
+        da = _cell_sums(cell, log_ratio * weights, q)
+        if q == 1:
+            rho = float(a[0, 0])
+            return rho, float(da[0, 0]) / rho
+        w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
+        i = int(np.argmax(w.real))
+        rho = float(w[i].real)
+        u, v = vl[:, i].real, vr[:, i].real
+        return rho, float(u @ da @ v) / (rho * float(u @ v))
+
+    rho, slope = evaluate(0.0)
+    if rho - 1.0 < -tau:
         raise NumericFailureError("function already negative at s=0")
-    if abs(f0) <= tau:
-        return 0.0, f0, 0
-    lo, hi = 0.0, max(hi_start, 1e-6)
-    widen = 0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        widen += 1
-        if widen > 60:
-            raise NumericFailureError("failed to bracket the dimension root")
-    s = hi
+    if abs(rho - 1.0) <= tau:
+        return 0.0, rho - 1.0, 0
+    s, lo, hi = 0.0, 0.0, math.inf
     for it in range(1, max_iter + 1):
-        s = 0.5 * (lo + hi)
-        fs = f(s)
-        if abs(fs) <= tau and hi - lo <= 1e-14 * (1.0 + s):
-            return s, fs, it
-        if fs > 0.0:
+        nxt = s - math.log(rho) / slope
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0
+        s = nxt
+        rho, slope = evaluate(s)
+        if rho > 1.0:
             lo = s
-        else:
+        elif rho < 1.0:
             hi = s
-    return s, f(s), max_iter
+        resolution = 1e-14 * (1.0 + s)
+        if abs(rho - 1.0) <= tau and (
+            abs(math.log(rho) / slope) <= resolution or hi - lo <= resolution
+        ):
+            return s, rho - 1.0, it
+    raise NumericFailureError("dimension solver did not converge within the cap")
+
+
+def _moran_report(ratios) -> DimensionReport:
+    log_ratio = np.log(np.asarray(ratios, dtype=float))
+    s, residual, iterations = _dimension_root(np.zeros(len(log_ratio), np.intp), log_ratio, 1)
+    return DimensionReport(s, residual, iterations, DimensionMethod.SSIFS_MORAN)
 
 
 def sim_dim_ssifs(ifs: SSIFS) -> DimensionReport:
     """Similarity dimension: the root of sum(r_i^s) = 1."""
     if len(ifs) < 2:
         raise GeometryError("similarity dimension needs at least two maps")
-    ratios = [s.ratio for s in ifs]
-    r_max = max(ratios)
-
-    def f(s: float) -> float:
-        return math.fsum(r**s for r in ratios) - 1.0
-
-    hi = ifs.ambient_dim * math.log(len(ratios)) / math.log(1.0 / r_max) + 1.0
-    s, residual, iterations = _bisect_root(f, hi)
-    return DimensionReport(s, residual, iterations, DimensionMethod.SSIFS_MORAN)
+    return _moran_report([s.ratio for s in ifs])
 
 
 def sim_dim_words(ifs: SSIFS, words) -> DimensionReport:
@@ -254,14 +282,7 @@ def sim_dim_words(ifs: SSIFS, words) -> DimensionReport:
     ratios = [w.ratio for w in words]
     if len(ratios) < 2:
         raise GeometryError("similarity dimension needs at least two words")
-    r_max = max(ratios)
-
-    def f(s: float) -> float:
-        return math.fsum(r**s for r in ratios) - 1.0
-
-    hi = ifs.ambient_dim * math.log(len(ratios)) / math.log(1.0 / r_max) + 1.0
-    s, residual, iterations = _bisect_root(f, hi)
-    return DimensionReport(s, residual, iterations, DimensionMethod.SSIFS_MORAN)
+    return _moran_report(ratios)
 
 
 def sim_dim_gdifs(g: GDIFS) -> DimensionReport:
@@ -270,17 +291,7 @@ def sim_dim_gdifs(g: GDIFS) -> DimensionReport:
         raise GdifsStructureError(
             "graph is not strongly connected; the dimension equation is ambiguous"
         )
-
-    def f(s: float) -> float:
-        return spectral_radius(g.transition_matrix(s)) - 1.0
-
-    # Upper bracket: drive the max row sum below 1 (rho <= max row sum).
-    hi = 1.0
-    for _ in range(200):
-        if g.transition_matrix(hi).sum(axis=1).max() < 1.0:
-            break
-        hi *= 2.0
-    s, residual, iterations = _bisect_root(f, hi)
+    s, residual, iterations = _dimension_root(g._cell, g._log_ratio, g.vertex_count)
     return DimensionReport(s, residual, iterations, DimensionMethod.GDIFS_SPECTRAL_RADIUS)
 
 

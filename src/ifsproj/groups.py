@@ -1,16 +1,30 @@
 """Closure, block structure and density machinery for orthogonal parts.
 
 The transformation group of an IFS is the group generated by the rotation
-parts of its maps.  Finiteness is decided by computing the semigroup closure
-up to a cap; the infinite verdict is a certificate of exceeding the cap, not
-a proof of infinitude, and is documented as such.
+parts of its maps.  Finiteness is decided in two steps.
+
+First a certificate: if some generator T has a rotation block of angle alpha
+with 2|sin(k alpha / 2)| > 2 d tol for every k = 1..cap, then the powers
+T^0..T^cap are cap + 1 matrices pairwise more than 2 tol apart in the
+max-abs norm (the operator norm of T^j - T^k is at least that block's
+chord, and the max-abs norm is at least the operator norm over d).  No
+matrix lies within tol of two of them, so the tolerance closure must store
+more than ``cap`` elements: the verdict is infinite, the same verdict the
+capped closure reaches, without building it.  Angles that are only close to
+a rational multiple of 2 pi fail the test and are left to the closure.
+
+Otherwise the semigroup closure is computed up to the cap, with every
+"is this matrix already stored within tol" question answered by an exact
+hashed lookup (``_RotationTable``).  An infinite verdict from the cap is a
+certificate of exceeding the cap, not a proof of infinitude; the
+``reason`` field of the result says which of the two paths decided.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -25,19 +39,118 @@ class GroupClosureError(GeometryError):
     pass
 
 
+class _RotationTable:
+    """Stored d x d matrices with an exact "within tol in max-abs" lookup.
+
+    A matrix is keyed by floor(<W, M> / width), with W a fixed matrix of
+    positive weights summing to 1, so matrices within tol of each other have
+    keys at most 1 apart; width exceeds tol by a bound on the rounding of the
+    inner product for entries of size at most 1.  A lookup probes the
+    buckets k - 1, k and k + 1 and then checks the max-abs distance, which is
+    the same predicate as a scan over every stored matrix.
+    """
+
+    def __init__(self, d: int, tol: float):
+        self.tol = tol
+        self._width = tol + 4.0 * d * d * np.finfo(float).eps
+        # Weights at golden-ratio offsets, so structured matrices (signed
+        # permutations, say) do not share one inner product.
+        raw = 1.0 + (np.arange(1, d * d + 1) * 0.6180339887498949) % 1.0
+        self._weights = (raw / raw.sum()).reshape(d, d)
+        self._stack = np.empty((16, d, d))
+        self._keys = np.empty(16, dtype=np.int64)
+        self._buckets: dict[int, list[int]] = {}
+        self.size = 0
+
+    @classmethod
+    def of(cls, stack: np.ndarray, tol: float) -> "_RotationTable":
+        """A table holding the rows of an (N, d, d) stack, in order."""
+        table = cls(stack.shape[1], tol)
+        table._stack = np.array(stack, dtype=float)
+        table._keys = table._key(table._stack)
+        table.size = len(stack)
+        for i, k in enumerate(table._keys.tolist()):
+            table._buckets.setdefault(k, []).append(i)
+        return table
+
+    @property
+    def elements(self) -> np.ndarray:
+        return self._stack[: self.size]
+
+    def _key(self, mats: np.ndarray) -> np.ndarray:
+        dots = np.einsum("nij,ij->n", mats, self._weights)
+        return np.floor(dots / self._width).astype(np.int64)
+
+    def find(self, m: np.ndarray) -> list[int]:
+        """Indices of the stored matrices within tol of m."""
+        k = int(self._key(m[None])[0])
+        near = [i for j in (k - 1, k, k + 1) for i in self._buckets.get(j, ())]
+        if not near:
+            return []
+        dist = np.abs(self._stack[near] - m[None]).max(axis=(1, 2))
+        return [near[i] for i in np.flatnonzero(dist <= self.tol)]
+
+    def add(self, m: np.ndarray) -> None:
+        if self.size == len(self._stack):
+            self._stack = np.concatenate([self._stack, np.empty_like(self._stack)])
+            self._keys = np.concatenate([self._keys, np.empty_like(self._keys)])
+        i = self.size
+        self._stack[i] = m
+        k = int(self._key(m[None])[0])
+        self._keys[i] = k
+        self._buckets.setdefault(k, []).append(i)
+        self.size += 1
+
+    def add_if_new(self, m: np.ndarray) -> bool:
+        """Store m unless a stored matrix lies within tol; True if stored."""
+        if self.find(m):
+            return False
+        self.add(m)
+        return True
+
+    def lookup(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each matrix of an (N, d, d) stack: how many stored matrices lie
+        within tol, and the index of one of them (-1 when there is none)."""
+        n = len(mats)
+        counts = np.zeros(n, dtype=np.int64)
+        match = np.full(n, -1, dtype=np.int64)
+        if self.size == 0 or n == 0:
+            return counts, match
+        keys = self._key(mats)
+        order = np.argsort(self._keys[: self.size], kind="stable")
+        sorted_keys = self._keys[order]
+        lo = np.searchsorted(sorted_keys, keys - 1, side="left")
+        hi = np.searchsorted(sorted_keys, keys + 1, side="right")
+        lens = hi - lo
+        query = np.repeat(np.arange(n), lens)
+        offset = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+        stored = order[np.repeat(lo, lens) + offset]
+        dist = np.abs(self._stack[stored] - mats[query]).max(axis=(1, 2))
+        hit = dist <= self.tol
+        counts += np.bincount(query[hit], minlength=n)
+        match[query[hit]] = stored[hit]
+        return counts, match
+
+
 @dataclass(frozen=True)
 class TransformationGroup:
     """Result of the closure computation over the generators.
 
     ``elements`` is a canonically ordered tuple when the closure is finite and
-    None when the cap was exceeded; ``witness_count`` then records how many
-    distinct elements were seen before giving up.
+    None otherwise; ``witness_count`` then records how many distinct elements
+    the closure must hold (one more than the cap).  ``reason`` is
+    ``"closed"`` (finite), ``"cap_exceeded"`` (the closure passed the cap) or
+    ``"cyclic_orbit_exceeds_cap"`` (certified from one generator's powers);
+    for the last, ``margin`` is (smallest power distance, threshold).
     """
 
     generators: tuple[np.ndarray, ...]
     elements: tuple[np.ndarray, ...] | None
     witness_count: int
     tolerance: float
+    reason: str
+    margin: tuple[float, float] | None = None
+    _table: _RotationTable | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_finite(self) -> bool:
@@ -54,24 +167,60 @@ class TransformationGroup:
 
         Raises when there is no match or more than one match.
         """
+        return int(self.indices_of(np.asarray(matrix, dtype=float)[None])[0])
+
+    def indices_of(self, matrices: np.ndarray) -> np.ndarray:
+        """``index_of`` for every matrix of an (N, d, d) stack at once."""
         if self.elements is None:
             raise GroupClosureError("infinite verdict has no element list")
-        stack = np.stack(self.elements)
-        dist = np.abs(stack - matrix[None]).max(axis=(1, 2))
-        hits = np.flatnonzero(dist <= self.tolerance)
-        if hits.size == 0:
+        counts, match = self._table.lookup(np.asarray(matrices, dtype=float))
+        if (counts == 0).any():
             raise GroupClosureError("matrix matches no group element within tolerance")
-        if hits.size > 1:
+        if (counts > 1).any():
             raise GroupClosureError(
-                f"matrix matches {hits.size} group elements; tolerance too loose"
+                f"matrix matches {int(counts.max())} group elements; tolerance too loose"
             )
-        return int(hits[0])
+        return match
 
 
-def _canonical_order(elements: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    flat = np.stack([e.ravel() for e in elements])
-    order = np.lexsort(flat.T[::-1])
-    return tuple(elements[i] for i in order)
+def _distinct(gens: np.ndarray, tol: float) -> np.ndarray:
+    """The generators that lie farther than tol from every earlier kept one.
+
+    Equivalent to a first-come greedy scan; each round keeps the first
+    remaining generator and drops everything within tol of the kept ones.
+    """
+    table = _RotationTable(gens.shape[1], tol)
+    remaining = gens
+    while len(remaining):
+        table.add(remaining[0])
+        counts, _ = table.lookup(remaining[1:])
+        remaining = remaining[1:][counts == 0]
+    return table.elements.copy()
+
+
+def _cyclic_certificate(gens: np.ndarray, tol: float, cap: int) -> tuple[float, float] | None:
+    """(smallest power distance, threshold) of the first generator whose
+    powers T^0..T^cap are pairwise more than 2 tol apart in max-abs norm, or
+    None when no generator certifies this."""
+    d = gens.shape[1]
+    threshold = 2.0 * d * tol
+    half_k = 0.5 * np.arange(1, cap + 1)
+    for g in gens:
+        try:
+            form = block_diagonalize(g)
+        except NumericFailureError:
+            continue
+        for b in form.blocks:
+            if b.kind is BlockKind.ROTATION:
+                chord = 2.0 * float(np.abs(np.sin(half_k * b.angle)).min())
+                if chord > threshold:
+                    return chord, threshold
+    return None
+
+
+def _canonical_order(elements: np.ndarray) -> np.ndarray:
+    flat = elements.reshape(len(elements), -1)
+    return np.lexsort(flat.T[::-1])
 
 
 def group_closure(generators, tolerance: float = 1e-6, closure_cap: int = 5000) -> TransformationGroup:
@@ -79,42 +228,58 @@ def group_closure(generators, tolerance: float = 1e-6, closure_cap: int = 5000) 
 
     Returns a finite element list closed under generator multiplication, or
     an infinite verdict once more than ``closure_cap`` distinct elements
-    accumulate.
+    accumulate, or at once when one generator's powers certify that they
+    would (see the module docstring).
     """
-    gens = [np.array(g, dtype=float) for g in generators]
-    if not gens:
+    try:
+        gens = np.array(list(generators), dtype=float)
+    except ValueError:
+        raise GroupClosureError("generators must share their dimension") from None
+    if len(gens) == 0:
         raise GroupClosureError("need at least one generator")
     if closure_cap < 1:
         raise GroupClosureError("closure_cap must be >= 1")
-    d = gens[0].shape[0]
-    for g in gens:
-        if g.shape != (d, d):
-            raise GroupClosureError("generators must share their dimension")
-        if orthogonality_defect(g) > tolerances.tau_orth():
-            raise GroupClosureError("generator is not orthogonal")
-    multipliers = gens + [g.T.copy() for g in gens]
+    if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
+        raise GroupClosureError("generators must share their dimension")
+    d = gens.shape[1]
+    defect = np.abs(np.einsum("nki,nkj->nij", gens, gens) - np.eye(d)).max(axis=(1, 2))
+    if (defect > tolerances.tau_orth()).any():
+        raise GroupClosureError("generator is not orthogonal")
+    given = tuple(gens)
+    distinct = _distinct(gens, tolerance)
 
-    elements: list[np.ndarray] = [np.eye(d)]
-    stack = np.empty((closure_cap, d, d))
-    stack[0] = np.eye(d)
-    frontier = [np.eye(d)]
-    while frontier:
-        candidates = [m @ f for f in frontier for m in multipliers]
-        frontier = []
-        for c in candidates:
-            dist = np.abs(stack[: len(elements)] - c[None]).max(axis=(1, 2))
-            if dist.min() > tolerance:
-                if len(elements) >= closure_cap:
-                    return TransformationGroup(
-                        tuple(gens), None, len(elements) + 1, tolerance
-                    )
-                stack[len(elements)] = c
-                elements.append(c)
-                frontier.append(c)
-    for e in elements:
-        e.setflags(write=False)
+    certificate = _cyclic_certificate(distinct, tolerance, closure_cap)
+    if certificate is not None:
+        return TransformationGroup(
+            given, None, closure_cap + 1, tolerance, "cyclic_orbit_exceeds_cap", certificate
+        )
+
+    multipliers = np.concatenate([distinct, distinct.transpose(0, 2, 1)])
+    table = _RotationTable(d, tolerance)
+    table.add(np.eye(d))
+    frontier = table.elements.copy()
+    while len(frontier):
+        candidates = (multipliers[None] @ frontier[:, None]).reshape(-1, d, d)
+        counts, _ = table.lookup(candidates)
+        start = table.size
+        for c in candidates[counts == 0]:
+            if table.find(c):
+                continue
+            if table.size >= closure_cap:
+                return TransformationGroup(
+                    given, None, table.size + 1, tolerance, "cap_exceeded"
+                )
+            table.add(c)
+        frontier = table.elements[start:].copy()
+    elements = table.elements[_canonical_order(table.elements)]
+    elements.setflags(write=False)
     return TransformationGroup(
-        tuple(gens), _canonical_order(elements), len(elements), tolerance
+        given,
+        tuple(elements),
+        len(elements),
+        tolerance,
+        "closed",
+        _table=_RotationTable.of(elements, tolerance),
     )
 
 

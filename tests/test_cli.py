@@ -188,6 +188,8 @@ class TestCliDimdrop:
         code, out = run_json(capsys, ["dimdrop", "--input", str(fixture_dir / "c4_rotation.json")])
         assert code == 0
         assert out["s_reduced"] < out["s_original"]
+        assert out["closure_reason"] == "closed"
+        assert out["closure_size"] == 4
 
     def test_infinite_group_exits_four(self, capsys, fixture_dir):
         code = main(["dimdrop", "--input", str(fixture_dir / "irrational_rotation_planar.json")])
@@ -266,6 +268,24 @@ class TestCliEstimate:
         assert code == 0
         assert out["word_count"] > 0
         assert out["mass"] <= 1.0 + 1e-9
+        assert out["closure_reason"] == "closed"
+        assert out["closure_size"] == 4
+
+    def test_cylinders_reports_certified_infinite_closure(self, capsys, fixture_dir):
+        code, out = run_json(
+            capsys,
+            [
+                "estimate", "cylinders",
+                "--input", str(fixture_dir / "irrational_rotation_planar.json"),
+                "--angle", "0.5",
+                "--t", "0.8",
+                "--mass-target", "0.5",
+                "--depth-cap", "6",
+            ],
+        )
+        assert code == 0
+        assert out["closure_reason"] == "cyclic_orbit_exceeds_cap"
+        assert out["closure_size"] == 5001
 
     def test_deterministic_reports_are_reproducible(self, capsys, fixture_dir):
         argv = [

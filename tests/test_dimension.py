@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsproj.dimension import (
     Edge,
@@ -185,3 +187,62 @@ class TestSimDimWords:
     def test_needs_two_words(self, sierpinski):
         with pytest.raises(GeometryError):
             sim_dim_words(sierpinski, [sierpinski.word([1])])
+
+
+# --- The Newton solver against independent oracles -------------------------
+
+
+def bisect_decreasing(f, lo=0.0):
+    """Reference root of a decreasing f with f(lo) > 0, bisected to rounding."""
+    hi = 1.0
+    while f(hi) > 0.0:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def moran_reference(ratios):
+    return bisect_decreasing(lambda s: math.fsum(r**s for r in ratios) - 1.0)
+
+
+class TestNewtonSolver:
+    @settings(max_examples=100, deadline=None)
+    @given(ratios=st.lists(st.floats(0.05, 0.95), min_size=2, max_size=8))
+    def test_moran_root_matches_reference_bisection(self, ratios):
+        m = len(ratios)
+        ifs = SSIFS([Similarity(r, [[1.0]], [i / m]) for i, r in enumerate(ratios)])
+        expected = moran_reference(ratios)
+        for report in (sim_dim_ssifs(ifs), sim_dim_gdifs(single_vertex_gdifs(ifs))):
+            assert abs(report.value - expected) <= 1e-12
+            assert abs(report.residual) <= 1e-10
+            assert report.iterations <= 50
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(2, 20), seed=st.integers(0, 2**32 - 1))
+    def test_graph_root_matches_dense_eigenvalues(self, q, seed):
+        # A Hamiltonian cycle keeps the graph strongly connected; random
+        # extra edges make it aperiodic and unbalanced.
+        rng = np.random.default_rng(seed)
+        ratios = rng.uniform(0.05, 0.95, size=4 * q)
+        edges = [loop(ratios[i], source=i, target=(i + 1) % q) for i in range(q)]
+        extra = int(rng.integers(0, 3 * q + 1))
+        ends = rng.integers(0, q, size=(extra, 2))
+        edges += [loop(r, source=int(a), target=int(b)) for (a, b), r in zip(ends, ratios[q:])]
+        g = GDIFS(q, edges)
+        report = sim_dim_gdifs(g)
+
+        def rho(s):
+            return float(np.abs(np.linalg.eigvals(g.transition_matrix(s))).max())
+
+        assert abs(rho(report.value) - 1.0) <= 1e-10
+        assert report.iterations <= 50
+        if extra:
+            assert abs(report.value - bisect_decreasing(lambda s: rho(s) - 1.0)) <= 1e-9
+        else:
+            assert report.value == 0.0

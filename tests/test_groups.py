@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsproj.groups import (
     BlockKind,
     GroupClosureError,
     OrbitDensity,
     TransformationGroup,
+    _RotationTable,
     angle_order,
     block_diagonalize,
     group_closure,
@@ -220,3 +223,204 @@ class TestRotationDistance:
         a, b = planar_rotation(0.0), planar_rotation(0.5)
         expected = np.linalg.svd(a - b, compute_uv=False)[0]
         assert abs(rotation_distance(a, b) - expected) < 1e-12
+
+
+# --- Hashed closure against the brute-force closure -----------------------
+
+
+def brute_force_closure(generators, tolerance=1e-6, closure_cap=5000):
+    """Reference: the greedy closure scanning every stored element, O(N^2).
+
+    Returns (canonically ordered elements, count), or (None, cap + 1).
+    """
+    gens = [np.array(g, dtype=float) for g in generators]
+    d = gens[0].shape[0]
+    multipliers = gens + [g.T.copy() for g in gens]
+    elements = [np.eye(d)]
+    stack = np.empty((closure_cap, d, d))
+    stack[0] = np.eye(d)
+    frontier = [np.eye(d)]
+    while frontier:
+        candidates = [m @ f for f in frontier for m in multipliers]
+        frontier = []
+        for c in candidates:
+            dist = np.abs(stack[: len(elements)] - c[None]).max(axis=(1, 2))
+            if dist.min() > tolerance:
+                if len(elements) >= closure_cap:
+                    return None, len(elements) + 1
+                stack[len(elements)] = c
+                elements.append(c)
+                frontier.append(c)
+    flat = np.stack([e.ravel() for e in elements])
+    order = np.lexsort(flat.T[::-1])
+    return [elements[i] for i in order], len(elements)
+
+
+def conjugated(generators, seed):
+    rng = np.random.default_rng(seed)
+    d = generators[0].shape[0]
+    q = random_orthogonal(rng, d)
+    return [q @ g @ q.T for g in generators]
+
+
+def signed_permutation(perm, signs):
+    m = np.zeros((3, 3))
+    m[np.arange(3), list(perm)] = signs
+    return m
+
+
+def assert_same_closure(generators, cap=5000):
+    expected, count = brute_force_closure(generators, closure_cap=cap)
+    g = group_closure(generators, closure_cap=cap)
+    assert g.witness_count == count
+    if expected is None:
+        assert not g.is_finite
+        return g
+    assert g.order == len(expected)
+    for a, b in zip(g.elements, expected):
+        assert np.abs(a - b).max() <= 1e-12
+    return g
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestHashedClosure:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 60), seed=seeds)
+    def test_cyclic_matches_brute_force(self, n, seed):
+        g = assert_same_closure(conjugated([planar_rotation(TWO_PI / n)], seed))
+        assert g.order == n and g.reason == "closed"
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 30), seed=seeds)
+    def test_dihedral_matches_brute_force(self, n, seed):
+        reflection = np.diag([1.0, -1.0])
+        g = assert_same_closure(conjugated([planar_rotation(TWO_PI / n), reflection], seed))
+        assert g.order == (2 if n == 1 else 2 * n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gens=st.lists(
+            st.tuples(st.permutations(range(3)), st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3)),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=seeds,
+    )
+    def test_signed_permutations_match_brute_force(self, gens, seed):
+        mats = [signed_permutation(p, s) for p, s in gens]
+        g = assert_same_closure(conjugated(mats, seed))
+        assert 48 % g.order == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.0, TWO_PI), d=st.sampled_from([2, 3]), seed=seeds)
+    def test_certified_verdict_matches_capped_closure_on_random_angles(self, alpha, d, seed):
+        t = scipy.linalg.block_diag(planar_rotation(alpha), np.eye(d - 2))
+        assert_same_closure(conjugated([t], seed), cap=300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.integers(1, 60),
+        p=st.integers(0, 59),
+        exponent=st.floats(-8.0, -2.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        seed=seeds,
+    )
+    def test_certified_verdict_matches_capped_closure_near_rationals(
+        self, q, p, exponent, sign, seed
+    ):
+        alpha = TWO_PI * (p % q) / q + sign * 10.0**exponent
+        assert_same_closure(conjugated([planar_rotation(alpha)], seed), cap=300)
+
+    def test_duplicate_generators_give_the_same_closure(self):
+        r = planar_rotation(TWO_PI / 6.0)
+        reflection = np.diag([1.0, -1.0])
+        assert_same_closure([r, reflection, r, r, reflection])
+
+    def test_near_rational_angle_keeps_the_finite_verdict(self):
+        g = group_closure([planar_rotation(math.pi / 2.0 + 1e-8)])
+        assert g.order == 4
+        assert g.reason == "closed"
+        assert g.margin is None
+
+    def test_irrational_angle_is_certified_with_its_margin(self):
+        g = group_closure([planar_rotation(1.0)])
+        assert g.reason == "cyclic_orbit_exceeds_cap"
+        assert g.witness_count == 5001
+        distance, threshold = g.margin
+        assert threshold == 2.0 * 2 * 1e-6
+        # Oracle: the smallest chord of the powers k = 1..cap, directly.
+        chords = [2.0 * abs(math.sin(k * 0.5)) for k in range(1, 5001)]
+        assert abs(distance - min(chords)) < 1e-12
+        assert distance > threshold
+
+    def test_cap_exceeded_reason_when_no_generator_certifies(self):
+        # Order-7 angle drifting by 3e-7: T^7 sits 2.1e-6 from the identity,
+        # below the certificate threshold 4e-6 but above the tolerance.
+        g = assert_same_closure([planar_rotation(TWO_PI / 7.0 + 3e-7)], cap=300)
+        assert g.reason == "cap_exceeded"
+        assert g.margin is None
+
+    def test_index_of_counts_every_match(self):
+        g = group_closure([planar_rotation(math.pi / 2.0)])
+        with pytest.raises(GroupClosureError, match="no group element"):
+            g.index_of(planar_rotation(0.1))
+        # Quarter turns lie 1 apart in max-abs norm; the eighth turn lies
+        # sqrt(2)/2 from both its neighbours, inside a tolerance of 0.9.
+        loose = group_closure([planar_rotation(math.pi / 2.0)], tolerance=0.9)
+        assert loose.order == 4
+        with pytest.raises(GroupClosureError, match="matches 2 group elements"):
+            loose.index_of(planar_rotation(math.pi / 4.0))
+
+
+class TestRotationTable:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, n=st.integers(1, 40), d=st.integers(1, 4), tol_exp=st.integers(-12, -3))
+    def test_lookup_equals_full_scan(self, seed, n, d, tol_exp):
+        # Queries sit within [0, 2 tol] of stored matrices, so many straddle
+        # both the tolerance and the bucket edges.
+        tol = 10.0**tol_exp
+        rng = np.random.default_rng(seed)
+        stored = rng.uniform(-1.0, 1.0, size=(n, d, d))
+        stored[n // 2 :] = stored[: n - n // 2] + rng.uniform(-2, 2, size=(n - n // 2, d, d)) * tol
+        base = stored[rng.integers(0, n, size=3 * n)]
+        queries = base + rng.uniform(-2.0, 2.0, size=base.shape) * tol
+        table = _RotationTable.of(stored, tol)
+        counts, match = table.lookup(queries)
+        dist = np.abs(queries[:, None] - stored[None]).max(axis=(2, 3))
+        assert (counts == (dist <= tol).sum(axis=1)).all()
+        hit = counts > 0
+        assert (dist[np.flatnonzero(hit), match[hit]] <= tol).all()
+        assert (match[~hit] == -1).all()
+        for q, c in zip(queries, counts):
+            assert len(table.find(q)) == c
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, d=st.integers(1, 4), tol_exp=st.integers(-12, -3))
+    def test_finds_matrices_stored_on_bucket_boundaries(self, seed, d, tol_exp):
+        tol = 10.0**tol_exp
+        rng = np.random.default_rng(seed)
+        probe = _RotationTable(d, tol)
+        base = 4.0 * tol * np.arange(8)[:, None, None] + rng.uniform(-1, 1, size=(d, d))
+        # Shift along the all-ones matrix J, which moves <W, M> one for one,
+        # so every stored matrix lies on the lower edge of its bucket.
+        dots = np.einsum("nij,ij->n", base, probe._weights)
+        edges = np.floor(dots / probe._width) * probe._width
+        stored = base + (edges - dots)[:, None, None]
+        table = _RotationTable.of(stored, tol)
+        signs = rng.choice([-1.0, 1.0], size=stored.shape)
+        for direction in (signs, -signs, np.ones_like(signs), -np.ones_like(signs)):
+            counts, match = table.lookup(stored + 0.999 * tol * direction)
+            assert (counts == 1).all()
+            assert (match == np.arange(len(stored))).all()
+
+    def test_group_index_of_on_bucket_boundaries(self):
+        g = group_closure(conjugated([planar_rotation(TWO_PI / 12.0)], 5))
+        table = g._table
+        for i, e in enumerate(g.elements):
+            dot = float(np.einsum("ij,ij->", e, table._weights))
+            for edge in (math.floor(dot / table._width), math.ceil(dot / table._width)):
+                shift = edge * table._width - dot
+                if abs(shift) < 0.999 * g.tolerance:
+                    assert g.index_of(e + shift) == i
