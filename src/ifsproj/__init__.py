@@ -56,6 +56,7 @@ from .geometry import (
     Similarity,
     Subspace,
     Word,
+    WordLevel,
     attractor_bounding_ball,
     compose,
     cylinder_ball,

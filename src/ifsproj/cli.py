@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 ok, 2 schema violation, 3 degenerate system, 4 structural
-hypothesis violation (infinite group, not strongly connected), 5 numeric
-failure.
+Exit codes: 0 ok, 2 bad or unreadable input document, 3 degenerate system,
+4 structural hypothesis violation (infinite group, not strongly connected),
+5 numeric failure, 6 I/O error (an output file or directory cannot be
+written).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ EXIT_SCHEMA = 2
 EXIT_DEGENERATE = 3
 EXIT_HYPOTHESIS = 4
 EXIT_NUMERIC = 5
+EXIT_IO = 6
 
 
 def _report_header(args, ifs=None) -> dict:
@@ -416,6 +418,9 @@ def main(argv=None) -> int:
     except (NumericFailureError, GeometryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import tolerances
 from .dimension import (
-    Edge,
     GDIFS,
     DimensionReport,
     GdifsStructureError,
@@ -33,6 +32,7 @@ from .geometry import (
     Similarity,
     Subspace,
     Word,
+    WordLevel,
     attractor_bounding_ball,
     cylinder_ball,
 )
@@ -54,34 +54,39 @@ class ProjectionGdifsResult:
         return self.group.elements
 
 
-def build_projection_gdifs(ifs: SSIFS, linear_map: LinearMap) -> ProjectionGdifsResult:
+def build_projection_gdifs(ifs: SSIFS | WordLevel, linear_map: LinearMap) -> ProjectionGdifsResult:
     """Graph-directed system whose attractor tuple is (L(O_1 K), ..., L(O_q K)).
 
     Vertices are the elements of the (finite) rotation group; there is an
     edge from i to j for every map index n with O_i T_n = O_j, carrying the
     homothety x -> r_n x + L(O_i(v_n)).  Edges are emitted in (vertex, map)
-    order.
+    order.  A word level stands for its depth-iterated system.
     """
+    if isinstance(ifs, WordLevel):
+        ifs = ifs.system()
     if linear_map.operator_norm() == 0.0:
         raise GeometryError("linear map must be nonzero")
     if linear_map.domain_dim != ifs.ambient_dim:
         raise GeometryError("linear map domain does not match the system dimension")
-    group = group_closure([s.rotation for s in ifs])
+    group = group_closure(ifs.rotations)
     if not group.is_finite:
         raise HypothesisViolationError(
             "rotation group closure exceeded the cap; the projection "
             "graph-directed construction needs a finite group"
         )
-    d = ifs.ambient_dim
-    identity_d2 = np.eye(linear_map.codomain_dim)
-    products = np.array(group.elements)[:, None] @ np.array([s.rotation for s in ifs])[None]
-    targets = group.indices_of(products.reshape(-1, d, d)).reshape(group.order, -1).tolist()
-    edges = []
-    for i, o_i in enumerate(group.elements):
-        for n, s in enumerate(ifs):
-            translation = linear_map(o_i @ s.translation)
-            edges.append(Edge(i, targets[i][n], Similarity(s.ratio, identity_d2, translation)))
-    gdifs = GDIFS(group.order, edges, name=ifs.name)
+    d, d2, m, q = ifs.ambient_dim, linear_map.codomain_dim, len(ifs), group.order
+    elements = np.array(group.elements)
+    targets = group.indices_of((elements[:, None] @ ifs.rotations[None]).reshape(-1, d, d))
+    translation = np.einsum("lj,ijk,nk->inl", linear_map.matrix, elements, ifs.translations)
+    gdifs = GDIFS.from_arrays(
+        q,
+        np.repeat(np.arange(q), m),
+        targets,
+        np.tile(ifs.ratios, q),
+        np.broadcast_to(np.eye(d2), (q * m, d2, d2)),
+        translation.reshape(q * m, d2),
+        name=ifs.name,
+    )
     if not is_strongly_connected(gdifs):
         raise NumericFailureError("projection graph is unexpectedly not strongly connected")
     source_dim = sim_dim_ssifs(ifs).value
@@ -105,13 +110,29 @@ class DimensionDropResult:
     group: TransformationGroup
 
 
-def _indices_of_flat(k: int, depth: int, m: int) -> tuple[int, ...]:
-    """Word indices (1-based) of the k-th map of the depth-iterated system."""
-    digits = []
-    for _ in range(depth):
-        digits.append(k % m + 1)
-        k //= m
-    return tuple(reversed(digits))
+def _identity_equal_ratio_pair(level: WordLevel, tau: float) -> tuple[int, int] | None:
+    """The lexicographically first pair ka < kb of identity-rotation words
+    of the level with |r_ka - r_kb| <= tau, or None.
+
+    Sorted by ratio, the identity words fall into runs whose consecutive
+    gaps are at most tau, and every pair within tau lies in one run.  A word
+    in a run of two or more has a partner (a neighbour), and one alone has
+    none; so ka is the first word in such a run and kb its first partner.
+    """
+    d = level.ifs.ambient_dim
+    off_identity = np.abs(level.rotation - np.eye(d)).max(axis=(1, 2))
+    words = np.flatnonzero(off_identity <= 10.0 * tolerances.tau_orth())
+    ratio = level.ratio[words]
+    order = np.argsort(ratio, kind="stable")
+    close = np.diff(ratio[order]) <= tau
+    paired = np.zeros(len(words), dtype=bool)
+    paired[order[1:][close]] = True
+    paired[order[:-1][close]] = True
+    if not paired.any():
+        return None
+    a = int(np.argmax(paired))
+    partners = np.flatnonzero(np.abs(ratio - ratio[a]) <= tau)
+    return int(words[a]), int(words[partners[partners > a][0]])
 
 
 def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> DimensionDropResult:
@@ -127,7 +148,7 @@ def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> Dimens
     d = ifs.ambient_dim
     if not 1 <= l < d:
         raise GeometryError(f"need 1 <= l < d, got l={l}, d={d}")
-    group = group_closure([s.rotation for s in ifs])
+    group = group_closure(ifs.rotations)
     if not group.is_finite:
         raise HypothesisViolationError("dimension-drop construction needs a finite group")
     q = group.order
@@ -136,28 +157,14 @@ def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> Dimens
     eye = np.eye(d)
 
     pair = None
-    level = None
-    depth = 0
-    for depth in range(1, 2 * q + 1):
-        if m**depth > word_budget:
+    level = WordLevel.root(ifs)
+    while pair is None and level.depth < 2 * q:
+        if len(level) * m > word_budget:
             raise NumericFailureError(
-                f"word search exceeded the budget at depth {depth}"
+                f"word search exceeded the budget at depth {level.depth + 1}"
             )
-        level = ifs.iterate(depth)
-        idx = [
-            k
-            for k, mp in enumerate(level.maps)
-            if np.abs(mp.rotation - eye).max() <= 10.0 * tolerances.tau_orth()
-        ]
-        for a_pos, ka in enumerate(idx):
-            for kb in idx[a_pos + 1 :]:
-                if abs(level[ka].ratio - level[kb].ratio) <= tau:
-                    pair = (ka, kb)
-                    break
-            if pair:
-                break
-        if pair:
-            break
+        level = level.extend()
+        pair = _identity_equal_ratio_pair(level, tau)
     if pair is None:
         raise NumericFailureError(
             "no identity-rotation equal-ratio word pair found; "
@@ -165,9 +172,9 @@ def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> Dimens
         )
 
     ka, kb = pair
-    word_a = ifs.word(_indices_of_flat(ka, depth, m))
-    word_b = ifs.word(_indices_of_flat(kb, depth, m))
-    v = level[ka].translation - level[kb].translation
+    word_a = ifs.word(level.indices(ka))
+    word_b = ifs.word(level.indices(kb))
+    v = level.translation[ka] - level.translation[kb]
     if np.linalg.norm(v) <= tau:
         # The two maps coincide; any subspace works.
         subspace = Subspace.span_of_first_axes(d, l)
@@ -176,17 +183,15 @@ def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> Dimens
 
     projection = LinearMap.projection_onto(subspace)
     built = build_projection_gdifs(level, projection)
-    identity_vertex = built.group.index_of(eye)
+    g = built.gdifs
     # Edges are emitted in (vertex, map) order.
-    edge_a = built.gdifs.edges[identity_vertex * len(level) + ka]
-    edge_b = built.gdifs.edges[identity_vertex * len(level) + kb]
-    shared = edge_a.map
+    edge_a, edge_b = built.group.index_of(eye) * len(level) + np.array([ka, kb])
     if (
-        abs(edge_a.map.ratio - edge_b.map.ratio) > tau
-        or np.abs(edge_a.map.translation - edge_b.map.translation).max() > 10.0 * tau
+        abs(g.ratio[edge_a] - g.ratio[edge_b]) > tau
+        or np.abs(g.translation[edge_a] - g.translation[edge_b]).max() > 10.0 * tau
     ):
         raise NumericFailureError("projected overlap witness maps do not coincide")
-    reduced = built.gdifs.delete_edge(identity_vertex * len(level) + kb)
+    reduced = g.delete_edge(int(edge_b))
     if not is_strongly_connected(reduced):
         raise NumericFailureError("reduced projection graph lost strong connectivity")
     s_original = sim_dim_ssifs(ifs).value
@@ -198,7 +203,7 @@ def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> Dimens
         reduced,
         s_original,
         s_reduced,
-        OverlapWitness(word_a, word_b, shared),
+        OverlapWitness(word_a, word_b, g.edge(int(edge_a)).map),
         group,
     )
 
@@ -254,6 +259,27 @@ def _fixed_point_change_words(ifs: SSIFS, root_radius: float, cap: int = 64) -> 
         chosen.append(found[0])
         points.append(found[1])
     return chosen
+
+
+def _greedy_pack(level: WordLevel, seeds, center, radius, separation) -> list[Word]:
+    """The seeds, then each word of the level in order whose cylinder ball
+    keeps the separation from every ball kept before it."""
+    d = level.ifs.ambient_dim
+    seed_balls = [cylinder_ball(w, center, radius) for w in seeds]
+    centers, radii = level.balls(center, radius)
+    # Rows from n on are overwritten as words are kept.
+    kept_centers = np.concatenate([np.reshape([c for c, _ in seed_balls], (-1, d)), centers])
+    kept_radii = np.concatenate([[r for _, r in seed_balls], radii])
+    packed = list(seeds)
+    n = len(seeds)
+    for k in range(len(level)):
+        c, r = centers[k], radii[k]
+        distance = np.linalg.norm(kept_centers[:n] - c, axis=1)
+        if (distance >= r + kept_radii[:n] + separation).all():
+            packed.append(level.ifs.word(level.indices(k)))
+            kept_centers[n], kept_radii[n] = c, r
+            n += 1
+    return packed
 
 
 def ssc_subsystem(
@@ -351,18 +377,10 @@ def ssc_subsystem(
         raise NumericFailureError("failed to separate the seed cylinder balls")
 
     # Greedy lexicographic packing at increasing depth, always keeping seeds.
-    accepted = list(seeds)
-    accepted_balls = [ball(w) for w in accepted]
-    depth = 1
-    while m**depth <= word_budget:
-        packed = list(accepted)
-        packed_balls = list(accepted_balls)
-        for k in range(m**depth):
-            w = ifs.word(_indices_of_flat(k, depth, m))
-            b = ball(w)
-            if all(_balls_disjoint(b, other, separation) for other in packed_balls):
-                packed.append(w)
-                packed_balls.append(b)
+    level = WordLevel.root(ifs)
+    while len(level) * m <= word_budget:
+        level = level.extend()
+        packed = _greedy_pack(level, seeds, center, radius, separation)
         if len(packed) >= 2:
             report = sim_dim_words(ifs, packed)
             if report.value >= target:
@@ -373,7 +391,6 @@ def ssc_subsystem(
                     t,
                     epsilon,
                 )
-        depth += 1
     raise NumericFailureError(
         "packing depth cap reached before the dimension target; "
         + ("note: t is a box-count estimate" if estimated else "tolerances may be too strict")

@@ -16,13 +16,21 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from . import tolerances
-from .geometry import DimensionMismatchError, GeometryError, NumericFailureError, SSIFS, Similarity
+from .geometry import (
+    DimensionMismatchError,
+    GeometryError,
+    NumericFailureError,
+    SSIFS,
+    Similarity,
+    checked_rotations,
+)
 
 
 class GdifsStructureError(GeometryError):
@@ -37,49 +45,110 @@ class Edge:
 
 
 class GDIFS:
-    """Directed multigraph with a contracting similarity on every edge."""
+    """Directed multigraph with a contracting similarity on every edge.
+
+    Edge e runs from ``source[e]`` to ``target[e]`` and carries the map with
+    ``ratio[e]``, ``rotation[e]`` and ``translation[e]``; ``edges`` builds
+    the same graph as a tuple of Edge objects on first use.
+    """
 
     def __init__(self, vertex_count: int, edges: Sequence[Edge], name: str | None = None):
         edges = tuple(edges)
-        if vertex_count < 1:
-            raise GdifsStructureError("need at least one vertex")
         if not edges:
             raise GdifsStructureError("need at least one edge")
         d = edges[0].map.ambient_dim
-        has_outgoing = [False] * vertex_count
-        for e in edges:
-            if not (0 <= e.source < vertex_count and 0 <= e.target < vertex_count):
-                raise GdifsStructureError(f"edge endpoint out of range: {e.source}->{e.target}")
-            if e.map.ambient_dim != d:
-                raise DimensionMismatchError("all edge maps must share the ambient dimension")
-            has_outgoing[e.source] = True
-        if not all(has_outgoing):
-            raise GdifsStructureError("every vertex needs at least one outgoing edge")
-        self.vertex_count = vertex_count
+        if any(e.map.ambient_dim != d for e in edges):
+            raise DimensionMismatchError("all edge maps must share the ambient dimension")
+        self._set_arrays(
+            vertex_count,
+            np.array([e.source for e in edges], dtype=np.intp),
+            np.array([e.target for e in edges], dtype=np.intp),
+            np.array([e.map.ratio for e in edges]),
+            np.array([e.map.rotation for e in edges]),
+            np.array([e.map.translation for e in edges]),
+            name,
+        )
         self.edges = edges
+
+    @classmethod
+    def from_arrays(
+        cls, vertex_count: int, source, target, ratio, rotation, translation, name=None
+    ) -> "GDIFS":
+        """A graph from edge arrays, with the checks Similarity applies per map."""
+        ratio = np.asarray(ratio, dtype=float)
+        if not ((ratio > 0.0) & (ratio < 1.0)).all():
+            raise GeometryError("edge ratios must lie in (0, 1)")
+        rotation = checked_rotations(np.asarray(rotation, dtype=float))
+        g = cls.__new__(cls)
+        g._set_arrays(
+            vertex_count,
+            np.asarray(source, dtype=np.intp),
+            np.asarray(target, dtype=np.intp),
+            ratio,
+            rotation,
+            np.asarray(translation, dtype=float),
+            name,
+        )
+        return g
+
+    def _set_arrays(self, q, source, target, ratio, rotation, translation, name) -> None:
+        if q < 1:
+            raise GdifsStructureError("need at least one vertex")
+        if len(source) == 0:
+            raise GdifsStructureError("need at least one edge")
+        if rotation.shape[1:] != (translation.shape[1],) * 2:
+            raise DimensionMismatchError("edge rotations do not match the translations")
+        outside = (source < 0) | (source >= q) | (target < 0) | (target >= q)
+        if outside.any():
+            e = int(np.argmax(outside))
+            raise GdifsStructureError(f"edge endpoint out of range: {source[e]}->{target[e]}")
+        if (np.bincount(source, minlength=q) == 0).any():
+            raise GdifsStructureError("every vertex needs at least one outgoing edge")
+        self.vertex_count = q
+        self.source = source
+        self.target = target
+        self.ratio = ratio
+        self.rotation = rotation
+        self.translation = translation
         self.name = name
         # Edge arrays of A(s): the flat cell source * q + target and log r_e.
-        self._cell = np.fromiter(
-            (e.source * vertex_count + e.target for e in edges), np.intp, len(edges)
+        self._cell = source * q + target
+        self._log_ratio = np.log(ratio)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(self.edge(e) for e in range(len(self.source)))
+
+    def edge(self, e: int) -> Edge:
+        return Edge(
+            int(self.source[e]),
+            int(self.target[e]),
+            Similarity(float(self.ratio[e]), self.rotation[e], self.translation[e]),
         )
-        self._log_ratio = np.log(np.fromiter((e.map.ratio for e in edges), float, len(edges)))
 
     @property
     def ambient_dim(self) -> int:
-        return self.edges[0].map.ambient_dim
+        return self.translation.shape[1]
 
     def transition_matrix(self, s: float) -> np.ndarray:
         """A(s)[i, j] = sum of r_e^s over edges from i to j."""
         return _cell_sums(self._cell, np.exp(s * self._log_ratio), self.vertex_count)
 
     def delete_edge(self, index: int) -> "GDIFS":
-        if not 0 <= index < len(self.edges):
+        if not 0 <= index < len(self.source):
             raise GdifsStructureError("edge index out of range")
-        return GDIFS(
+        keep = np.arange(len(self.source)) != index
+        g = GDIFS.__new__(GDIFS)
+        g._set_arrays(
             self.vertex_count,
-            self.edges[:index] + self.edges[index + 1 :],
-            name=self.name,
+            self.source[keep],
+            self.target[keep],
+            self.ratio[keep],
+            self.rotation[keep],
+            self.translation[keep],
+            self.name,
         )
+        return g
 
 
 def strongly_connected_components(vertex_count: int, arcs) -> list[list[int]]:
@@ -134,8 +203,10 @@ def strongly_connected_components(vertex_count: int, arcs) -> list[list[int]]:
 
 
 def is_strongly_connected(g: GDIFS) -> bool:
+    """Tarjan's algorithm on the distinct arcs (at most q^2) of the edge list."""
+    sources, targets = np.divmod(np.unique(g._cell), g.vertex_count)
     comps = strongly_connected_components(
-        g.vertex_count, ((e.source, e.target) for e in g.edges)
+        g.vertex_count, zip(sources.tolist(), targets.tolist())
     )
     return len(comps) == 1
 
@@ -274,7 +345,7 @@ def sim_dim_ssifs(ifs: SSIFS) -> DimensionReport:
     """Similarity dimension: the root of sum(r_i^s) = 1."""
     if len(ifs) < 2:
         raise GeometryError("similarity dimension needs at least two maps")
-    return _moran_report([s.ratio for s in ifs])
+    return _moran_report(ifs.ratios)
 
 
 def sim_dim_words(ifs: SSIFS, words) -> DimensionReport:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tolerances
-from .dimension import Edge, GDIFS
+from .dimension import GDIFS
 from .geometry import GeometryError, SSIFS, Similarity
 
 SCHEMA_VERSION = "1"
@@ -90,13 +90,20 @@ def load_ifs(path) -> SSIFS:
 
 
 def gdifs_to_document(g: GDIFS) -> dict:
+    rotations = g.rotation.reshape(len(g.ratio), -1)
     return {
         "schema_version": SCHEMA_VERSION,
         "vertices": g.vertex_count,
         "ambient_dim": g.ambient_dim,
         "edges": [
-            {"from": e.source, "to": e.target, **similarity_to_json(e.map)}
-            for e in g.edges
+            {"from": s, "to": t, "ratio": r, "rotation": o, "translation": v}
+            for s, t, r, o, v in zip(
+                g.source.tolist(),
+                g.target.tolist(),
+                g.ratio.tolist(),
+                rotations.tolist(),
+                g.translation.tolist(),
+            )
         ],
     }
 
@@ -107,33 +114,32 @@ def gdifs_from_document(doc: dict) -> GDIFS:
     try:
         q = int(doc["vertices"])
         d = int(doc["ambient_dim"])
-        edges_json = doc["edges"]
+        edges = doc["edges"]
+        n = len(edges)
+        source = [int(e["from"]) for e in edges]
+        target = [int(e["to"]) for e in edges]
+        ratio = [float(e["ratio"]) for e in edges]
+        rotation = np.array([e["rotation"] for e in edges], dtype=float).reshape(n, d, d)
+        translation = np.array([e["translation"] for e in edges], dtype=float).reshape(n, d)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed GDIFS document: {exc}") from exc
-    edges = [
-        Edge(int(e["from"]), int(e["to"]), _similarity_from_json(e, d))
-        for e in edges_json
-    ]
     try:
-        return GDIFS(q, edges)
+        return GDIFS.from_arrays(q, source, target, ratio, rotation, translation)
     except GeometryError as exc:
         raise SchemaError(str(exc)) from exc
 
 
 def gdifs_equal(a: GDIFS, b: GDIFS) -> bool:
-    if a.vertex_count != b.vertex_count or len(a.edges) != len(b.edges):
+    if a.vertex_count != b.vertex_count or a.translation.shape != b.translation.shape:
         return False
     tau = tolerances.tau_num()
-    for ea, eb in zip(a.edges, b.edges):
-        if ea.source != eb.source or ea.target != eb.target:
-            return False
-        if abs(ea.map.ratio - eb.map.ratio) > tau:
-            return False
-        if np.abs(ea.map.rotation - eb.map.rotation).max() > tau:
-            return False
-        if np.abs(ea.map.translation - eb.map.translation).max() > tau:
-            return False
-    return True
+    return bool(
+        np.array_equal(a.source, b.source)
+        and np.array_equal(a.target, b.target)
+        and np.abs(a.ratio - b.ratio).max() <= tau
+        and np.abs(a.rotation - b.rotation).max() <= tau
+        and np.abs(a.translation - b.translation).max() <= tau
+    )
 
 
 def write_scale_count_csv(path, scales, counts) -> None:

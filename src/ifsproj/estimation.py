@@ -63,15 +63,13 @@ def sample_attractor(
     n: int,
     seed: int = 0,
     method: SamplingMethod = SamplingMethod.DETERMINISTIC_DEPTH,
-    weighted: bool = False,
 ) -> PointCloud:
     """Sample the attractor.
 
     Deterministic mode enumerates the depth-k images of the first map's fixed
     point, for the smallest k with m^k >= n.  The chaos game iterates
-    randomly chosen maps from the fixed point (the start lies on the
-    attractor, so a burn-in of 100 steps is kept only for contract parity);
-    map choice is uniform unless ``weighted`` selects ratio^s weights.
+    uniformly chosen maps from the fixed point (the start lies on the
+    attractor, so a burn-in of 100 steps is kept only for contract parity).
     """
     if n < 1:
         raise GeometryError("need n >= 1")
@@ -88,14 +86,8 @@ def sample_attractor(
         return PointCloud(points, seed, method, digest, depth)
 
     rng = np.random.default_rng(seed)
-    if weighted:
-        from .dimension import sim_dim_ssifs
-
-        s = sim_dim_ssifs(ifs).value
-        weights = np.array([mp.ratio**s for mp in ifs])
-        weights /= weights.sum()
-    else:
-        weights = np.full(m, 1.0 / m)
+    # Explicit uniform p: rng.choice draws a different stream without it.
+    weights = np.full(m, 1.0 / m)
     burn_in = 100
     # Many parallel chains keep the sequential chaos game vectorized; block
     # assignment is fixed, so the output is reproducible for a fixed seed.

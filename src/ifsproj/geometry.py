@@ -1,4 +1,4 @@
-"""Similarities, words, cylinders, linear maps and subspaces.
+"""Similarities, words, word levels, cylinders, linear maps and subspaces.
 
 All types are immutable values and all operations are pure functions, so
 instances can be shared freely between threads.
@@ -7,7 +7,7 @@ instances can be shared freely between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -53,6 +53,45 @@ def reorthonormalize(rotation: np.ndarray) -> np.ndarray:
     # Polar factor: nearest orthogonal matrix in Frobenius norm.
     u, _, vt = np.linalg.svd(rotation)
     return u @ vt
+
+
+def _orthogonality_defects(rotation: np.ndarray) -> np.ndarray:
+    """orthogonality_defect of every matrix of an (N, d, d) stack."""
+    gram = np.einsum("nki,nkj->nij", rotation, rotation)
+    return np.abs(gram - np.eye(rotation.shape[1])).max(axis=(1, 2), initial=0.0)
+
+
+def _reorthonormalize_where(rotation: np.ndarray, limit: float) -> np.ndarray:
+    """The stack with every matrix whose defect exceeds limit replaced by its polar factor."""
+    bad = _orthogonality_defects(rotation) > limit
+    if bad.any():
+        rotation = rotation.copy()
+        rotation[bad] = [reorthonormalize(r) for r in rotation[bad]]
+    return rotation
+
+
+def checked_rotations(rotation: np.ndarray) -> np.ndarray:
+    """The orthogonality check of Similarity, applied to an (N, d, d) stack.
+
+    A defect above tau_orth raises; one above tau_orth / 10 is repaired.
+    """
+    tau = tolerances.tau_orth()
+    defect = _orthogonality_defects(rotation)
+    if (defect > tau).any():
+        raise GeometryError(f"rotation is not orthogonal (defect {defect.max():.3e})")
+    return _reorthonormalize_where(rotation, tau / 10.0)
+
+
+def _fixed_points(ratio: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """Fixed point of every similarity given as (N,), (N, d, d), (N, d) arrays."""
+    d = translation.shape[1]
+    a = np.eye(d) - ratio[:, None, None] * rotation
+    return np.linalg.solve(a, translation[..., None])[..., 0]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -132,7 +171,12 @@ def similarity_equal(a: Similarity, b: Similarity, tol: float | None = None) -> 
 
 
 class SSIFS:
-    """Self-similar iterated function system: a finite list of similarities."""
+    """Self-similar iterated function system: a finite list of similarities.
+
+    The maps are also held as arrays: ``ratios`` (m,), ``rotations``
+    (m, d, d) and ``translations`` (m, d).  A system built from arrays (a
+    word level, see ``iterate``) creates its ``maps`` only on first use.
+    """
 
     def __init__(self, maps: Sequence[Similarity], name: str | None = None):
         maps = tuple(maps)
@@ -144,21 +188,45 @@ class SSIFS:
                 raise DimensionMismatchError("all maps must share the ambient dimension")
             if not s.ratio < 1.0:
                 raise GeometryError("SSIFS maps must be strict contractions")
-        fps = np.array([s.fixed_point() for s in maps])
-        spread = np.abs(fps - fps[0]).max() if len(maps) > 1 else 0.0
-        if len(maps) == 1 or spread <= tolerances.tau_num():
+        self.maps = maps
+        self._set_arrays(
+            np.array([s.ratio for s in maps]),
+            np.array([s.rotation for s in maps]),
+            np.array([s.translation for s in maps]),
+            name,
+        )
+
+    @classmethod
+    def _from_arrays(cls, ratios, rotations, translations, name=None) -> "SSIFS":
+        """A system over already validated map arrays; ``maps`` is built lazily."""
+        ifs = cls.__new__(cls)
+        ifs._set_arrays(ratios, rotations, translations, name)
+        return ifs
+
+    def _set_arrays(self, ratios, rotations, translations, name) -> None:
+        fps = _fixed_points(ratios, rotations, translations)
+        if len(fps) == 1 or np.abs(fps - fps[0]).max() <= tolerances.tau_num():
             raise DegenerateSystemError(
                 "all maps share a fixed point; the attractor is a single point"
             )
-        self.maps = maps
+        self.ratios = _frozen(ratios)
+        self.rotations = _frozen(rotations)
+        self.translations = _frozen(translations)
         self.name = name
+
+    @cached_property
+    def maps(self) -> tuple[Similarity, ...]:
+        return tuple(
+            Similarity(float(r), o, t)
+            for r, o, t in zip(self.ratios, self.rotations, self.translations)
+        )
 
     @property
     def ambient_dim(self) -> int:
-        return self.maps[0].ambient_dim
+        return self.translations.shape[1]
 
     def __len__(self) -> int:
-        return len(self.maps)
+        return len(self.ratios)
 
     def __iter__(self):
         return iter(self.maps)
@@ -173,10 +241,68 @@ class SSIFS:
         """The system of all composition words of the given length."""
         if depth < 1:
             raise GeometryError("depth must be >= 1")
-        maps = list(self.maps)
-        for _ in range(depth - 1):
-            maps = [compose(a, b) for a in maps for b in self.maps]
-        return SSIFS(maps, name=self.name)
+        level = WordLevel.root(self)
+        for _ in range(depth):
+            level = level.extend()
+        return level.system()
+
+
+@dataclass(frozen=True, eq=False)
+class WordLevel:
+    """Every composition word of one length over an SSIFS, held as arrays.
+
+    Word k is the similarity ``ratio[k]``, ``rotation[k]``, ``translation[k]``;
+    k runs over the words in lexicographic order, so for depth n its letters
+    are ``np.unravel_index(k, (m,) * n)`` (0-based) and the words of the
+    next depth are k * m + b.
+    """
+
+    ifs: SSIFS
+    depth: int
+    ratio: np.ndarray
+    rotation: np.ndarray
+    translation: np.ndarray
+
+    @classmethod
+    def root(cls, ifs: SSIFS) -> "WordLevel":
+        """Depth 0: the empty word, whose map is the identity."""
+        d = ifs.ambient_dim
+        return cls(ifs, 0, np.ones(1), np.eye(d)[None], np.zeros((1, d)))
+
+    def __len__(self) -> int:
+        return len(self.ratio)
+
+    def extend(self) -> "WordLevel":
+        """The level one deeper: every word followed by every letter.
+
+        The same arithmetic and checks as ``compose(word, letter)`` per word:
+        ratios are the left-fold products, a rotation defect above
+        tau_orth / 10 is repaired before the Similarity check.
+        """
+        ifs = self.ifs
+        n, m, d = len(self), len(ifs), ifs.ambient_dim
+        rotation = np.einsum("aij,bjk->abik", self.rotation, ifs.rotations).reshape(-1, d, d)
+        rotation = _reorthonormalize_where(rotation, tolerances.tau_orth() / 10.0)
+        rotation = checked_rotations(rotation)
+        moved = np.einsum("aij,bj->abi", self.rotation, ifs.translations)
+        translation = self.ratio[:, None, None] * moved + self.translation[:, None]
+        ratio = (self.ratio[:, None] * ifs.ratios[None]).ravel()
+        if not ((ratio > 0.0) & (ratio < 1.0)).all():
+            raise GeometryError("word ratio left (0, 1)")
+        return WordLevel(ifs, self.depth + 1, ratio, rotation, translation.reshape(n * m, d))
+
+    def indices(self, k: int) -> tuple[int, ...]:
+        """1-based letters of word k."""
+        return tuple(int(i) + 1 for i in np.unravel_index(k, (len(self.ifs),) * self.depth))
+
+    def balls(self, root_center, root_radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Centers (N, d) and radii (N,) of the cylinder balls S_w(root ball)."""
+        moved = np.einsum("nij,j->ni", self.rotation, np.asarray(root_center, dtype=float))
+        return self.ratio[:, None] * moved + self.translation, self.ratio * root_radius
+
+    def system(self) -> SSIFS:
+        """The words of this level as an SSIFS (the depth-iterated system)."""
+        return SSIFS._from_arrays(self.ratio, self.rotation, self.translation, self.ifs.name)
 
 
 @dataclass(frozen=True)
@@ -185,7 +311,6 @@ class Word:
 
     ifs: SSIFS
     indices: tuple[int, ...]
-    _composed: Similarity | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for i in self.indices:

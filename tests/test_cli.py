@@ -50,6 +50,13 @@ class TestDocuments:
         g = GDIFS(1, [Edge(0, 0, s) for s in sierpinski])
         assert gdifs_equal(g, gdifs_from_document(gdifs_to_document(g)))
 
+    @pytest.mark.parametrize("drop", ["from", "ratio", "rotation"])
+    def test_gdifs_edge_missing_a_key_is_a_schema_error(self, sierpinski, drop):
+        doc = gdifs_to_document(GDIFS(1, [Edge(0, 0, s) for s in sierpinski]))
+        del doc["edges"][1][drop]
+        with pytest.raises(SchemaError):
+            gdifs_from_document(doc)
+
     def test_rejects_wrong_schema_version(self):
         doc = fixture_document("cantor_third")
         doc["schema_version"] = "99"
@@ -169,6 +176,22 @@ class TestCliProjectGdifs:
             ["project-gdifs", "--input", str(fixture_dir / "irrational_rotation_planar.json"), "--l", "1"]
         )
         assert code == 4
+
+    def test_unwritable_out_exits_six(self, capsys, fixture_dir, tmp_path):
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        code = main(
+            [
+                "project-gdifs",
+                "--input", str(fixture_dir / "c4_rotation.json"),
+                "--direction", "1,0",
+                "--out", str(regular / "sub"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 6
+        assert err.startswith("I/O error:")
+        assert "Traceback" not in err
 
 
 class TestCliDimdrop:

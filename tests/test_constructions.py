@@ -1,10 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ifsproj import tolerances
 from ifsproj.constructions import (
     HypothesisViolationError,
+    _balls_disjoint,
+    _greedy_pack,
+    _identity_equal_ratio_pair,
     annihilating_rotation,
     build_projection_gdifs,
     find_dimension_drop,
@@ -13,6 +20,7 @@ from ifsproj.constructions import (
     verify_pairwise_disjoint,
 )
 from ifsproj.dimension import is_strongly_connected, sim_dim_gdifs, sim_dim_ssifs
+from ifsproj.documents import gdifs_equal, gdifs_from_document, gdifs_to_document
 from ifsproj.fixtures import fixture_ifs
 from ifsproj.geometry import (
     GeometryError,
@@ -20,10 +28,13 @@ from ifsproj.geometry import (
     NumericFailureError,
     SSIFS,
     Similarity,
+    WordLevel,
     attractor_bounding_ball,
     cylinder_ball,
 )
 from ifsproj.groups import group_closure, planar_rotation, rotation_distance
+
+from conftest import random_ssifs
 
 LOG3_LOG2 = math.log(3.0) / math.log(2.0)
 X_AXIS = LinearMap(np.array([[1.0, 0.0]]))
@@ -124,6 +135,113 @@ class TestFindDimensionDrop:
     def test_rejects_bad_l(self, sierpinski):
         with pytest.raises(GeometryError):
             find_dimension_drop(sierpinski, 2)
+
+
+def nested_loop_pair(level_ifs, tau):
+    """The identity/equal-ratio pair search as a plain double loop."""
+    eye = np.eye(level_ifs.ambient_dim)
+    idx = [
+        k
+        for k, mp in enumerate(level_ifs.maps)
+        if np.abs(mp.rotation - eye).max() <= 10.0 * tolerances.tau_orth()
+    ]
+    for a_pos, ka in enumerate(idx):
+        for kb in idx[a_pos + 1 :]:
+            if abs(level_ifs[ka].ratio - level_ifs[kb].ratio) <= tau:
+                return ka, kb
+    return None
+
+
+# Ratios with exact ties and near-ties just inside and just outside tau_num.
+TIE_OFFSETS = (0.0, 0.4, 0.6, 0.99, 1.0, 1.01, 1.6, 2.5)
+
+
+class TestIdentityEqualRatioPair:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        maps=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from([0.3, 0.5]),
+                st.sampled_from(TIE_OFFSETS),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        depth=st.integers(1, 3),
+    )
+    def test_matches_the_nested_loop(self, n, maps, depth):
+        tau = tolerances.tau_num()
+        ifs = SSIFS(
+            [
+                Similarity(
+                    base + offset * tau, planar_rotation(2.0 * math.pi * j / n), [i, 0.5 * i * i]
+                )
+                for i, (j, base, offset) in enumerate(maps)
+            ]
+        )
+        level = WordLevel.root(ifs)
+        for _ in range(depth):
+            level = level.extend()
+        assert _identity_equal_ratio_pair(level, tau) == nested_loop_pair(level.system(), tau)
+
+    def test_chained_near_ties(self):
+        # 0 ~ 0.6 tau ~ 1.2 tau: the first word's only partner is the second.
+        tau = tolerances.tau_num()
+        ifs = SSIFS(
+            [Similarity(0.5 + c * tau, np.eye(2), [i, 0.0]) for i, c in enumerate((1.2, 0.0, 0.6))]
+        )
+        level = WordLevel.root(ifs).extend()
+        assert _identity_equal_ratio_pair(level, tau) == (0, 2) == nested_loop_pair(ifs, tau)
+
+
+class TestDimensionDropRegression:
+    def test_order_eight_plane_drops_at_depth_eight(self):
+        ifs = fixture_ifs("example_7_5_plane")
+        result = find_dimension_drop(ifs, 1)
+        assert result.overlap_witness.word_a.indices == (1,) * 8
+        assert result.overlap_witness.word_b.indices == (1,) * 7 + (2,)
+        assert abs(result.s_reduced - 1.1514317007623367) <= 1e-12
+        g = result.dropped_gdifs
+        assert g.vertex_count == 1
+        assert len(g.source) == 65535
+        assert gdifs_equal(g, gdifs_from_document(gdifs_to_document(g)))
+
+    def test_word_budget_stops_before_the_next_depth(self):
+        # 4^5 = 1024 words would exceed the budget, so depth 5 is never built.
+        with pytest.raises(NumericFailureError, match="at depth 5"):
+            find_dimension_drop(fixture_ifs("example_7_5_plane"), 1, word_budget=1000)
+
+
+def word_by_word_pack(ifs, depth, seeds, center, radius, separation):
+    """The greedy packing as a loop over Word objects and their balls."""
+    packed = list(seeds)
+    balls = [cylinder_ball(w, center, radius) for w in seeds]
+    for indices in itertools.product(range(1, len(ifs) + 1), repeat=depth):
+        w = ifs.word(indices)
+        b = cylinder_ball(w, center, radius)
+        if all(_balls_disjoint(b, other, separation) for other in balls):
+            packed.append(w)
+            balls.append(b)
+    return packed
+
+
+class TestGreedyPack:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), depth=st.integers(1, 3))
+    def test_matches_word_by_word_loop(self, seed, m, depth):
+        rng = np.random.default_rng(seed)
+        ifs = random_ssifs(rng, d=2, m=m)
+        center, radius = attractor_bounding_ball(ifs)
+        separation = 1e-3 * radius * float(rng.uniform(0.0, 1.0))
+        seeds = [ifs.word(tuple(rng.integers(1, m + 1, size=4))) for _ in range(2)]
+        level = WordLevel.root(ifs)
+        for _ in range(depth):
+            level = level.extend()
+        packed = _greedy_pack(level, seeds, center, radius, separation)
+        expected = word_by_word_pack(ifs, depth, seeds, center, radius, separation)
+        assert [w.indices for w in packed] == [w.indices for w in expected]
 
 
 class TestSscSubsystem:

@@ -119,7 +119,47 @@ class TestStronglyConnected:
         assert sizes == [2, 2]
 
 
+class TestStronglyConnectedArrays:
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_tarjan_on_every_edge(self, q, seed):
+        # One outgoing edge per vertex, then random (often parallel) extras.
+        rng = np.random.default_rng(seed)
+        ends = [(v, int(rng.integers(q))) for v in range(q)]
+        ends += [tuple(map(int, e)) for e in rng.integers(0, q, size=(int(rng.integers(0, 3 * q)), 2))]
+        g = GDIFS(q, [loop(0.5, v=0.1 * i, source=a, target=b) for i, (a, b) in enumerate(ends)])
+        expected = len(strongly_connected_components(q, ends)) == 1
+        assert is_strongly_connected(g) == expected
+        for index in range(len(ends)):
+            try:
+                reduced = g.delete_edge(index)
+            except GdifsStructureError:
+                continue
+            rest = ends[:index] + ends[index + 1 :]
+            assert [(e.source, e.target) for e in reduced.edges] == rest
+            assert is_strongly_connected(reduced) == (
+                len(strongly_connected_components(q, rest)) == 1
+            )
+
+
 class TestGdifs:
+    def test_from_arrays_matches_edges(self):
+        g = GDIFS(2, [loop(0.5, 0.1, 0, 1), loop(0.25, 0.2, 1, 0), loop(0.5, 0.3, 1, 1)])
+        h = GDIFS.from_arrays(
+            2, [0, 1, 1], [1, 0, 1], [0.5, 0.25, 0.5], np.ones((3, 1, 1)), [[0.1], [0.2], [0.3]]
+        )
+        def rows(graph):
+            return [(e.source, e.target, e.map.ratio, e.map.translation[0]) for e in graph.edges]
+
+        assert rows(h) == rows(g)
+        assert np.array_equal(h.transition_matrix(0.7), g.transition_matrix(0.7))
+
+    def test_from_arrays_checks_the_maps(self):
+        with pytest.raises(GeometryError):
+            GDIFS.from_arrays(1, [0], [0], [1.5], np.ones((1, 1, 1)), [[0.0]])
+        with pytest.raises(GeometryError):
+            GDIFS.from_arrays(1, [0], [0], [0.5], 2.0 * np.ones((1, 1, 1)), [[0.0]])
+
     def test_requires_outgoing_edges_everywhere(self):
         with pytest.raises(GdifsStructureError):
             GDIFS(2, [loop(0.5)])

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsproj.geometry import (
     DegenerateSystemError,
@@ -12,6 +15,7 @@ from ifsproj.geometry import (
     Similarity,
     Subspace,
     Word,
+    WordLevel,
     attractor_bounding_ball,
     compose,
     cylinder_ball,
@@ -19,7 +23,7 @@ from ifsproj.geometry import (
     similarity_equal,
 )
 
-from conftest import random_similarity
+from conftest import random_similarity, random_ssifs
 
 
 def halving(v):
@@ -143,6 +147,50 @@ class TestSSIFS:
         # Lexicographic order: entry (i, j) composes map i with map j.
         expected = compose(sierpinski[0], sierpinski[1])
         assert similarity_equal(it[1], expected)
+
+
+class TestWordLevel:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3]),
+        m=st.integers(2, 3),
+        depth=st.integers(1, 4),
+    )
+    def test_level_matches_composed_words(self, seed, d, m, depth):
+        ifs = random_ssifs(np.random.default_rng(seed), d=d, m=m)
+        level = WordLevel.root(ifs)
+        for _ in range(depth):
+            level = level.extend()
+        words = list(itertools.product(range(1, m + 1), repeat=depth))
+        assert level.depth == depth and len(level) == len(words)
+        for k, indices in enumerate(words):
+            assert level.indices(k) == indices
+            composed = ifs.word(indices).composed
+            assert level.ratio[k] == composed.ratio
+            assert np.abs(level.rotation[k] - composed.rotation).max() <= 1e-12
+            assert np.abs(level.translation[k] - composed.translation).max() <= 1e-12
+
+    def test_iterate_wraps_the_level(self, c4):
+        level = WordLevel.root(c4).extend().extend()
+        it = c4.iterate(2)
+        assert np.array_equal(it.ratios, level.ratio)
+        assert np.array_equal(it.translations, level.translation)
+        assert similarity_equal(it[5], c4.word(level.indices(5)).composed)
+
+    def test_depth_one_is_the_system(self, c4):
+        level = WordLevel.root(c4).extend()
+        assert np.array_equal(level.ratio, c4.ratios)
+        assert np.array_equal(level.rotation, c4.rotations)
+        assert np.array_equal(level.translation, c4.translations)
+
+    def test_balls_match_cylinder_ball(self, sierpinski):
+        level = WordLevel.root(sierpinski).extend().extend()
+        centers, radii = level.balls([0.5, 0.3], 0.7)
+        for k in range(len(level)):
+            c, r = cylinder_ball(sierpinski.word(level.indices(k)), [0.5, 0.3], 0.7)
+            assert np.abs(centers[k] - c).max() <= 1e-15
+            assert radii[k] == r
 
 
 class TestWord:
