@@ -40,8 +40,10 @@ from .estimation import (
     PointCloud,
     SamplingMethod,
     box_count,
+    box_counts,
     box_dim,
     covering_sum_upper_bound,
+    covering_sums,
     default_scales,
     project_cloud,
     sample_attractor,

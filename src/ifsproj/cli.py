@@ -34,9 +34,8 @@ from .documents import (
 )
 from .estimation import (
     SamplingMethod,
-    box_count,
     box_dim,
-    covering_sum_upper_bound,
+    covering_sums,
     default_scales,
     project_cloud,
     sample_attractor,
@@ -225,7 +224,7 @@ def _estimate_collapse_sweep(args, ifs, out):
     t = args.t if args.t is not None else sim_dim_ssifs(ifs).value
     diam = cloud.diameter()
     scales = _parse_scales(args.scales or "4..10", diam)
-    sums = [covering_sum_upper_bound(projected, t, s) for s in scales]
+    counts, sums = covering_sums(projected, t, scales)
     out.update(
         {
             "exponent_t": t,
@@ -237,7 +236,6 @@ def _estimate_collapse_sweep(args, ifs, out):
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        counts = [box_count(projected.points, s) for s in scales]
         path = out_dir / "collapse_sweep.csv"
         write_scale_count_csv(path, scales, counts)
         out["csv"] = str(path)

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import tolerances
 from .dimension import GDIFS
+from .estimation import column_bounds
 from .geometry import GeometryError, SSIFS, Similarity
 
 SCHEMA_VERSION = "1"
@@ -161,8 +162,8 @@ def write_pgm(path, points, resolution: int = 512) -> None:
     points = np.atleast_2d(points)
     if points.shape[1] != 2:
         raise GeometryError("PGM rendering needs a planar cloud")
-    lo = points.min(axis=0)
-    span = points.max(axis=0) - lo
+    lo, hi = column_bounds(points)
+    span = hi - lo
     span[span == 0.0] = 1.0
     ij = ((points - lo) / span * (resolution - 1)).astype(int)
     img = np.full((resolution, resolution), 255, dtype=np.uint8)

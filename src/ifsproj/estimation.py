@@ -44,9 +44,16 @@ class PointCloud:
         return self.points.shape[0]
 
     def diameter(self) -> float:
-        lo = self.points.min(axis=0)
-        hi = self.points.max(axis=0)
+        lo, hi = column_bounds(self.points)
         return float(np.linalg.norm(hi - lo))
+
+
+def column_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column min and max; one contiguous reduction per column is several
+    times faster than an ``axis=0`` reduction over a tall (n, d) array."""
+    lo = np.array([col.min() for col in points.T])
+    hi = np.array([col.max() for col in points.T])
+    return lo, hi
 
 
 def ifs_digest(ifs: SSIFS) -> str:
@@ -95,14 +102,15 @@ def sample_attractor(
     steps = burn_in + -(-n // chains)
     choices = rng.choice(m, size=(steps, chains), p=weights)
     x = np.tile(x0, (chains, 1))
-    collected = []
-    for row in choices:
+    collected = np.empty((steps - burn_in, chains, x0.shape[0]))
+    for step, row in enumerate(choices):
         for i, s in enumerate(ifs):
             mask = row == i
             if mask.any():
                 x[mask] = s(x[mask])
-        collected.append(x.copy())
-    points = np.concatenate(collected[burn_in:])[:n]
+        if step >= burn_in:
+            collected[step - burn_in] = x
+    points = collected.reshape(-1, x0.shape[0])[:n]
     return PointCloud(points, seed, SamplingMethod.CHAOS_GAME, digest)
 
 
@@ -115,18 +123,127 @@ class BoxDimEstimate:
     r_squared: float
 
 
+# Halving a quotient is exact while it stays above the subnormal range.
+_TINY = np.finfo(float).tiny
+_INT64_LIMIT = 2.0**63
+
+
+def _floor_cells(column: np.ndarray, scale: float, guard: float = 0.0) -> tuple[np.ndarray, bool]:
+    """floor(column / scale) as int64 cells, and whether every negative
+    quotient is at most -guard."""
+    with np.errstate(over="ignore"):
+        q = np.divide(column, scale)
+    clear = not guard or np.max(q, where=q < 0, initial=-math.inf) <= -guard
+    np.floor(q, out=q)
+    lo, hi = q.min(), q.max()
+    if not (-_INT64_LIMIT <= lo and hi < _INT64_LIMIT):
+        raise GeometryError(
+            f"box counting needs finite points with |x|/scale < 2^63 (scale {scale:g})"
+        )
+    cells = q.view(np.int64)
+    cells[...] = q  # element-wise in-place cast: no second n-length buffer
+    return cells, clear
+
+
+def _distinct_cells(column, d: int) -> np.ndarray:
+    """Distinct rows, as an (m, d) int64 array, of the cells whose j-th column
+    ``column(j)`` returns as a fresh int64 array.
+
+    One mixed-radix int64 key per row, sorted in place; only the key and one
+    column are alive at a time.  When the product of the column spans would
+    overflow int64 the rows are sorted with ``np.lexsort`` instead.
+    """
+    key = None
+    los, radices = [], []
+    radix = 1
+    for j in range(d):
+        cells = column(j)
+        lo, hi = int(cells.min()), int(cells.max())
+        if radix * (hi - lo + 1) > 2**63:
+            return _distinct_rows_lexsort(np.stack([column(i) for i in range(d)], axis=1))
+        cells -= lo
+        if key is None:
+            key = cells
+        else:
+            cells *= radix
+            key += cells
+        los.append(lo)
+        radices.append(radix)
+        radix *= hi - lo + 1
+        del cells  # freed before the next column is floored
+    key.sort()
+    keep = np.empty(key.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    key = key[keep]
+    out = np.empty((key.size, d), dtype=np.int64)
+    for j in range(d - 1, -1, -1):
+        out[:, j], key = np.divmod(key, radices[j])
+        out[:, j] += los[j]
+    return out
+
+
+def _distinct_rows_lexsort(cells: np.ndarray) -> np.ndarray:
+    rows = cells[np.lexsort(cells.T)]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def box_counts(points: np.ndarray, scales) -> list[int]:
+    """Occupied origin-anchored grid boxes of side s, for each s in ``scales``
+    (counts in the order the scales are given).
+
+    Each count is the number of distinct cells floor(x / s) over the points.
+    When the scales, sorted from coarse to fine, halve exactly
+    (s[i] == 2 s[i+1]), the points are quantised only once, at the finest
+    scale, and each coarser count comes from shifting the distinct cells of
+    the next finer scale right by one bit.  This is exact: the correctly
+    rounded quotient x / (2 s) is exactly half of x / s unless it is
+    subnormal, and floor(y / 2) = floor(y) >> 1 for an arithmetic shift.  If
+    some negative point's quotient at the finest scale is small enough that
+    a halving could underflow (e.g. x = -5e-324), or the scales do not halve,
+    every scale is quantised and counted on its own by the same kernel.
+
+    Raises GeometryError for a non-positive or non-finite scale, and for
+    points that are not finite or whose |x| / scale reaches 2^63.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    scales = [float(s) for s in scales]
+    if not all(0.0 < s < math.inf for s in scales):
+        raise GeometryError("scale must be positive and finite")
+    n, d = points.shape
+    if n == 0:
+        return [0] * len(scales)
+    order = sorted(range(len(scales)), key=lambda i: -scales[i])
+    counts = [0] * len(scales)
+    ladder = [scales[i] for i in order]
+    halving = len(ladder) > 1 and all(a == 2.0 * b for a, b in zip(ladder, ladder[1:]))
+    if halving:
+        guard = 2.0 * _TINY * (ladder[0] / ladder[-1])  # tiny 2^len, inf on overflow
+        clear = []
+
+        def finest(j):
+            cells, ok = _floor_cells(points[:, j], ladder[-1], guard)
+            clear.append(ok)
+            return cells
+
+        cells = _distinct_cells(finest, d)
+        if all(clear):
+            counts[order[-1]] = len(cells)
+            for i in reversed(order[:-1]):
+                cells >>= 1
+                cells = _distinct_cells(lambda j: cells[:, j].copy(), d)
+                counts[i] = len(cells)
+            return counts
+    for i, s in enumerate(scales):
+        counts[i] = len(_distinct_cells(lambda j: _floor_cells(points[:, j], s)[0], d))
+    return counts
+
+
 def box_count(points: np.ndarray, scale: float) -> int:
     """Occupied origin-anchored grid boxes of side ``scale``."""
-    if scale <= 0:
-        raise GeometryError("scale must be positive")
-    quantized = np.floor(np.atleast_2d(points) / scale).astype(np.int64)
-    if quantized.shape[1] == 1:
-        return int(np.unique(quantized[:, 0]).size)
-    # Row-wise unique via a contiguous byte view; much faster than axis=0.
-    rows = np.ascontiguousarray(quantized).view(
-        np.dtype((np.void, quantized.dtype.itemsize * quantized.shape[1]))
-    )
-    return int(np.unique(rows).size)
+    return box_counts(points, [scale])[0]
 
 
 def default_scales(cloud: PointCloud, coarse: int = 3, fine: int = 10) -> list[float]:
@@ -157,7 +274,7 @@ def box_dim(cloud: PointCloud, scales) -> BoxDimEstimate:
         raise GeometryError("need at least two scales")
     if len(cloud) < 100:
         raise GeometryError("need at least 100 points")
-    counts = [box_count(cloud.points, s) for s in scales]
+    counts = box_counts(cloud.points, scales)
     if len(set(counts)) == 1:
         if counts[0] == 1:
             return BoxDimEstimate(0.0, 0.0, tuple(scales), tuple(counts), 1.0)
@@ -178,13 +295,19 @@ def project_cloud(cloud: PointCloud, linear_map: LinearMap) -> PointCloud:
     return replace(cloud, points=linear_map(cloud.points))
 
 
+def covering_sums(cloud: PointCloud, t: float, scales) -> tuple[list[int], list[float]]:
+    """Grid-cover upper bounds on the t-dimensional Hausdorff content, one per
+    scale in the order given: N(s) (s sqrt(d))^t.  Returns (counts, sums)."""
+    if t <= 0:
+        raise GeometryError("scale and t must be positive")
+    counts = box_counts(cloud.points, scales)
+    side = math.sqrt(cloud.ambient_dim)
+    return counts, [count * (float(s) * side) ** t for count, s in zip(counts, scales)]
+
+
 def covering_sum_upper_bound(cloud: PointCloud, t: float, scale: float) -> float:
     """Grid-cover upper bound on the t-dimensional Hausdorff content."""
-    if scale <= 0 or t <= 0:
-        raise GeometryError("scale and t must be positive")
-    count = box_count(cloud.points, scale)
-    d = cloud.ambient_dim
-    return count * (scale * math.sqrt(d)) ** t
+    return covering_sums(cloud, t, [scale])[1][0]
 
 
 def cloud_in_ball(cloud: PointCloud, center, radius: float) -> bool:

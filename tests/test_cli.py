@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,7 +264,30 @@ class TestCliEstimate:
         )
         assert code == 0
         assert len(out["covering_sums"]) == len(out["scales"])
-        assert (tmp_path / "collapse_sweep.csv").exists()
+        rows = (tmp_path / "collapse_sweep.csv").read_text().split()[1:]
+        scales = [float(row.split(",")[0]) for row in rows]
+        counts = [int(row.split(",")[1]) for row in rows]
+        assert scales == out["scales"]
+        # One count per scale feeds both the CSV and N(s) s^t (d = 1).
+        t = out["exponent_t"]
+        assert out["covering_sums"] == [c * s**t for c, s in zip(counts, scales)]
+        assert scales == sorted(scales, reverse=True)
+
+    def test_out_of_range_quotients_exit_five(self, capsys, fixture_dir):
+        code = main(
+            [
+                "estimate", "boxdim",
+                "--input", str(fixture_dir / "sierpinski_half.json"),
+                "--n", "1000",
+                # Quotients at the finest scales pass 2^63; once counted as cast garbage.
+                "--scales", "3..70",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("numeric failure:")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_ssc_approx(self, capsys, fixture_dir):
         code, out = run_json(
@@ -320,6 +344,24 @@ class TestCliEstimate:
         _, a = run_json(capsys, argv)
         _, b = run_json(capsys, argv)
         assert a == b
+
+
+PINNED_SWEEP = json.loads((Path(__file__).parent / "data" / "projection_sweep_seed1.json").read_text())
+
+
+class TestProjectionSweepPin:
+    """The box-counting reports of perfbench's projection-sweep workload at
+    seed 1, as the per-scale counter computed them before the dyadic ladder."""
+
+    @pytest.mark.parametrize("case", PINNED_SWEEP, ids=lambda c: " ".join(c["args"][1:]))
+    def test_report_fields(self, capsys, fixture_dir, case):
+        argv = [*case["args"], "--input", str(fixture_dir / f"{case['fixture']}.json")]
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        assert out["points"] == case["points"]
+        assert out["scales"] == case["scales"]
+        assert out["counts"] == case["counts"]
+        assert abs(out["slope"] - case["slope"]) <= 1e-12
 
 
 class TestCliFixtures:

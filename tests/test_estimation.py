@@ -1,14 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ifsproj import estimation
 from ifsproj.estimation import (
     PointCloud,
     SamplingMethod,
     box_count,
+    box_counts,
     box_dim,
+    column_bounds,
     covering_sum_upper_bound,
+    covering_sums,
     default_scales,
     project_cloud,
     sample_attractor,
@@ -25,6 +32,63 @@ from ifsproj.geometry import (
 
 def cloud_of(points):
     return PointCloud(np.asarray(points, dtype=float), 0, SamplingMethod.DETERMINISTIC_DEPTH, "test")
+
+
+def per_scale_count(points, scale):
+    """Independent oracle: floor every coordinate and count distinct rows."""
+    quantized = np.floor(np.atleast_2d(points) / scale).astype(np.int64)
+    if quantized.shape[1] == 1:
+        return int(np.unique(quantized[:, 0]).size)
+    return int(np.unique(quantized, axis=0).shape[0])
+
+
+def chaos_game_by_appending(ifs, n, seed):
+    """The chaos game as one masked update per map and step, collecting a
+    copy of every step and concatenating them at the end."""
+    rng = np.random.default_rng(seed)
+    m = len(ifs)
+    burn_in, chains = 100, min(n, 1024)
+    steps = burn_in + -(-n // chains)
+    choices = rng.choice(m, size=(steps, chains), p=np.full(m, 1.0 / m))
+    x = np.tile(ifs[0].fixed_point(), (chains, 1))
+    collected = []
+    for row in choices:
+        for i, s in enumerate(ifs):
+            mask = row == i
+            if mask.any():
+                x[mask] = s(x[mask])
+        collected.append(x.copy())
+    return np.concatenate(collected[burn_in:])[:n]
+
+
+TINY = np.finfo(float).tiny
+coordinates = st.one_of(
+    st.floats(-1e3, 1e3),
+    # Subnormal and smallest-normal magnitudes, kept on purpose.
+    st.floats(-4 * TINY, 4 * TINY),
+    st.integers(-8, 8).map(lambda k: k * 5e-324),
+    st.sampled_from([0.0, -0.0, -TINY, 1.0, -1.0]),
+)
+
+
+@st.composite
+def clouds(draw):
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(coordinates, min_size=d, max_size=d), min_size=1, max_size=30))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=10))
+    return np.array(rows + [rows[i] for i in repeats], dtype=float).reshape(-1, d)
+
+
+@st.composite
+def dyadic_ladders(draw):
+    base = draw(st.floats(0.1, 10.0))
+    top = draw(st.one_of(st.integers(-2, 4), st.integers(-20, 10)))
+    levels = draw(st.integers(2, 7))
+    ladder = [math.ldexp(base, top - i) for i in range(levels)]
+    return draw(st.permutations(ladder))
+
+
+other_scales = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6)
 
 
 class TestSampleAttractor:
@@ -65,6 +129,13 @@ class TestSampleAttractor:
             cloud = sample_attractor(sierpinski, 2000, seed=1, method=method)
             assert verify_cloud(sierpinski, cloud)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name, n", [("sierpinski", 5000), ("irrational", 3000)])
+    def test_chaos_game_matches_appending_loop(self, request, name, n, seed):
+        ifs = request.getfixturevalue(name)
+        cloud = sample_attractor(ifs, n, seed=seed, method=SamplingMethod.CHAOS_GAME)
+        assert np.array_equal(cloud.points, chaos_game_by_appending(ifs, n, seed))
+
     def test_rejects_nonpositive_n(self, sierpinski):
         with pytest.raises(GeometryError):
             sample_attractor(sierpinski, 0)
@@ -86,6 +157,81 @@ class TestBoxCount:
     def test_rejects_bad_scale(self):
         with pytest.raises(GeometryError):
             box_count(np.zeros((5, 2)), 0.0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(GeometryError):
+            box_counts(np.zeros((5, 2)), [1.0, scale])
+
+
+class TestBoxCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(clouds(), st.one_of(dyadic_ladders(), other_scales))
+    def test_matches_per_scale_oracle(self, points, scales):
+        expected = [per_scale_count(points, s) for s in scales]
+        assert box_counts(points, scales) == expected
+
+    def test_underflowing_halving_uses_per_scale_counts(self):
+        # -5e-324 / 1 floors to -1, but -5e-324 / 2 rounds to -0.0, which
+        # floors to 0: shifting the scale-1 cell would give -1.
+        points = np.array([[-5e-324], [1.0]])
+        assert box_counts(points, [2.0, 1.0]) == [1, 2]
+        assert [per_scale_count(points, s) for s in (2.0, 1.0)] == [1, 2]
+        # A ladder of 1086 halvings: -2^-60 / 2^1023 underflows although
+        # the finest quotient, -8, is far from subnormal.
+        points = np.array([[-(2.0**-60)], [0.5]])
+        scales = [2.0**k for k in range(1023, -64, -1)]
+        assert box_counts(points, scales) == [per_scale_count(points, s) for s in scales]
+
+    def test_counts_follow_the_given_scale_order(self):
+        points = np.array([[i + 0.5, j + 0.5] for i in range(4) for j in range(4)])
+        assert box_counts(points, [1.0, 4.0, 2.0, 0.5]) == [16, 1, 4, 16]
+
+    def test_dyadic_ladder_quantises_once(self, monkeypatch, sierpinski):
+        calls = []
+        floor_cells = estimation._floor_cells
+
+        def counting(*args):
+            calls.append(args[1])
+            return floor_cells(*args)
+
+        monkeypatch.setattr(estimation, "_floor_cells", counting)
+        cloud = sample_attractor(sierpinski, 10**4)
+        scales = default_scales(cloud)
+        box_counts(cloud.points, scales)
+        assert calls == [scales[-1]] * 2
+        calls.clear()
+        box_counts(cloud.points, [0.3, 0.2, 0.1])
+        assert calls == [0.3, 0.3, 0.2, 0.2, 0.1, 0.1]
+
+    @pytest.mark.parametrize(
+        "points, scale",
+        [
+            ([[math.nan], [1.0], [math.inf]], 0.5),
+            ([[1.0, -math.inf]], 1.0),
+            ([[1e19]], 1.0),
+            ([[-1.0]], 1e-300),
+            ([[1e300, 0.0]], 1e-300),
+        ],
+    )
+    def test_non_finite_or_out_of_range_quotients_raise(self, points, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError):
+                box_count(np.array(points), scale)
+            with pytest.raises(GeometryError):
+                box_counts(np.array(points), [2.0 * scale, scale])
+
+    def test_wide_clouds_do_not_wrap_the_cell_key(self):
+        # Column spans whose product exceeds int64 go through np.lexsort.
+        rng = np.random.default_rng(3)
+        for d in (2, 3):
+            points = rng.uniform(-2.0**40, 2.0**40, size=(500, d))
+            points = np.concatenate([points, points[:50], np.zeros((1, d))])
+            scales = [2.0, 1.0, 0.5]
+            assert box_counts(points, scales) == [per_scale_count(points, s) for s in scales]
+        far = np.array([[0.0, 0.0], [2.0**62, 0.0], [0.0, 2.0**62], [2.0**62, 2.0**62]])
+        assert box_counts(far, [1.0]) == [4]
 
 
 class TestBoxDim:
@@ -127,6 +273,15 @@ class TestBoxDim:
         assert 0.0 <= est.r_squared <= 1.0
 
 
+class TestColumnBounds:
+    @pytest.mark.parametrize("shape", [(1, 2), (7, 1), (1000, 2), (50, 3)])
+    def test_matches_axis_reductions(self, shape):
+        points = np.random.default_rng(4).normal(size=shape)
+        lo, hi = column_bounds(points)
+        assert np.array_equal(lo, points.min(axis=0))
+        assert np.array_equal(hi, points.max(axis=0))
+
+
 class TestProjectCloud:
     def test_identity_map_preserves_points(self, sierpinski):
         cloud = sample_attractor(sierpinski, 1000)
@@ -164,6 +319,14 @@ class TestCoveringSum:
         for k in (4, 6, 8):
             value = covering_sum_upper_bound(cloud, 1.0, 2.0**-k)
             assert abs(value - 1.0) < 2.0 * 2.0**-k + 1e-9
+
+    def test_sums_share_one_count_per_scale(self, sierpinski):
+        cloud = sample_attractor(sierpinski, 10**4)
+        scales = [2.0**-k for k in range(4, 9)]
+        counts, sums = covering_sums(cloud, 0.9, scales)
+        assert counts == box_counts(cloud.points, scales)
+        for s, total in zip(scales, sums):
+            assert total == covering_sum_upper_bound(cloud, 0.9, s)
 
     def test_rejects_bad_parameters(self):
         cloud = cloud_of(np.zeros((1, 1)))
