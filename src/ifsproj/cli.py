@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 2 bad or unreadable input document, 3 degenerate system,
 4 structural hypothesis violation (infinite group, not strongly connected),
-5 numeric failure, 6 I/O error (an output file or directory cannot be
-written).
+5 numeric failure (also a --delta, --t or --epsilon that is not finite and
+positive, an --angle that is not finite, or a --depth-cap below 1), 6 I/O
+error (an output file or directory cannot be written).
 """
 
 from __future__ import annotations
@@ -288,6 +289,7 @@ def _estimate_cylinders(args, ifs, out):
             "mass": selection.mass,
             "word_count": len(selection.words),
             "partial": selection.partial,
+            "dropped_words": selection.dropped_words,
             "depth_cap": selection.depth_cap,
             "closure_reason": selection.group.reason,
             "closure_size": selection.group.witness_count,

@@ -208,11 +208,6 @@ def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> Dimens
     )
 
 
-def _balls_disjoint(ball_a, ball_b, separation: float) -> bool:
-    (ca, ra), (cb, rb) = ball_a, ball_b
-    return float(np.linalg.norm(ca - cb)) >= ra + rb + separation
-
-
 @dataclass(frozen=True)
 class Subsystem:
     """A word subsystem of an SSIFS with a ball-disjointness certificate."""
@@ -261,25 +256,44 @@ def _fixed_point_change_words(ifs: SSIFS, root_radius: float, cap: int = 64) -> 
     return chosen
 
 
+def _word_balls(words, center, radius) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (N, d) and radii (N,) of the cylinder balls of the words."""
+    balls = [cylinder_ball(w, center, radius) for w in words]
+    centers = np.reshape([c for c, _ in balls], (-1, np.size(center)))
+    return centers, np.array([r for _, r in balls], dtype=float)
+
+
+def _kept_in_order(centers, radii, separation, pinned: int = 0) -> np.ndarray:
+    """Keep-mask of balls taken in index order: ball k is kept iff
+    ||c_k - c_j|| >= r_k + r_j + separation for every earlier kept ball j.
+    The first `pinned` balls are kept unchecked."""
+    kept = np.zeros(len(radii), dtype=bool)
+    # The first n rows hold the balls kept so far.
+    kept_centers, kept_radii = np.empty_like(centers), np.empty_like(radii)
+    n = 0
+    for k in range(len(radii)):
+        c, r = centers[k], radii[k]
+        distance = np.linalg.norm(kept_centers[:n] - c, axis=1)
+        if k < pinned or (distance >= r + kept_radii[:n] + separation).all():
+            kept[k] = True
+            kept_centers[n], kept_radii[n] = c, r
+            n += 1
+    return kept
+
+
 def _greedy_pack(level: WordLevel, seeds, center, radius, separation) -> list[Word]:
     """The seeds, then each word of the level in order whose cylinder ball
     keeps the separation from every ball kept before it."""
-    d = level.ifs.ambient_dim
-    seed_balls = [cylinder_ball(w, center, radius) for w in seeds]
+    seed_centers, seed_radii = _word_balls(seeds, center, radius)
     centers, radii = level.balls(center, radius)
-    # Rows from n on are overwritten as words are kept.
-    kept_centers = np.concatenate([np.reshape([c for c, _ in seed_balls], (-1, d)), centers])
-    kept_radii = np.concatenate([[r for _, r in seed_balls], radii])
-    packed = list(seeds)
-    n = len(seeds)
-    for k in range(len(level)):
-        c, r = centers[k], radii[k]
-        distance = np.linalg.norm(kept_centers[:n] - c, axis=1)
-        if (distance >= r + kept_radii[:n] + separation).all():
-            packed.append(level.ifs.word(level.indices(k)))
-            kept_centers[n], kept_radii[n] = c, r
-            n += 1
-    return packed
+    kept = _kept_in_order(
+        np.concatenate([seed_centers, centers]),
+        np.concatenate([seed_radii, radii]),
+        separation,
+        pinned=len(seeds),
+    )
+    words = [level.ifs.word(level.indices(k)) for k in np.flatnonzero(kept[len(seeds) :])]
+    return list(seeds) + words
 
 
 def ssc_subsystem(
@@ -300,8 +314,10 @@ def ssc_subsystem(
     """
     from .groups import kronecker_power
 
-    if epsilon <= 0:
-        raise GeometryError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise GeometryError("epsilon must be finite and positive")
+    if t is not None and not (math.isfinite(t) and t > 0):
+        raise GeometryError("t must be finite and positive")
     s = sim_dim_ssifs(ifs).value
     estimated = False
     if t is None:
@@ -317,17 +333,11 @@ def ssc_subsystem(
     separation = tolerances.TAU_SEP_FACTOR * 2.0 * radius
     m = len(ifs)
 
-    def ball(word: Word):
-        return cylinder_ball(word, center, radius)
+    def disjoint(words: list[Word]) -> bool:
+        return bool(_kept_in_order(*_word_balls(words, center, radius), separation).all())
 
     def pack(words: list[Word], target: float) -> Subsystem | None:
-        balls = [ball(w) for w in words]
-        ok = all(
-            _balls_disjoint(balls[i], balls[j], separation)
-            for i in range(len(balls))
-            for j in range(i + 1, len(balls))
-        )
-        if not ok:
+        if not disjoint(words):
             return None
         report = sim_dim_words(ifs, words)
         if report.value < target:
@@ -365,12 +375,7 @@ def ssc_subsystem(
     for n in range(1, max_power_rounds + 1):
         k = max(kronecker_power(w.composed.rotation, n) for w in base)
         candidate = [ifs.word(w.indices * k) for w in base]
-        balls = [ball(w) for w in candidate]
-        if all(
-            _balls_disjoint(balls[i], balls[j], separation)
-            for i in range(len(balls))
-            for j in range(i + 1, len(balls))
-        ):
+        if disjoint(candidate):
             seeds = candidate
             break
     if seeds is None:
@@ -408,6 +413,8 @@ class CylinderSelection:
     partial: bool
     group: TransformationGroup
     exponent_is_estimate: bool = False
+    # Accepted words the disjointness certificate removed.
+    dropped_words: int = 0
 
 
 def _rotation_word_search(
@@ -430,8 +437,8 @@ def _rotation_word_search(
         rot, word = queue.popleft()
         if len(word) >= length_cap:
             continue
-        for n, s in enumerate(ifs, start=1):
-            nxt = rot @ s.rotation
+        for n, rotation in enumerate(ifs.rotations, start=1):
+            nxt = rot @ rotation
             if rotation_distance(nxt, target) < tol:
                 return word + (n,)
             if visited.size >= state_cap:
@@ -442,62 +449,17 @@ def _rotation_word_search(
 
 
 def verify_pairwise_disjoint(words, center, radius, separation: float):
-    """Indices of words whose balls conflict with an earlier word's ball.
+    """Indices of words whose balls conflict with an earlier kept word's ball.
 
-    Sound pairwise certificate via the prefix tree: two words diverging at a
-    node have disjoint balls whenever the balls of the divergent one-letter
-    extensions of the shared prefix are disjoint, because cylinder balls nest.
-    Falls back to a direct ball comparison when the prefix-level test fails.
+    Words are taken in index order: a word is dropped iff its cylinder ball
+    comes closer than the separation to the ball of an earlier word that was
+    kept, so the kept words have pairwise separated balls.  Containment needs
+    no special case: a repeated word has the same ball, and the ball of a
+    word extending another lies inside its ancestor's ball (cylinder balls
+    nest), so either always meets the earlier ball.
     """
-    by_prefix: dict[tuple, dict[int, list[int]]] = {}
-    for idx, w in enumerate(words):
-        for depth in range(len(w.indices)):
-            prefix = w.indices[:depth]
-            branch = w.indices[depth]
-            by_prefix.setdefault(prefix, {}).setdefault(branch, []).append(idx)
-    dropped: set[int] = set()
-    # Containment: a word that extends another names a nested cylinder, which
-    # always meets its ancestor; the prefix-divergence test below cannot see
-    # this, so flag the later word of each such pair directly.
-    index_of_word = {}
-    for idx, w in enumerate(words):
-        if w.indices in index_of_word:
-            dropped.add(max(idx, index_of_word[w.indices]))
-        else:
-            index_of_word[w.indices] = idx
-    for idx, w in enumerate(words):
-        for depth in range(len(w.indices)):
-            other = index_of_word.get(w.indices[:depth])
-            if other is not None and other != idx:
-                dropped.add(max(idx, other))
-    ball_cache: dict[tuple, tuple] = {}
-
-    def ball_of(ifs, indices):
-        if indices not in ball_cache:
-            ball_cache[indices] = cylinder_ball(Word(ifs, indices), center, radius)
-        return ball_cache[indices]
-
-    ifs = words[0].ifs if words else None
-    for prefix, branches in by_prefix.items():
-        letters = sorted(branches)
-        for i, li in enumerate(letters):
-            for lj in letters[i + 1 :]:
-                if _balls_disjoint(
-                    ball_of(ifs, prefix + (li,)), ball_of(ifs, prefix + (lj,)), separation
-                ):
-                    continue
-                # Prefix-level certificate failed: compare the words directly.
-                for a in branches[li]:
-                    for b in branches[lj]:
-                        if a in dropped or b in dropped:
-                            continue
-                        if not _balls_disjoint(
-                            ball_of(ifs, words[a].indices),
-                            ball_of(ifs, words[b].indices),
-                            separation,
-                        ):
-                            dropped.add(max(a, b))
-    return dropped
+    kept = _kept_in_order(*_word_balls(words, center, radius), separation)
+    return set(np.flatnonzero(~kept).tolist())
 
 
 def select_disjoint_cylinders(
@@ -520,12 +482,14 @@ def select_disjoint_cylinders(
     bounding balls; conflicting later words are dropped.
     """
     o = np.asarray(rotation_target, dtype=float)
-    if delta <= 0 or t <= 0:
-        raise GeometryError("delta and t must be positive")
+    if not (math.isfinite(delta) and delta > 0 and math.isfinite(t) and t > 0):
+        raise GeometryError("delta and t must be finite and positive")
     if not 0 < mass_target < 1:
         raise GeometryError("mass_target must lie in (0, 1)")
+    if depth_cap < 1:
+        raise GeometryError("depth_cap must be at least 1")
     d = ifs.ambient_dim
-    group = group_closure([s.rotation for s in ifs])
+    group = group_closure(ifs.rotations)
     exact_tol = 10.0 * tolerances.tau_orth() if group.is_finite else None
 
     # Reachability precondition: a corrector word from the identity to O.
@@ -561,9 +525,7 @@ def select_disjoint_cylinders(
 
     accepted: list[Word] = []
     mass = 0.0
-    queue = deque(
-        (ifs.word((n,)), s.rotation) for n, s in enumerate(ifs, start=1)
-    )
+    queue = deque((ifs.word((n,)), rotation) for n, rotation in enumerate(ifs.rotations, start=1))
     while queue and mass < mass_target:
         word, rot = queue.popleft()
         if matches(rot):
@@ -571,8 +533,8 @@ def select_disjoint_cylinders(
             mass += word.ratio**t
             continue
         if len(word) < depth_cap:
-            for n, s in enumerate(ifs, start=1):
-                queue.append((word.extend(n), rot @ s.rotation))
+            for n, rotation in enumerate(ifs.rotations, start=1):
+                queue.append((word.extend(n), rot @ rotation))
             continue
         # Depth cap: append a corrector word as the final refinement.
         tail = corrector_for(rot)
@@ -584,16 +546,15 @@ def select_disjoint_cylinders(
 
     dropped = verify_pairwise_disjoint(accepted, center, radius, separation)
     if dropped:
-        kept = [w for i, w in enumerate(accepted) if i not in dropped]
-        mass = math.fsum(w.ratio**t for w in kept)
-        accepted = kept
+        accepted = [w for i, w in enumerate(accepted) if i not in dropped]
+        mass = math.fsum(w.ratio**t for w in accepted)
     partial = mass < mass_target
     if mass > 1.0 + tolerances.tau_num() and not t_is_estimate:
         raise NumericFailureError(
             f"selected mass {mass} exceeds 1; the exponent t is likely wrong"
         )
     return CylinderSelection(
-        tuple(accepted), o, delta, t, mass, depth_cap, partial, group, t_is_estimate
+        tuple(accepted), o, delta, t, mass, depth_cap, partial, group, t_is_estimate, len(dropped)
     )
 
 

@@ -493,5 +493,7 @@ def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def planar_rotation(angle: float) -> np.ndarray:
+    if not math.isfinite(angle):
+        raise GeometryError("rotation angle must be finite")
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])

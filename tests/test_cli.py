@@ -334,6 +334,52 @@ class TestCliEstimate:
         assert out["closure_reason"] == "cyclic_orbit_exceeds_cap"
         assert out["closure_size"] == 5001
 
+    def test_cylinders_reports_dropped_words(self, capsys, fixture_dir):
+        code, out = run_json(
+            capsys,
+            [
+                "estimate", "cylinders",
+                "--input", str(fixture_dir / "c4_rotation.json"),
+                "--angle", "1.5707963267948966",
+                "--mass-target", "0.9",
+            ],
+        )
+        assert code == 0
+        # 895 words match the target; the certificate keeps 408 of them.
+        assert out["word_count"] == 408
+        assert out["dropped_words"] == 487
+        assert out["partial"]
+
+    @pytest.mark.parametrize(
+        "mode, option, value",
+        [
+            ("cylinders", "--delta", "nan"),
+            ("cylinders", "--delta", "inf"),
+            ("cylinders", "--t", "nan"),
+            ("cylinders", "--t", "-inf"),
+            ("cylinders", "--depth-cap", "0"),
+            ("cylinders", "--depth-cap", "-3"),
+            ("cylinders", "--angle", "nan"),
+            ("cylinders", "--angle", "inf"),
+            ("ssc-approx", "--epsilon", "nan"),
+            ("ssc-approx", "--epsilon", "inf"),
+            ("ssc-approx", "--t", "nan"),
+        ],
+    )
+    def test_invalid_parameter_exits_five(self, capsys, fixture_dir, mode, option, value):
+        code = main(
+            [
+                "estimate", mode,
+                "--input", str(fixture_dir / "sierpinski_half.json"),
+                f"{option}={value}",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure:")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_deterministic_reports_are_reproducible(self, capsys, fixture_dir):
         argv = [
             "estimate", "boxdim",

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from ifsproj import tolerances
 from ifsproj.constructions import (
     HypothesisViolationError,
-    _balls_disjoint,
     _greedy_pack,
     _identity_equal_ratio_pair,
     annihilating_rotation,
@@ -21,7 +22,7 @@ from ifsproj.constructions import (
 )
 from ifsproj.dimension import is_strongly_connected, sim_dim_gdifs, sim_dim_ssifs
 from ifsproj.documents import gdifs_equal, gdifs_from_document, gdifs_to_document
-from ifsproj.fixtures import fixture_ifs
+from ifsproj.fixtures import fixture_document, fixture_ifs
 from ifsproj.geometry import (
     GeometryError,
     LinearMap,
@@ -214,6 +215,11 @@ class TestDimensionDropRegression:
             find_dimension_drop(fixture_ifs("example_7_5_plane"), 1, word_budget=1000)
 
 
+def separated(ball_a, ball_b, separation):
+    (ca, ra), (cb, rb) = ball_a, ball_b
+    return float(np.linalg.norm(ca - cb)) >= ra + rb + separation
+
+
 def word_by_word_pack(ifs, depth, seeds, center, radius, separation):
     """The greedy packing as a loop over Word objects and their balls."""
     packed = list(seeds)
@@ -221,7 +227,7 @@ def word_by_word_pack(ifs, depth, seeds, center, radius, separation):
     for indices in itertools.product(range(1, len(ifs) + 1), repeat=depth):
         w = ifs.word(indices)
         b = cylinder_ball(w, center, radius)
-        if all(_balls_disjoint(b, other, separation) for other in balls):
+        if all(separated(b, other, separation) for other in balls):
             packed.append(w)
             balls.append(b)
     return packed
@@ -332,6 +338,27 @@ class TestSelectDisjointCylinders:
             select_disjoint_cylinders(sierpinski, np.eye(2), 0.1, 1.0, mass_target=1.5)
 
 
+def dropped_by_all_pairs(balls, separation):
+    """Brute force: each word against every earlier word still kept."""
+    dropped = set()
+    for k in range(len(balls)):
+        for j in range(k):
+            if j not in dropped and not separated(balls[k], balls[j], separation):
+                dropped.add(k)
+                break
+    return dropped
+
+
+@st.composite
+def word_lists(draw, m):
+    """Word lists over m letters with repeated and nested (prefix) words."""
+    words = draw(st.lists(st.lists(st.integers(1, m), max_size=4).map(tuple), max_size=10))
+    for _ in range(draw(st.integers(0, 4)) if words else 0):
+        w = draw(st.sampled_from(words))
+        words.insert(draw(st.integers(0, len(words))), w[: draw(st.integers(0, len(w)))])
+    return words
+
+
 class TestVerifyPairwiseDisjoint:
     def test_accepts_disjoint_family(self, sierpinski):
         center, radius = attractor_bounding_ball(sierpinski)
@@ -342,6 +369,65 @@ class TestVerifyPairwiseDisjoint:
         center, radius = attractor_bounding_ball(sierpinski)
         words = [sierpinski.word([1]), sierpinski.word([1, 2])]
         assert verify_pairwise_disjoint(words, center, radius, 1e-12) == {1}
+
+    def test_empty_list(self, sierpinski):
+        center, radius = attractor_bounding_ball(sierpinski)
+        assert verify_pairwise_disjoint([], center, radius, 0.0) == set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3]),
+        m=st.integers(2, 3),
+        gap=st.sampled_from([0.0, 1e-9, 1e-3, 0.1]),
+        data=st.data(),
+    )
+    def test_matches_all_pairs_oracle(self, seed, d, m, gap, data):
+        ifs = random_ssifs(np.random.default_rng(seed), d=d, m=m)
+        center, radius = attractor_bounding_ball(ifs)
+        separation = gap * radius
+        indices = data.draw(word_lists(m))
+        words = [ifs.word(w) for w in indices]
+        balls = [cylinder_ball(w, center, radius) for w in words]
+        dropped = verify_pairwise_disjoint(words, center, radius, separation)
+        assert dropped == dropped_by_all_pairs(balls, separation)
+        kept = [k for k in range(len(words)) if k not in dropped]
+        for j, k in itertools.combinations(kept, 2):
+            assert separated(balls[j], balls[k], separation)
+            # Of two nested or repeated words, at most one is kept.
+            short, long = sorted((indices[j], indices[k]), key=len)
+            assert long[: len(short)] != short
+
+
+PINNED_SELECTIONS = json.loads(
+    (Path(__file__).parent / "data" / "cylinders_reports.json").read_text()
+)
+
+
+class TestSelectionPin:
+    """The selections of perfbench's cylinders workload and the ssc-approx
+    commands of its finite-words workload, as the prefix-tree certificate
+    and the all-pairs loops chose them."""
+
+    @pytest.mark.parametrize(
+        "case", PINNED_SELECTIONS, ids=lambda c: f"{c['command']} {c['fixture']}"
+    )
+    def test_selected_words(self, case):
+        ifs = fixture_ifs(case["fixture"])
+        if case["command"] == "cylinders":
+            t = case["t"] if case["t"] is not None else sim_dim_ssifs(ifs).value
+            sel = select_disjoint_cylinders(
+                ifs, planar_rotation(case["angle"]), case["delta"], t,
+                mass_target=case["mass_target"],
+            )
+            assert abs(sel.mass - case["mass"]) <= 1e-12
+            assert sel.partial == case["partial"]
+            words = sel.words
+        else:
+            osc = bool(fixture_document(case["fixture"])["metadata"].get("osc_certified"))
+            words = ssc_subsystem(ifs, case["epsilon"], t=case["t"], osc_certified=osc).words
+        assert len(words) == case["word_count"]
+        assert [list(w.indices) for w in words] == case["words"]
 
 
 class TestAnnihilatingRotation:
