@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 ok, 2 bad or unreadable input document, 3 degenerate system,
-4 structural hypothesis violation (infinite group, not strongly connected),
-5 numeric failure (also a --delta, --t or --epsilon that is not finite and
+Exit codes: 0 ok, 2 bad or unreadable input document or bad option (an
+unparsable, non-finite or zero --direction, an --l outside 1..d, a negative
+--seed), 3 degenerate system, 4 structural hypothesis violation (infinite
+group, not strongly connected), 5 numeric failure (also a --delta, --epsilon
+or --t of cylinders, collapse-sweep or ssc-approx that is not finite and
 positive, an --angle that is not finite, or a --depth-cap below 1), 6 I/O
 error (an output file or directory cannot be written).
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -98,19 +101,27 @@ def _parse_scales(spec: str, diameter: float) -> list[float]:
     return [diameter * 2.0**-k for k in range(coarse, fine + 1)]
 
 
+def _projection_dim(args, d: int, default: int) -> int:
+    if args.l is None:
+        return default
+    if not 1 <= args.l <= d:
+        raise SchemaError(f"--l must lie in 1..{d}")
+    return args.l
+
+
 def _linear_map_for(args, d: int) -> LinearMap:
     if getattr(args, "direction", None):
-        vec = np.array([float(x) for x in args.direction.split(",")])
+        try:
+            vec = np.array([float(x) for x in args.direction.split(",")])
+        except ValueError:
+            raise SchemaError(f"bad --direction {args.direction!r}; expected x1,..,xd") from None
         if vec.shape[0] != d:
             raise SchemaError(f"--direction needs {d} components")
         norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise SchemaError("--direction must be nonzero")
+        if norm == 0 or not np.isfinite(vec).all():
+            raise SchemaError("--direction must be finite and nonzero")
         return LinearMap((vec / norm)[None, :])
-    l = args.l if getattr(args, "l", None) else 1
-    if not 1 <= l <= d:
-        raise SchemaError(f"--l must lie in 1..{d}")
-    return LinearMap.coordinate_projection(d, l)
+    return LinearMap.coordinate_projection(d, _projection_dim(args, d, 1))
 
 
 def cmd_simdim(args) -> int:
@@ -140,7 +151,7 @@ def cmd_project_gdifs(args) -> int:
     out.update(
         {
             "vertices": g.vertex_count,
-            "edges": len(g.edges),
+            "edges": len(g.source),
             "strongly_connected": True,
             "source_sim_dim": result.source_dim,
             "gdifs_sim_dim": gd_report.value,
@@ -159,8 +170,8 @@ def cmd_project_gdifs(args) -> int:
 
 def cmd_dimdrop(args) -> int:
     ifs = load_ifs(args.input)
-    l = args.l if args.l else ifs.ambient_dim - 1
-    result = find_dimension_drop(ifs, l)
+    d = ifs.ambient_dim
+    result = find_dimension_drop(ifs, _projection_dim(args, d, d - 1))
     out = _report_header(args, ifs)
     out.update(
         {
@@ -177,45 +188,25 @@ def cmd_dimdrop(args) -> int:
     return EXIT_OK
 
 
-def _estimate_boxdim(args, ifs, out):
+def _estimate_boxdim(args, ifs, out, project=False):
     cloud = sample_attractor(ifs, args.n, seed=args.seed, method=_method(args))
+    counted = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim)) if project else cloud
     scales = (
-        _parse_scales(args.scales, cloud.diameter()) if args.scales else default_scales(cloud)
+        _parse_scales(args.scales, cloud.diameter()) if args.scales else default_scales(counted)
     )
-    est = box_dim(cloud, scales)
+    est = box_dim(counted, scales)
+    out["points"] = len(counted)
+    if project:
+        out["projected_dim"] = counted.ambient_dim
     out.update(
         {
-            "points": len(cloud),
             "slope": est.slope,
             "r_squared": est.r_squared,
             "scales": list(est.scales),
             "counts": list(est.counts),
         }
     )
-    _write_cloud_outputs(args, cloud, est, out)
-    return EXIT_OK
-
-
-def _estimate_project_boxdim(args, ifs, out):
-    cloud = sample_attractor(ifs, args.n, seed=args.seed, method=_method(args))
-    projected = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim))
-    scales = (
-        _parse_scales(args.scales, cloud.diameter())
-        if args.scales
-        else default_scales(projected)
-    )
-    est = box_dim(projected, scales)
-    out.update(
-        {
-            "points": len(projected),
-            "projected_dim": projected.ambient_dim,
-            "slope": est.slope,
-            "r_squared": est.r_squared,
-            "scales": list(est.scales),
-            "counts": list(est.counts),
-        }
-    )
-    _write_cloud_outputs(args, projected, est, out)
+    _write_cloud_outputs(args, counted, est, out)
     return EXIT_OK
 
 
@@ -325,7 +316,7 @@ def _write_cloud_outputs(args, cloud, est, out) -> None:
 
 ESTIMATE_MODES = {
     "boxdim": _estimate_boxdim,
-    "project-boxdim": _estimate_project_boxdim,
+    "project-boxdim": partial(_estimate_boxdim, project=True),
     "collapse-sweep": _estimate_collapse_sweep,
     "ssc-approx": _estimate_ssc_approx,
     "cylinders": _estimate_cylinders,
@@ -351,8 +342,21 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line (and exit 2)."""
+
+    def error(self, message):
+        self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ifsproj",
         description="Self-similar and graph-directed IFS constructions and estimators",
     )
@@ -363,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True, help="IfsDocument JSON path")
         p.add_argument("--l", type=int, default=None, help="projection dimension")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--scales", default=None, help="dyadic ladder a..b (of the diameter)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", default=None, help="directory for emitted files")

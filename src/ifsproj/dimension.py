@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import tolerances
 from .geometry import (
@@ -305,10 +304,11 @@ def _dimension_root(cell: np.ndarray, log_ratio: np.ndarray, q: int, max_iter: i
         if q == 1:
             rho = float(a[0, 0])
             return rho, float(da[0, 0]) / rho
-        w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
+        w, vr = np.linalg.eig(a)
+        wl, vl = np.linalg.eig(a.T)
         i = int(np.argmax(w.real))
         rho = float(w[i].real)
-        u, v = vl[:, i].real, vr[:, i].real
+        u, v = vl[:, int(np.argmax(wl.real))].real, vr[:, i].real
         return rho, float(u @ da @ v) / (rho * float(u @ v))
 
     rho, slope = evaluate(0.0)

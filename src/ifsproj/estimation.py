@@ -298,8 +298,8 @@ def project_cloud(cloud: PointCloud, linear_map: LinearMap) -> PointCloud:
 def covering_sums(cloud: PointCloud, t: float, scales) -> tuple[list[int], list[float]]:
     """Grid-cover upper bounds on the t-dimensional Hausdorff content, one per
     scale in the order given: N(s) (s sqrt(d))^t.  Returns (counts, sums)."""
-    if t <= 0:
-        raise GeometryError("scale and t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise GeometryError("t must be finite and positive")
     counts = box_counts(cloud.points, scales)
     side = math.sqrt(cloud.ambient_dim)
     return counts, [count * (float(s) * side) ** t for count, s in zip(counts, scales)]

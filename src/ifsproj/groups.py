@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import tolerances
 from .geometry import GeometryError, NumericFailureError, orthogonality_defect
@@ -305,59 +304,56 @@ class BlockForm:
     blocks: tuple[Block, ...]
 
     def reassemble(self) -> np.ndarray:
-        parts = []
-        for b in self.blocks:
-            if b.kind is BlockKind.PLUS_ONE:
-                parts.append(np.eye(1))
-            elif b.kind is BlockKind.MINUS_ONE:
-                parts.append(-np.eye(1))
-            else:
-                c, s = math.cos(b.angle), math.sin(b.angle)
-                parts.append(np.array([[c, -s], [s, c]]))
-        core = scipy.linalg.block_diag(*parts)
-        q = self.basis_change
-        return q @ core @ q.T
+        return self.power(1)
 
     def power(self, n: int) -> np.ndarray:
         """T^n computed block-wise (cheap for large n)."""
-        parts = []
+        q = self.basis_change
+        core = np.zeros(q.shape)
+        i = 0
         for b in self.blocks:
-            if b.kind is BlockKind.PLUS_ONE:
-                parts.append(np.eye(1))
-            elif b.kind is BlockKind.MINUS_ONE:
-                parts.append(np.eye(1) * (1.0 if n % 2 == 0 else -1.0))
-            else:
+            if b.kind is BlockKind.ROTATION:
                 a = (b.angle * n) % TWO_PI
                 c, s = math.cos(a), math.sin(a)
-                parts.append(np.array([[c, -s], [s, c]]))
-        core = scipy.linalg.block_diag(*parts)
-        q = self.basis_change
+                core[i : i + 2, i : i + 2] = [[c, -s], [s, c]]
+            else:
+                core[i, i] = -1.0 if b.kind is BlockKind.MINUS_ONE and n % 2 else 1.0
+            i += b.size
         return q @ core @ q.T
 
 
 def block_diagonalize(t: np.ndarray) -> BlockForm:
-    """Real normal form of an orthogonal matrix: [1], [-1] and rotation blocks."""
+    """Real normal form of an orthogonal matrix: [1], [-1] and rotation blocks.
+
+    A pair e^{+-i theta} of eig(T) with sin theta > 1e-7 is a rotation block
+    on sqrt(2) [Re u, Im u], u an eigenvector of e^{-i theta}; the other
+    eigenvalues give [1] or [-1].  eig(T) separates 1 from e^{i theta} by
+    about theta ((T + T^T) / 2 would by theta^2 / 2), so tiny angles keep
+    their planes.  Eigenvectors of a repeated eigenvalue need not be
+    orthogonal (those of distinct ones are, T being normal): one QR of all
+    columns normalises them, orthogonalises each cluster and moves the rest
+    by rounding.
+    """
     t = np.asarray(t, dtype=float)
     if orthogonality_defect(t) > tolerances.tau_orth():
         raise GeometryError("matrix is not orthogonal")
-    d = t.shape[0]
-    # An orthogonal matrix is normal, so its real Schur form is block diagonal.
-    core, q = scipy.linalg.schur(t, output="real")
+    w, v = np.linalg.eig(t)
+    columns: list[np.ndarray] = []
     blocks: list[Block] = []
-    i = 0
     off_tol = 1e-7
-    while i < d:
-        if i + 1 < d and abs(core[i + 1, i]) > off_tol:
-            angle = math.atan2(core[i + 1, i], core[i, i]) % TWO_PI
-            blocks.append(Block(BlockKind.ROTATION, angle))
-            i += 2
-        elif core[i, i] > 0:
-            blocks.append(Block(BlockKind.PLUS_ONE))
-            i += 1
-        else:
-            blocks.append(Block(BlockKind.MINUS_ONE))
-            i += 1
-    form = BlockForm(q, tuple(blocks))
+    for lam, u in zip(w, v.T):
+        sign = BlockKind.PLUS_ONE if lam.real > 0 else BlockKind.MINUS_ONE
+        if lam.imag == 0:
+            columns.append(u.real)
+            blocks.append(Block(sign))
+        elif lam.imag > 0:  # one member of each conjugate pair
+            columns += [u.real, -u.imag]
+            if lam.imag > off_tol:
+                blocks.append(Block(BlockKind.ROTATION, math.atan2(lam.imag, lam.real)))
+            else:
+                blocks += [Block(sign), Block(sign)]
+    q, r = np.linalg.qr(np.array(columns).T)
+    form = BlockForm(q * np.where(np.diag(r) < 0, -1.0, 1.0), tuple(blocks))
     residual = np.abs(form.reassemble() - t).max()
     if residual > 10.0 * tolerances.tau_orth():
         raise NumericFailureError(

@@ -1,10 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ifsproj
 from ifsproj.cli import main
 from ifsproj.dimension import Edge, GDIFS, sim_dim_gdifs
 from ifsproj.documents import (
@@ -178,6 +181,18 @@ class TestCliProjectGdifs:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "option", ["--l=0", "--direction=1,abc", "--direction=1,", "--direction=nan,0", "--direction=1,inf"]
+    )
+    def test_bad_projection_option_exits_two(self, capsys, fixture_dir, option):
+        code = main(["project-gdifs", "--input", str(fixture_dir / "c4_rotation.json"), option])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("schema error:")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+
     def test_unwritable_out_exits_six(self, capsys, fixture_dir, tmp_path):
         regular = tmp_path / "regular"
         regular.write_text("")
@@ -218,6 +233,14 @@ class TestCliDimdrop:
     def test_infinite_group_exits_four(self, capsys, fixture_dir):
         code = main(["dimdrop", "--input", str(fixture_dir / "irrational_rotation_planar.json")])
         assert code == 4
+
+    def test_l_zero_exits_two(self, capsys, fixture_dir):
+        # 0 is a value, not "unset": it once ran as the default l = d - 1.
+        code = main(["dimdrop", "--input", str(fixture_dir / "sierpinski_half.json"), "--l", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "schema error: --l must lie in 1..2\n"
 
 
 class TestCliEstimate:
@@ -364,6 +387,9 @@ class TestCliEstimate:
             ("ssc-approx", "--epsilon", "nan"),
             ("ssc-approx", "--epsilon", "inf"),
             ("ssc-approx", "--t", "nan"),
+            ("collapse-sweep", "--t", "nan"),
+            ("collapse-sweep", "--t", "inf"),
+            ("collapse-sweep", "--t", "0"),
         ],
     )
     def test_invalid_parameter_exits_five(self, capsys, fixture_dir, mode, option, value):
@@ -379,6 +405,23 @@ class TestCliEstimate:
         assert captured.out == ""
         assert captured.err.startswith("numeric failure:")
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+    def test_bad_seed_exits_two_at_parse_time(self, capsys, fixture_dir, seed):
+        argv = [
+            "estimate", "boxdim",
+            "--input", str(fixture_dir / "sierpinski_half.json"),
+            "--method", "chaos",
+            f"--seed={seed}",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("ifsproj estimate: error: argument --seed:")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
 
     def test_deterministic_reports_are_reproducible(self, capsys, fixture_dir):
         argv = [
@@ -408,6 +451,22 @@ class TestProjectionSweepPin:
         assert out["scales"] == case["scales"]
         assert out["counts"] == case["counts"]
         assert abs(out["slope"] - case["slope"]) <= 1e-12
+
+
+class TestStartup:
+    def test_cli_import_loads_no_package_beyond_numpy(self):
+        # In a fresh interpreter that has imported numpy, importing the CLI
+        # adds ifsproj, numpy submodules and standard-library modules only.
+        src = str(Path(ifsproj.__file__).resolve().parents[1])
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import numpy; before = set(sys.modules); "
+            "import ifsproj.cli; added = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(added - set(sys.stdlib_module_names) - {'numpy'}))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "['ifsproj']"
 
 
 class TestCliFixtures:

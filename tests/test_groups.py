@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +27,17 @@ TWO_PI = 2.0 * math.pi
 def random_orthogonal(rng, d):
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     return q
+
+
+def block_diag(*parts):
+    """The block-diagonal matrix with the given square blocks in order."""
+    d = sum(len(p) for p in parts)
+    out = np.zeros((d, d))
+    i = 0
+    for p in parts:
+        out[i : i + len(p), i : i + len(p)] = p
+        i += len(p)
+    return out
 
 
 class TestGroupClosure:
@@ -103,7 +113,7 @@ class TestBlockDiagonalize:
     def test_so4_two_known_angles(self):
         # Build from known blocks in a random orthonormal basis, round-trip.
         rng = np.random.default_rng(9)
-        core = scipy.linalg.block_diag(planar_rotation(math.pi / 3.0), planar_rotation(1.0))
+        core = block_diag(planar_rotation(math.pi / 3.0), planar_rotation(1.0))
         q = random_orthogonal(rng, 4)
         form = block_diagonalize(q @ core @ q.T)
         angles = sorted(
@@ -203,7 +213,7 @@ class TestOrbitDensity:
 
     def test_infinite_higher_dimensional_group_unknown(self):
         # Product-type generator: infinite order but acting only on one plane.
-        t = scipy.linalg.block_diag(planar_rotation(1.0), np.eye(2))
+        t = block_diag(planar_rotation(1.0), np.eye(2))
         g = group_closure([t], closure_cap=200)
         assert not g.is_finite
         assert orbit_dense_classification(g, 1) is OrbitDensity.UNKNOWN
@@ -316,7 +326,7 @@ class TestHashedClosure:
     @settings(max_examples=40, deadline=None)
     @given(alpha=st.floats(0.0, TWO_PI), d=st.sampled_from([2, 3]), seed=seeds)
     def test_certified_verdict_matches_capped_closure_on_random_angles(self, alpha, d, seed):
-        t = scipy.linalg.block_diag(planar_rotation(alpha), np.eye(d - 2))
+        t = block_diag(planar_rotation(alpha), np.eye(d - 2))
         assert_same_closure(conjugated([t], seed), cap=300)
 
     @settings(max_examples=60, deadline=None)
@@ -424,3 +434,52 @@ class TestRotationTable:
                 shift = edge * table._width - dot
                 if abs(shift) < 0.999 * g.tolerance:
                     assert g.index_of(e + shift) == i
+
+
+# One block of a normal form: a sign (a [1] or [-1] block) or a rotation angle.
+# The pool repeats angles often and holds the tiny ones the cyclic-orbit
+# certificate depends on; angles near pi sit next to -1 blocks.
+normal_form_parts = st.lists(
+    st.one_of(
+        st.tuples(st.just("sign"), st.sampled_from([1.0, -1.0])),
+        st.tuples(
+            st.just("angle"),
+            st.one_of(
+                st.sampled_from([1e-6, 1e-5, 0.5, 1.0, math.pi / 2.0, math.pi - 1e-6]),
+                st.floats(1e-4, TWO_PI - 1e-4).filter(lambda a: abs(math.sin(a)) > 1e-4),
+            ),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+).filter(lambda parts: sum(1 if kind == "sign" else 2 for kind, _ in parts) <= 6)
+
+
+class TestBlockDiagonalizeOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(parts=normal_form_parts, conjugate=st.booleans(), seed=seeds)
+    def test_matches_eigvals_on_random_normal_forms(self, parts, conjugate, seed):
+        t = block_diag(
+            *(np.array([[v]]) if kind == "sign" else planar_rotation(v) for kind, v in parts)
+        )
+        d = len(t)
+        if conjugate:
+            q = random_orthogonal(np.random.default_rng(seed), d)
+            t = q @ t @ q.T
+        form = block_diagonalize(t)
+
+        basis = form.basis_change
+        assert np.abs(basis.T @ basis - np.eye(d)).max() < 1e-12
+        assert np.abs(form.reassemble() - t).max() < 1e-12
+
+        eig = np.linalg.eigvals(t)
+        got = sorted(
+            min(b.angle, TWO_PI - b.angle) for b in form.blocks if b.kind is BlockKind.ROTATION
+        )
+        want = sorted(abs(math.atan2(z.imag, z.real)) for z in eig if z.imag > 1e-7)
+        built = sorted(min(v, TWO_PI - v) for kind, v in parts if kind == "angle")
+        assert len(got) == len(want) == len(built)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        assert np.allclose(got, built, rtol=0.0, atol=1e-12)
+        signs = sorted(b.kind.value for b in form.blocks if b.kind is not BlockKind.ROTATION)
+        assert signs == sorted("+1" if v > 0 else "-1" for kind, v in parts if kind == "sign")
