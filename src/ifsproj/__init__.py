@@ -60,7 +60,6 @@ from .geometry import (
     Word,
     WordLevel,
     attractor_bounding_ball,
-    compose,
     cylinder_ball,
     similarity_equal,
 )

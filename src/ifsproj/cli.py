@@ -2,11 +2,12 @@
 
 Exit codes: 0 ok, 2 bad or unreadable input document or bad option (an
 unparsable, non-finite or zero --direction, an --l outside 1..d, a negative
---seed), 3 degenerate system, 4 structural hypothesis violation (infinite
-group, not strongly connected), 5 numeric failure (also a --delta, --epsilon
-or --t of cylinders, collapse-sweep or ssc-approx that is not finite and
-positive, an --angle that is not finite, or a --depth-cap below 1), 6 I/O
-error (an output file or directory cannot be written).
+--seed, an --n above MAX_SAMPLE_SIZE = 10**7), 3 degenerate system, 4
+structural hypothesis violation (infinite group, not strongly connected), 5
+numeric failure (also a --delta, --epsilon or --t of cylinders,
+collapse-sweep or ssc-approx that is not finite and positive, an --angle
+that is not finite, or a --depth-cap below 1), 6 I/O error (an output file
+or directory cannot be written).
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ EXIT_DEGENERATE = 3
 EXIT_HYPOTHESIS = 4
 EXIT_NUMERIC = 5
 EXIT_IO = 6
+
+# Largest --n: ten times the largest sample that any benchmark workload,
+# README example or test draws, and far below what exhausts memory.
+MAX_SAMPLE_SIZE = 10**7
 
 
 def _report_header(args, ifs=None) -> dict:
@@ -355,6 +360,16 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _sample_size(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if n > MAX_SAMPLE_SIZE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLE_SIZE}, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ifsproj",
@@ -388,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="sampling-based estimators")
     p.add_argument("mode", choices=sorted(ESTIMATE_MODES))
     common(p)
-    p.add_argument("--n", type=int, default=10**6, help="sample size")
+    p.add_argument("--n", type=_sample_size, default=10**6, help="sample size")
     p.add_argument("--method", choices=["deterministic", "chaos"], default="deterministic")
     p.add_argument("--direction", default=None, help="projection direction x1,..,xd")
     p.add_argument("--t", type=float, default=None, help="dimension exponent override")

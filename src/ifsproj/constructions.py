@@ -9,7 +9,6 @@ with a rotation target, and the annihilating-rotation search.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +28,27 @@ from .geometry import (
     LinearMap,
     NumericFailureError,
     SSIFS,
-    Similarity,
     Subspace,
     Word,
     WordLevel,
+    _fixed_points,
     attractor_bounding_ball,
-    cylinder_ball,
 )
-from .groups import TransformationGroup, _RotationTable, group_closure, rotation_distance
+from .groups import (
+    TransformationGroup,
+    _RotationTable,
+    group_closure,
+    kronecker_power,
+    rotation_distance,
+)
+
+# Longest corrector word, and most rotations a corrector search visits.
+_CORRECTOR_LENGTH_CAP = 200
+_CORRECTOR_STATE_CAP = 4096
+# Most powers tried to separate the seed (or fallback) cylinder balls.
+_MAX_POWER_ROUNDS = 12
+# ssc_subsystem packs no level of more words than this.
+_PACK_WORD_BUDGET = 300000
 
 
 class HypothesisViolationError(GeometryError):
@@ -48,10 +60,6 @@ class ProjectionGdifsResult:
     gdifs: GDIFS
     group: TransformationGroup
     source_dim: float
-
-    @property
-    def vertex_labels(self) -> tuple[np.ndarray, ...]:
-        return self.group.elements
 
 
 def build_projection_gdifs(ifs: SSIFS | WordLevel, linear_map: LinearMap) -> ProjectionGdifsResult:
@@ -97,7 +105,6 @@ def build_projection_gdifs(ifs: SSIFS | WordLevel, linear_map: LinearMap) -> Pro
 class OverlapWitness:
     word_a: Word
     word_b: Word
-    shared_image_map: Similarity
 
 
 @dataclass(frozen=True)
@@ -172,8 +179,7 @@ def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> Dimens
         )
 
     ka, kb = pair
-    word_a = ifs.word(level.indices(ka))
-    word_b = ifs.word(level.indices(kb))
+    witness = OverlapWitness(ifs.word(level.indices(ka)), ifs.word(level.indices(kb)))
     v = level.translation[ka] - level.translation[kb]
     if np.linalg.norm(v) <= tau:
         # The two maps coincide; any subspace works.
@@ -198,14 +204,7 @@ def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> Dimens
     s_reduced = sim_dim_gdifs(reduced).value
     if not s_reduced < s_original:
         raise NumericFailureError("edge deletion failed to reduce the dimension root")
-    return DimensionDropResult(
-        subspace,
-        reduced,
-        s_original,
-        s_reduced,
-        OverlapWitness(word_a, word_b, g.edge(int(edge_a)).map),
-        group,
-    )
+    return DimensionDropResult(subspace, reduced, s_original, s_reduced, witness, group)
 
 
 @dataclass(frozen=True)
@@ -213,10 +212,8 @@ class Subsystem:
     """A word subsystem of an SSIFS with a ball-disjointness certificate."""
 
     words: tuple[Word, ...]
-    system: SSIFS
     sim_dim: DimensionReport
     exponent: float
-    epsilon: float
     trivial_fallback: bool = False
 
 
@@ -228,7 +225,7 @@ def _fixed_point_change_words(ifs: SSIFS, root_radius: float, cap: int = 64) -> 
     coinciding fixed point away from the others.
     """
     m = len(ifs)
-    fps = [s.fixed_point() for s in ifs]
+    fps = _fixed_points(ifs.ratios, ifs.rotations, ifs.translations)
     spacing = 1e-6 * root_radius
     p = 0
     q = next(
@@ -237,30 +234,25 @@ def _fixed_point_change_words(ifs: SSIFS, root_radius: float, cap: int = 64) -> 
     chosen: list[Word] = []
     points: list[np.ndarray] = []
     for i in range(m):
-        found = None
         for c in range(cap):
-            for lead in (p, q):
-                w = ifs.word((lead + 1,) * c + (i + 1,))
-                fp = w.composed.fixed_point()
-                if all(np.linalg.norm(fp - x) > spacing for x in points):
-                    found = (w, fp)
-                    break
-            if found:
+            words = [(lead + 1,) * c + (i + 1,) for lead in (p, q)]
+            level = WordLevel.of_words(ifs, words)
+            fps = _fixed_points(level.ratio, level.rotation, level.translation)
+            fits = [k for k in (0, 1) if all(np.linalg.norm(fps[k] - x) > spacing for x in points)]
+            if fits:
+                chosen.append(ifs.word(words[fits[0]]))
+                points.append(fps[fits[0]])
                 break
-        if found is None:
-            raise NumericFailureError(
-                f"could not separate the fixed point of generator {i + 1}"
-            )
-        chosen.append(found[0])
-        points.append(found[1])
+        else:
+            raise NumericFailureError(f"could not separate the fixed point of generator {i + 1}")
     return chosen
 
 
 def _word_balls(words, center, radius) -> tuple[np.ndarray, np.ndarray]:
     """Centers (N, d) and radii (N,) of the cylinder balls of the words."""
-    balls = [cylinder_ball(w, center, radius) for w in words]
-    centers = np.reshape([c for c, _ in balls], (-1, np.size(center)))
-    return centers, np.array([r for _, r in balls], dtype=float)
+    if not words:
+        return np.empty((0, np.size(center))), np.empty(0)
+    return WordLevel.of_words(words[0].ifs, [w.indices for w in words]).balls(center, radius)
 
 
 def _kept_in_order(centers, radii, separation, pinned: int = 0) -> np.ndarray:
@@ -301,8 +293,6 @@ def ssc_subsystem(
     epsilon: float,
     t: float | None = None,
     osc_certified: bool = False,
-    max_power_rounds: int = 12,
-    word_budget: int = 300000,
     seed: int = 0,
 ) -> Subsystem:
     """A subsystem with pairwise disjoint cylinder balls and dimension >= t - epsilon.
@@ -312,8 +302,6 @@ def ssc_subsystem(
     the density of the generated rotation group; a greedy fixed-depth packing
     of further cylinders then restores the dimension.
     """
-    from .groups import kronecker_power
-
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise GeometryError("epsilon must be finite and positive")
     if t is not None and not (math.isfinite(t) and t > 0):
@@ -342,25 +330,17 @@ def ssc_subsystem(
         report = sim_dim_words(ifs, words)
         if report.value < target:
             return None
-        return Subsystem(
-            tuple(words),
-            SSIFS([w.composed for w in words], name=ifs.name),
-            report,
-            t,
-            epsilon,
-        )
+        return Subsystem(tuple(words), report, t)
 
     target = t - epsilon
     if target <= 0:
         # Trivial two-word fallback with a warning flag.
         base = _fixed_point_change_words(ifs, radius)[:2]
-        for n in range(1, max_power_rounds + 1):
+        for n in range(1, _MAX_POWER_ROUNDS + 1):
             words = [ifs.word(w.indices * (2**n)) for w in base]
             result = pack(words, 0.0)
             if result is not None:
-                return Subsystem(
-                    result.words, result.system, result.sim_dim, t, epsilon, True
-                )
+                return Subsystem(result.words, result.sim_dim, t, True)
         raise NumericFailureError("failed to build even the trivial fallback subsystem")
 
     # The identity subsystem may already be certified.
@@ -371,31 +351,24 @@ def ssc_subsystem(
 
     # Seed words: powers of fixed-point-change words, one per generator.
     base = _fixed_point_change_words(ifs, radius)
-    seeds = None
-    for n in range(1, max_power_rounds + 1):
-        k = max(kronecker_power(w.composed.rotation, n) for w in base)
-        candidate = [ifs.word(w.indices * k) for w in base]
-        if disjoint(candidate):
-            seeds = candidate
+    base_rotations = WordLevel.of_words(ifs, [w.indices for w in base]).rotation
+    for n in range(1, _MAX_POWER_ROUNDS + 1):
+        k = max(kronecker_power(rotation, n) for rotation in base_rotations)
+        seeds = [ifs.word(w.indices * k) for w in base]
+        if disjoint(seeds):
             break
-    if seeds is None:
+    else:
         raise NumericFailureError("failed to separate the seed cylinder balls")
 
     # Greedy lexicographic packing at increasing depth, always keeping seeds.
     level = WordLevel.root(ifs)
-    while len(level) * m <= word_budget:
+    while len(level) * m <= _PACK_WORD_BUDGET:
         level = level.extend()
         packed = _greedy_pack(level, seeds, center, radius, separation)
         if len(packed) >= 2:
             report = sim_dim_words(ifs, packed)
             if report.value >= target:
-                return Subsystem(
-                    tuple(packed),
-                    SSIFS([w.composed for w in packed], name=ifs.name),
-                    report,
-                    t,
-                    epsilon,
-                )
+                return Subsystem(tuple(packed), report, t)
     raise NumericFailureError(
         "packing depth cap reached before the dimension target; "
         + ("note: t is a box-count estimate" if estimated else "tolerances may be too strict")
@@ -405,26 +378,17 @@ def ssc_subsystem(
 @dataclass(frozen=True)
 class CylinderSelection:
     words: tuple[Word, ...]
-    rotation_target: np.ndarray
     delta: float
     exponent: float
     mass: float
     depth_cap: int
     partial: bool
     group: TransformationGroup
-    exponent_is_estimate: bool = False
     # Accepted words the disjointness certificate removed.
     dropped_words: int = 0
 
 
-def _rotation_word_search(
-    ifs: SSIFS,
-    start: np.ndarray,
-    target: np.ndarray,
-    tol: float,
-    length_cap: int,
-    state_cap: int = 4096,
-):
+def _rotation_word_search(ifs: SSIFS, start: np.ndarray, target: np.ndarray, tol: float):
     """Lexicographically first word w with ||start T_w - target|| < tol.
 
     Breadth-first search over the rotation Cayley graph with tolerance
@@ -432,18 +396,16 @@ def _rotation_word_search(
     """
     visited = _RotationTable(start.shape[0], max(tol / 4.0, 1e-12))
     visited.add(start)
-    queue = deque([(start, ())])
-    while queue:
-        rot, word = queue.popleft()
-        if len(word) >= length_cap:
+    # A list read in order while it grows is a first-in first-out queue.
+    queue = [(start, ())]
+    for rot, word in queue:
+        if len(word) >= _CORRECTOR_LENGTH_CAP:
             continue
         for n, rotation in enumerate(ifs.rotations, start=1):
             nxt = rot @ rotation
             if rotation_distance(nxt, target) < tol:
                 return word + (n,)
-            if visited.size >= state_cap:
-                continue
-            if visited.add_if_new(nxt):
+            if visited.size < _CORRECTOR_STATE_CAP and visited.add_if_new(nxt):
                 queue.append((nxt, word + (n,)))
     return None
 
@@ -469,17 +431,16 @@ def select_disjoint_cylinders(
     t: float,
     mass_target: float = 0.99,
     depth_cap: int = 12,
-    corrector_length_cap: int = 200,
-    t_is_estimate: bool = False,
 ) -> CylinderSelection:
     """Greedy selection of disjoint cylinders whose rotations approximate O.
 
-    Walks the word tree breadth-first in lexicographic order; a word whose
-    rotation lands within delta of the target (exactly, for a finite group)
-    is kept and its subtree pruned, others are refined.  At the depth cap a
-    pre-computed corrector word is appended as a last chance to land near the
-    target.  Kept cylinders are certified pairwise disjoint via their
-    bounding balls; conflicting later words are dropped.
+    Walks the word tree one depth at a time, each in lexicographic order; a
+    word whose rotation lands within delta of the target (exactly, for a
+    finite group) is kept and its subtree pruned, others are refined.  At
+    the depth cap a pre-computed corrector word is appended as a last chance
+    to land near the target.  The walk stops at the first kept word that
+    brings the mass to the target.  Kept cylinders are certified pairwise
+    disjoint via their bounding balls; conflicting later words are dropped.
     """
     o = np.asarray(rotation_target, dtype=float)
     if not (math.isfinite(delta) and delta > 0 and math.isfinite(t) and t > 0):
@@ -496,10 +457,7 @@ def select_disjoint_cylinders(
     identity = np.eye(d)
     reach_tol = exact_tol if exact_tol is not None else delta / 2.0
     if rotation_distance(identity, o) >= reach_tol:
-        if (
-            _rotation_word_search(ifs, identity, o, reach_tol, corrector_length_cap)
-            is None
-        ):
+        if _rotation_word_search(ifs, identity, o, reach_tol) is None:
             raise NumericFailureError(
                 "no corrector word reaches the target rotation; "
                 "it may lie outside the semigroup closure at this tolerance"
@@ -507,54 +465,59 @@ def select_disjoint_cylinders(
 
     center, radius = attractor_bounding_ball(ifs)
     separation = tolerances.TAU_SEP_FACTOR * 2.0 * radius
-    corrector_cache: dict[bytes, tuple | None] = {}
 
-    def corrector_for(rot: np.ndarray):
-        key = np.round(rot / (delta / 4.0)).astype(int).tobytes()
-        if key not in corrector_cache:
-            corrector_cache[key] = _rotation_word_search(
-                ifs, rot, o, delta / 2.0, corrector_length_cap
-            )
-        return corrector_cache[key]
-
-    def matches(rot: np.ndarray) -> bool:
-        dist = rotation_distance(rot, o)
+    def matches(rotation: np.ndarray) -> np.ndarray:
+        dist = np.linalg.norm(rotation - o, 2, axis=(1, 2))
         if exact_tol is not None:
             return dist <= exact_tol
         return dist < delta
 
-    accepted: list[Word] = []
-    mass = 0.0
-    queue = deque((ifs.word((n,)), rotation) for n, rotation in enumerate(ifs.rotations, start=1))
-    while queue and mass < mass_target:
-        word, rot = queue.popleft()
-        if matches(rot):
-            accepted.append(word)
-            mass += word.ratio**t
-            continue
-        if len(word) < depth_cap:
-            for n, rotation in enumerate(ifs.rotations, start=1):
-                queue.append((word.extend(n), rot @ rotation))
-            continue
-        # Depth cap: append a corrector word as the final refinement.
-        tail = corrector_for(rot)
-        if tail is not None:
-            fixed = ifs.word(word.indices + tail)
-            if matches(fixed.composed.rotation):
-                accepted.append(fixed)
-                mass += fixed.ratio**t
+    def corrected(level: WordLevel, rows: np.ndarray) -> tuple[np.ndarray, WordLevel]:
+        """The rows with a corrector word, and their words followed by it.  Rows
+        whose rotations round alike on a delta / 4 grid share the first one's."""
+        keys = np.round(level.rotation[rows] / (delta / 4.0)).astype(int).reshape(len(rows), d * d)
+        _, first, key = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        starts = level.rotation[rows[first]]
+        tails = [_rotation_word_search(ifs, start, o, delta / 2.0) for start in starts]
+        has_tail = np.array([tail is not None for tail in tails], dtype=bool)[key]
+        tail_letters = WordLevel.of_words(ifs, [tail or () for tail in tails]).letters[key]
+        letters = np.concatenate([level.letters[rows], tail_letters], axis=1)
+        return rows[has_tail], WordLevel.fold(ifs, letters[has_tail])
 
-    dropped = verify_pairwise_disjoint(accepted, center, radius, separation)
+    accepted: list[tuple[int, ...]] = []
+    mass = 0.0
+    level = WordLevel.root(ifs).extend()
+    while len(level):
+        hit = matches(level.rotation)
+        # (row, words, index) of every word this level accepts, in row order.
+        found = [(k, level, k) for k in np.flatnonzero(hit)]
+        if level.depth == depth_cap:
+            # Depth cap: append a corrector word as the final refinement.
+            rows, fixed = corrected(level, np.flatnonzero(~hit))
+            found += [(rows[j], fixed, j) for j in np.flatnonzero(matches(fixed.rotation))]
+            found.sort(key=lambda row: row[0])
+        # Running mass after each accepted word; stop at the first reaching the target.
+        sums = np.cumsum([mass] + [float(words.ratio[j]) ** t for _, words, j in found])
+        reached = np.flatnonzero(sums[1:] >= mass_target)
+        stop = int(reached[0]) + 1 if reached.size else len(found)
+        accepted += [words.indices(j) for _, words, j in found[:stop]]
+        mass = float(sums[stop])
+        if reached.size or level.depth == depth_cap:
+            break
+        level = level[~hit].extend()
+
+    words = [ifs.word(w) for w in accepted]
+    dropped = verify_pairwise_disjoint(words, center, radius, separation)
     if dropped:
-        accepted = [w for i, w in enumerate(accepted) if i not in dropped]
-        mass = math.fsum(w.ratio**t for w in accepted)
+        words = [w for i, w in enumerate(words) if i not in dropped]
+        mass = math.fsum(w.ratio**t for w in words)
     partial = mass < mass_target
-    if mass > 1.0 + tolerances.tau_num() and not t_is_estimate:
+    if mass > 1.0 + tolerances.tau_num():
         raise NumericFailureError(
             f"selected mass {mass} exceeds 1; the exponent t is likely wrong"
         )
     return CylinderSelection(
-        tuple(accepted), o, delta, t, mass, depth_cap, partial, group, t_is_estimate, len(dropped)
+        tuple(words), delta, t, mass, depth_cap, partial, group, len(dropped)
     )
 
 
@@ -594,10 +557,12 @@ def annihilating_rotation(
     else:
         visited = _RotationTable(d, 1e-9)
         visited.add(identity)
-        queue = deque([identity])
+        # A list read in order while it grows is a first-in first-out queue.
+        queue = [identity]
         examined = 0
-        while queue and examined < word_cap:
-            current = queue.popleft()
+        for current in queue:
+            if examined >= word_cap:
+                break
             for g in generators:
                 nxt = current @ g
                 examined += 1

@@ -116,14 +116,8 @@ class GDIFS:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(self.edge(e) for e in range(len(self.source)))
-
-    def edge(self, e: int) -> Edge:
-        return Edge(
-            int(self.source[e]),
-            int(self.target[e]),
-            Similarity(float(self.ratio[e]), self.rotation[e], self.translation[e]),
-        )
+        arrays = zip(self.source, self.target, self.ratio, self.rotation, self.translation)
+        return tuple(Edge(int(i), int(j), Similarity(float(r), o, v)) for i, j, r, o, v in arrays)
 
     @property
     def ambient_dim(self) -> int:

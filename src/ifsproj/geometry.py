@@ -6,6 +6,7 @@ instances can be shared freely between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,15 +62,6 @@ def _orthogonality_defects(rotation: np.ndarray) -> np.ndarray:
     return np.abs(gram - np.eye(rotation.shape[1])).max(axis=(1, 2), initial=0.0)
 
 
-def _reorthonormalize_where(rotation: np.ndarray, limit: float) -> np.ndarray:
-    """The stack with every matrix whose defect exceeds limit replaced by its polar factor."""
-    bad = _orthogonality_defects(rotation) > limit
-    if bad.any():
-        rotation = rotation.copy()
-        rotation[bad] = [reorthonormalize(r) for r in rotation[bad]]
-    return rotation
-
-
 def checked_rotations(rotation: np.ndarray) -> np.ndarray:
     """The orthogonality check of Similarity, applied to an (N, d, d) stack.
 
@@ -79,7 +71,19 @@ def checked_rotations(rotation: np.ndarray) -> np.ndarray:
     defect = _orthogonality_defects(rotation)
     if (defect > tau).any():
         raise GeometryError(f"rotation is not orthogonal (defect {defect.max():.3e})")
-    return _reorthonormalize_where(rotation, tau / 10.0)
+    bad = defect > tau / 10.0
+    if bad.any():
+        rotation = rotation.copy()
+        rotation[bad] = [reorthonormalize(r) for r in rotation[bad]]
+    return rotation
+
+
+def _checked_word_maps(ratio: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """The checks on word maps: ratios in (0, 1), and the rotation checks
+    and repairs of ``checked_rotations``."""
+    if not ((ratio > 0.0) & (ratio < 1.0)).all():
+        raise GeometryError("word ratio left (0, 1)")
+    return checked_rotations(rotation)
 
 
 def _fixed_points(ratio: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
@@ -144,19 +148,6 @@ class Similarity:
     def fixed_point(self) -> np.ndarray:
         d = self.ambient_dim
         return np.linalg.solve(np.eye(d) - self.ratio * self.rotation, self.translation)
-
-
-def compose(a: Similarity, b: Similarity) -> Similarity:
-    """Similarity of x -> a(b(x))."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatchError(
-            f"cannot compose maps in dimension {a.ambient_dim} and {b.ambient_dim}"
-        )
-    rotation = a.rotation @ b.rotation
-    if orthogonality_defect(rotation) > tolerances.tau_orth() / 10.0:
-        rotation = reorthonormalize(rotation)
-    translation = a.ratio * (a.rotation @ b.translation) + a.translation
-    return Similarity(a.ratio * b.ratio, rotation, translation)
 
 
 def similarity_equal(a: Similarity, b: Similarity, tol: float | None = None) -> bool:
@@ -249,16 +240,18 @@ class SSIFS:
 
 @dataclass(frozen=True, eq=False)
 class WordLevel:
-    """Every composition word of one length over an SSIFS, held as arrays.
+    """Composition words over an SSIFS, held as arrays.
 
-    Word k is the similarity ``ratio[k]``, ``rotation[k]``, ``translation[k]``;
-    k runs over the words in lexicographic order, so for depth n its letters
-    are ``np.unravel_index(k, (m,) * n)`` (0-based) and the words of the
-    next depth are k * m + b.
+    Word k has the 0-based letters ``letters[k]`` and the similarity
+    ``ratio[k]``, ``rotation[k]``, ``translation[k]``.  A level grown from
+    ``root`` by ``extend`` holds every word of one length in lexicographic
+    order, so the words of the next depth are k * m + b; ``level[rows]``
+    keeps a subset of the rows.  ``of_words`` and ``fold`` build the maps
+    of any list of words.
     """
 
     ifs: SSIFS
-    depth: int
+    letters: np.ndarray
     ratio: np.ndarray
     rotation: np.ndarray
     translation: np.ndarray
@@ -267,33 +260,72 @@ class WordLevel:
     def root(cls, ifs: SSIFS) -> "WordLevel":
         """Depth 0: the empty word, whose map is the identity."""
         d = ifs.ambient_dim
-        return cls(ifs, 0, np.ones(1), np.eye(d)[None], np.zeros((1, d)))
+        letters = np.empty((1, 0), dtype=np.min_scalar_type(len(ifs)))
+        return cls(ifs, letters, np.ones(1), np.eye(d)[None], np.zeros((1, d)))
+
+    @classmethod
+    def of_words(cls, ifs: SSIFS, words: Sequence[Sequence[int]]) -> "WordLevel":
+        """The maps of the given 1-based words, which may differ in length."""
+        m, n = len(ifs), len(words)
+        lengths = np.fromiter(map(len, words), dtype=np.intp, count=n)
+        flat = np.fromiter(itertools.chain.from_iterable(words), dtype=np.intp) - 1
+        if flat.size and not (flat.min() >= 0 and flat.max() < m):
+            raise GeometryError(f"word index out of range 1..{m}")
+        letters = np.full((n, lengths.max(initial=0)), m, dtype=np.min_scalar_type(m))
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        letters[np.repeat(np.arange(n), lengths), np.arange(flat.size) - starts] = flat
+        return cls.fold(ifs, letters)
+
+    @classmethod
+    def fold(cls, ifs: SSIFS, letters: np.ndarray) -> "WordLevel":
+        """The maps of the words whose 0-based letters are the rows; letter m
+        pads a shorter word and stands for the identity map.  The maps are
+        folded from the left one column at a time, each step with the
+        arithmetic and checks of ``extend``."""
+        m, d, n = len(ifs), ifs.ambient_dim, len(letters)
+        ratios = np.append(ifs.ratios, 1.0)
+        rotations = np.concatenate([ifs.rotations, np.eye(d)[None]])
+        translations = np.concatenate([ifs.translations, np.zeros((1, d))])
+        ratio, rotation, translation = np.ones(n), np.tile(np.eye(d), (n, 1, 1)), np.zeros((n, d))
+        # The empty word keeps ratio 1.
+        nonempty = (letters < m).any(axis=1)
+        for column in letters.T:
+            moved = np.einsum("nij,nj->ni", rotation, translations[column])
+            translation = ratio[:, None] * moved + translation
+            rotation = np.einsum("nij,njk->nik", rotation, rotations[column])
+            ratio = ratio * ratios[column]
+            rotation = _checked_word_maps(ratio[nonempty], rotation)
+        return cls(ifs, letters, ratio, rotation, translation)
+
+    @property
+    def depth(self) -> int:
+        return self.letters.shape[1]
 
     def __len__(self) -> int:
         return len(self.ratio)
 
-    def extend(self) -> "WordLevel":
-        """The level one deeper: every word followed by every letter.
+    def __getitem__(self, rows) -> "WordLevel":
+        """The words of the given rows (a mask or an index array)."""
+        arrays = (self.letters, self.ratio, self.rotation, self.translation)
+        return WordLevel(self.ifs, *(a[rows] for a in arrays))
 
-        The same arithmetic and checks as ``compose(word, letter)`` per word:
-        ratios are the left-fold products, a rotation defect above
-        tau_orth / 10 is repaired before the Similarity check.
-        """
+    def extend(self) -> "WordLevel":
+        """Every word followed by every letter, in that order."""
         ifs = self.ifs
         n, m, d = len(self), len(ifs), ifs.ambient_dim
+        prefix = np.repeat(self.letters, m, axis=0)
+        letters = np.column_stack([prefix, np.tile(np.arange(m, dtype=prefix.dtype), n)])
         rotation = np.einsum("aij,bjk->abik", self.rotation, ifs.rotations).reshape(-1, d, d)
-        rotation = _reorthonormalize_where(rotation, tolerances.tau_orth() / 10.0)
-        rotation = checked_rotations(rotation)
         moved = np.einsum("aij,bj->abi", self.rotation, ifs.translations)
         translation = self.ratio[:, None, None] * moved + self.translation[:, None]
         ratio = (self.ratio[:, None] * ifs.ratios[None]).ravel()
-        if not ((ratio > 0.0) & (ratio < 1.0)).all():
-            raise GeometryError("word ratio left (0, 1)")
-        return WordLevel(ifs, self.depth + 1, ratio, rotation, translation.reshape(n * m, d))
+        rotation = _checked_word_maps(ratio, rotation)
+        return WordLevel(ifs, letters, ratio, rotation, translation.reshape(n * m, d))
 
     def indices(self, k: int) -> tuple[int, ...]:
         """1-based letters of word k."""
-        return tuple(int(i) + 1 for i in np.unravel_index(k, (len(self.ifs),) * self.depth))
+        m = len(self.ifs)
+        return tuple(int(i) + 1 for i in self.letters[k] if i < m)
 
     def balls(self, root_center, root_radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Centers (N, d) and radii (N,) of the cylinder balls S_w(root ball)."""
@@ -322,30 +354,19 @@ class Word:
 
     @property
     def ratio(self) -> float:
-        # Exact product of the stored ratios, no matrix round-trip.
-        return math.prod(self.ifs[i - 1].ratio for i in self.indices)
+        # Exact left-fold product of the stored ratios.
+        ratios = self.ifs.ratios.tolist()
+        return math.prod(ratios[i - 1] for i in self.indices)
 
     @cached_property
     def composed(self) -> Similarity:
-        if not self.indices:
-            return Similarity.identity(self.ifs.ambient_dim)
-        result = self.ifs[self.indices[0] - 1]
-        for i in self.indices[1:]:
-            result = compose(result, self.ifs[i - 1])
-        # Ratios multiply exactly; override the matrix round-trip value.
-        return Similarity(self.ratio, result.rotation, result.translation)
-
-    def extend(self, index: int) -> "Word":
-        return Word(self.ifs, self.indices + (index,))
+        level = WordLevel.of_words(self.ifs, [self.indices])
+        return Similarity(float(level.ratio[0]), level.rotation[0], level.translation[0])
 
 
 def cylinder_ball(word: Word, root_center, root_radius: float):
     """Bounding ball of the cylinder S_w(root ball)."""
-    root_center = np.asarray(root_center, dtype=float)
-    if not word.indices:
-        return root_center, root_radius
-    s = word.composed
-    return s(root_center), word.ratio * root_radius
+    return word.composed(root_center), word.ratio * root_radius
 
 
 def attractor_bounding_ball(ifs, max_iter: int = 1000):

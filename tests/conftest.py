@@ -1,8 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 
+from ifsproj import tolerances
 from ifsproj.fixtures import fixture_ifs
-from ifsproj.geometry import SSIFS, Similarity
+from ifsproj.geometry import (
+    SSIFS,
+    DimensionMismatchError,
+    Similarity,
+    orthogonality_defect,
+    reorthonormalize,
+)
 
 
 @pytest.fixture
@@ -38,3 +47,24 @@ def random_ssifs(rng, d=2, m=3):
             return SSIFS(maps)
         except Exception:
             continue
+
+
+def compose(a: Similarity, b: Similarity) -> Similarity:
+    """Similarity of x -> a(b(x)), built one pair of maps at a time: the
+    oracle that the array word folds are checked against."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatchError(
+            f"cannot compose maps in dimension {a.ambient_dim} and {b.ambient_dim}"
+        )
+    rotation = a.rotation @ b.rotation
+    if orthogonality_defect(rotation) > tolerances.tau_orth() / 10.0:
+        rotation = reorthonormalize(rotation)
+    translation = a.ratio * (a.rotation @ b.translation) + a.translation
+    return Similarity(a.ratio * b.ratio, rotation, translation)
+
+
+def composed_by_oracle(ifs, indices) -> Similarity:
+    """The map of a 1-based word as a left fold of compose (the identity
+    for the empty word)."""
+    maps = [ifs[i - 1] for i in indices]
+    return functools.reduce(compose, maps, Similarity.identity(ifs.ambient_dim))

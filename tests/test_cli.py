@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import ifsproj
-from ifsproj.cli import main
+from ifsproj import cli
+from ifsproj.cli import MAX_SAMPLE_SIZE, build_parser, main
 from ifsproj.dimension import Edge, GDIFS, sim_dim_gdifs
 from ifsproj.documents import (
     SchemaError,
@@ -422,6 +423,29 @@ class TestCliEstimate:
         assert captured.err.startswith("ifsproj estimate: error: argument --seed:")
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
+
+    def test_sample_size_above_the_cap_exits_two_at_parse_time(
+        self, capsys, fixture_dir, monkeypatch
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the attractor was sampled")
+
+        monkeypatch.setattr(cli, "sample_attractor", no_sampling)
+        argv = ["--input", str(fixture_dir / "sierpinski_half.json")]
+        assert build_parser().parse_args(
+            ["estimate", "boxdim", *argv, "--n", str(MAX_SAMPLE_SIZE)]
+        ).n == MAX_SAMPLE_SIZE
+        for method in ("deterministic", "chaos"):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    ["estimate", "boxdim", *argv, "--method", method,
+                     "--n", str(MAX_SAMPLE_SIZE + 1)]
+                )
+            captured = capsys.readouterr()
+            assert exc.value.code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("ifsproj estimate: error: argument --n:")
+            assert len(captured.err.strip().splitlines()) == 1
 
     def test_deterministic_reports_are_reproducible(self, capsys, fixture_dir):
         argv = [

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from ifsproj.constructions import (
     HypothesisViolationError,
     _greedy_pack,
     _identity_equal_ratio_pair,
+    _rotation_word_search,
     annihilating_rotation,
     build_projection_gdifs,
     find_dimension_drop,
@@ -35,7 +37,7 @@ from ifsproj.geometry import (
 )
 from ifsproj.groups import group_closure, planar_rotation, rotation_distance
 
-from conftest import random_ssifs
+from conftest import composed_by_oracle, random_ssifs
 
 LOG3_LOG2 = math.log(3.0) / math.log(2.0)
 X_AXIS = LinearMap(np.array([[1.0, 0.0]]))
@@ -336,6 +338,90 @@ class TestSelectDisjointCylinders:
             select_disjoint_cylinders(sierpinski, np.eye(2), -0.1, 1.0)
         with pytest.raises(GeometryError):
             select_disjoint_cylinders(sierpinski, np.eye(2), 0.1, 1.0, mass_target=1.5)
+
+
+def queue_selection(ifs, o, delta, t, mass_target, depth_cap):
+    """The cylinder selection as one breadth-first queue of words, each
+    tested on its own, with compose-built maps for the corrected words and
+    the balls, and the all-pairs certificate: (words, mass)."""
+    exact_tol = 10.0 * tolerances.tau_orth() if group_closure(ifs.rotations).is_finite else None
+
+    def matches(rot):
+        dist = rotation_distance(rot, o)
+        return dist <= exact_tol if exact_tol is not None else dist < delta
+
+    cache = {}
+
+    def corrector_for(rot):
+        key = np.round(rot / (delta / 4.0)).astype(int).tobytes()
+        if key not in cache:
+            cache[key] = _rotation_word_search(ifs, rot, o, delta / 2.0)
+        return cache[key]
+
+    def ratio(word):
+        return math.prod(float(ifs.ratios[i - 1]) for i in word)
+
+    accepted, mass = [], 0.0
+    queue = deque(((n,), rotation) for n, rotation in enumerate(ifs.rotations, start=1))
+    while queue and mass < mass_target:
+        word, rot = queue.popleft()
+        if matches(rot):
+            accepted.append(word)
+            mass += ratio(word) ** t
+        elif len(word) < depth_cap:
+            queue.extend((word + (n,), rot @ r) for n, r in enumerate(ifs.rotations, start=1))
+        elif (tail := corrector_for(rot)) is not None:
+            if matches(composed_by_oracle(ifs, word + tail).rotation):
+                accepted.append(word + tail)
+                mass += ratio(word + tail) ** t
+    center, radius = attractor_bounding_ball(ifs)
+    balls = [(composed_by_oracle(ifs, w)(center), ratio(w) * radius) for w in accepted]
+    dropped = dropped_by_all_pairs(balls, tolerances.TAU_SEP_FACTOR * 2.0 * radius)
+    if dropped:
+        accepted = [w for k, w in enumerate(accepted) if k not in dropped]
+        mass = math.fsum(ratio(w) ** t for w in accepted)
+    return accepted, mass
+
+
+@st.composite
+def planar_systems(draw):
+    """(system, reachable target rotation, delta) for a random planar system
+    whose rotation group is cyclic, dihedral or holds an irrational angle."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "irrational"]))
+    m = draw(st.integers(2, 3))
+    if kind == "irrational":
+        rotations = [planar_rotation(a) for a in rng.uniform(0.3, 2.8, size=m)]
+    else:
+        n = draw(st.sampled_from([2, 3, 4, 6]))
+        rotations = [planar_rotation(2.0 * math.pi * k / n) for k in rng.integers(0, n, size=m)]
+        if kind == "dihedral":
+            rotations[-1] = rotations[-1] @ np.diag([1.0, -1.0])
+    ratios, translations = rng.uniform(0.2, 0.6, m), rng.normal(size=(m, 2))
+    ifs = SSIFS([Similarity(r, o, v) for r, o, v in zip(ratios, rotations, translations)])
+    target = np.eye(2)
+    for i in rng.integers(0, m, size=draw(st.integers(1, 3))):
+        target = target @ ifs.rotations[i]
+    return ifs, target, draw(st.sampled_from([0.2, 0.4]))
+
+
+class TestSelectionAgainstQueue:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        system=planar_systems(),
+        depth_cap=st.integers(3, 6),
+        mass_target=st.sampled_from([0.3, 0.6, 0.9, 0.99]),
+    )
+    def test_matches_the_queue_search(self, system, depth_cap, mass_target):
+        ifs, target, delta = system
+        t = sim_dim_ssifs(ifs).value
+        sel = select_disjoint_cylinders(
+            ifs, target, delta, t, mass_target=mass_target, depth_cap=depth_cap
+        )
+        words, mass = queue_selection(ifs, target, delta, t, mass_target, depth_cap)
+        assert [w.indices for w in sel.words] == words
+        assert sel.mass == mass
+        assert sel.partial == (mass < mass_target)
 
 
 def dropped_by_all_pairs(balls, separation):

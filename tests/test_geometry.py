@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifsproj.fixtures import fixture_ifs
 from ifsproj.geometry import (
     DegenerateSystemError,
     DimensionMismatchError,
@@ -17,13 +18,12 @@ from ifsproj.geometry import (
     Word,
     WordLevel,
     attractor_bounding_ball,
-    compose,
     cylinder_ball,
     orthogonality_defect,
     similarity_equal,
 )
 
-from conftest import random_similarity, random_ssifs
+from conftest import compose, composed_by_oracle, random_similarity, random_ssifs
 
 
 def halving(v):
@@ -166,7 +166,7 @@ class TestWordLevel:
         assert level.depth == depth and len(level) == len(words)
         for k, indices in enumerate(words):
             assert level.indices(k) == indices
-            composed = ifs.word(indices).composed
+            composed = composed_by_oracle(ifs, indices)
             assert level.ratio[k] == composed.ratio
             assert np.abs(level.rotation[k] - composed.rotation).max() <= 1e-12
             assert np.abs(level.translation[k] - composed.translation).max() <= 1e-12
@@ -177,6 +177,67 @@ class TestWordLevel:
         assert np.array_equal(it.ratios, level.ratio)
         assert np.array_equal(it.translations, level.translation)
         assert similarity_equal(it[5], c4.word(level.indices(5)).composed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3]),
+        m=st.integers(2, 3),
+        data=st.data(),
+    )
+    def test_ragged_fold_matches_compose(self, seed, d, m, data):
+        ifs = random_ssifs(np.random.default_rng(seed), d=d, m=m)
+        letter = st.integers(1, m)
+        words = data.draw(
+            st.lists(
+                st.one_of(
+                    st.lists(letter, max_size=6), st.lists(letter, min_size=40, max_size=48)
+                ).map(tuple),
+                max_size=8,
+            )
+        )
+        # The empty word and a repeated word always take part.
+        words = [(), *words, *words[:2]]
+        level = WordLevel.of_words(ifs, words)
+        assert len(level) == len(words)
+        for k, indices in enumerate(words):
+            assert level.indices(k) == indices
+            composed = composed_by_oracle(ifs, indices)
+            assert level.ratio[k] == composed.ratio
+            assert np.abs(level.rotation[k] - composed.rotation).max() <= 1e-12
+            assert np.abs(level.translation[k] - composed.translation).max() <= 1e-12
+
+    def test_fold_of_a_level_matches_extend(self, c4):
+        level = WordLevel.root(c4).extend().extend()
+        folded = WordLevel.of_words(c4, [level.indices(k) for k in range(len(level))])
+        assert np.array_equal(folded.letters, level.letters)
+        assert np.array_equal(folded.ratio, level.ratio)
+        assert np.abs(folded.rotation - level.rotation).max() <= 1e-15
+        assert np.abs(folded.translation - level.translation).max() <= 1e-15
+
+    def test_fold_rejects_out_of_range_letters(self, c4):
+        for words in ([(1, 4)], [(0,)]):
+            with pytest.raises(GeometryError):
+                WordLevel.of_words(c4, words)
+
+    def test_subset_extends_like_the_full_level(self, sierpinski):
+        level = WordLevel.root(sierpinski).extend().extend()
+        keep = np.array([True, False, False, True, False, True, False, False, True])
+        full, part = level.extend(), level[keep].extend()
+        rows = np.flatnonzero(np.repeat(keep, 3))
+        assert [part.indices(k) for k in range(len(part))] == [full.indices(k) for k in rows]
+        assert np.array_equal(part.ratio, full.ratio[rows])
+        assert np.array_equal(part.rotation, full.rotation[rows])
+        assert np.array_equal(part.translation, full.translation[rows])
+
+    def test_letters_use_the_smallest_unsigned_type(self):
+        ifs = fixture_ifs("example_7_5_plane")
+        level = WordLevel.root(ifs)
+        for _ in range(8):
+            level = level.extend()
+        assert level.letters.dtype == np.uint8
+        assert level.letters.shape == (4**8, 8)
+        assert level.indices(4**8 - 2) == (4,) * 7 + (3,)
 
     def test_depth_one_is_the_system(self, c4):
         level = WordLevel.root(c4).extend()
@@ -238,7 +299,7 @@ class TestCylinderBall:
         w = sierpinski.word([2, 1])
         cw, rw = cylinder_ball(w, root_c, root_r)
         for j in (1, 2, 3):
-            cj, rj = cylinder_ball(w.extend(j), root_c, root_r)
+            cj, rj = cylinder_ball(sierpinski.word(w.indices + (j,)), root_c, root_r)
             assert np.linalg.norm(cj - cw) + rj <= rw + 1e-9
 
 
