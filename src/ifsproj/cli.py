@@ -1,13 +1,14 @@
 """Command line front end.
 
-Exit codes: 0 ok, 2 bad or unreadable input document or bad option (an
-unparsable, non-finite or zero --direction, an --l outside 1..d, a negative
---seed, an --n above MAX_SAMPLE_SIZE = 10**7), 3 degenerate system, 4
-structural hypothesis violation (infinite group, not strongly connected), 5
-numeric failure (also a --delta, --epsilon or --t of cylinders,
-collapse-sweep or ssc-approx that is not finite and positive, an --angle
-that is not finite, or a --depth-cap below 1), 6 I/O error (an output file
-or directory cannot be written).
+Exit codes: 0 ok, 2 bad or unreadable input document (also a non-finite
+map ratio, rotation or translation entry, or a metadata that is not a JSON
+object) or bad option (an unparsable, non-finite or zero --direction, an
+--l outside 1..d, a negative --seed, an --n above MAX_SAMPLE_SIZE =
+10**7), 3 degenerate system, 4 structural hypothesis violation (infinite
+group, not strongly connected), 5 numeric failure (also a --delta,
+--epsilon or --t of cylinders, collapse-sweep or ssc-approx that is not
+finite and positive, an --angle that is not finite, or a --depth-cap below
+1), 6 I/O error (an output file or directory cannot be written).
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from .constructions import (
 from .dimension import GdifsStructureError, sim_dim_gdifs, sim_dim_ssifs
 from .documents import (
     SchemaError,
+    document_metadata,
     gdifs_to_document,
+    ifs_from_document,
+    load_document,
     load_ifs,
     write_pgm,
     write_points_csv,
@@ -193,7 +197,7 @@ def cmd_dimdrop(args) -> int:
     return EXIT_OK
 
 
-def _estimate_boxdim(args, ifs, out, project=False):
+def _estimate_boxdim(args, ifs, out, metadata, project=False):
     cloud = sample_attractor(ifs, args.n, seed=args.seed, method=_method(args))
     counted = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim)) if project else cloud
     scales = (
@@ -215,7 +219,7 @@ def _estimate_boxdim(args, ifs, out, project=False):
     return EXIT_OK
 
 
-def _estimate_collapse_sweep(args, ifs, out):
+def _estimate_collapse_sweep(args, ifs, out, metadata):
     cloud = sample_attractor(ifs, args.n, seed=args.seed, method=_method(args))
     projected = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim))
     t = args.t if args.t is not None else sim_dim_ssifs(ifs).value
@@ -239,15 +243,9 @@ def _estimate_collapse_sweep(args, ifs, out):
     return EXIT_OK
 
 
-def _estimate_ssc_approx(args, ifs, out):
-    osc = bool(
-        (json.loads(Path(args.input).read_text()).get("metadata") or {}).get(
-            "osc_certified"
-        )
-    )
-    subsystem = ssc_subsystem(
-        ifs, args.epsilon, t=args.t, osc_certified=osc, seed=args.seed
-    )
+def _estimate_ssc_approx(args, ifs, out, metadata):
+    osc = bool(metadata.get("osc_certified"))
+    subsystem = ssc_subsystem(ifs, args.epsilon, t=args.t, osc_certified=osc, seed=args.seed)
     out.update(
         {
             "epsilon": args.epsilon,
@@ -261,7 +259,7 @@ def _estimate_ssc_approx(args, ifs, out):
     return EXIT_OK
 
 
-def _estimate_cylinders(args, ifs, out):
+def _estimate_cylinders(args, ifs, out, metadata):
     d = ifs.ambient_dim
     if args.angle is not None:
         if d != 2:
@@ -329,10 +327,11 @@ ESTIMATE_MODES = {
 
 
 def cmd_estimate(args) -> int:
-    ifs = load_ifs(args.input)
+    doc = load_document(args.input)
+    ifs = ifs_from_document(doc)
     out = _report_header(args, ifs)
     out["mode"] = args.mode
-    code = ESTIMATE_MODES[args.mode](args, ifs, out)
+    code = ESTIMATE_MODES[args.mode](args, ifs, out, document_metadata(doc))
     _emit(args, out)
     return code
 

@@ -8,6 +8,7 @@ with a rotation target, and the annihilating-rotation search.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .geometry import (
 )
 from .groups import (
     TransformationGroup,
-    _RotationTable,
+    _rotation_walk,
     group_closure,
     kronecker_power,
     rotation_distance,
@@ -389,24 +390,17 @@ class CylinderSelection:
 
 
 def _rotation_word_search(ifs: SSIFS, start: np.ndarray, target: np.ndarray, tol: float):
-    """Lexicographically first word w with ||start T_w - target|| < tol.
+    """Shortlex first word w with ||start T_w - target|| < tol.
 
-    Breadth-first search over the rotation Cayley graph with tolerance
-    deduplication of visited rotations; returns None when exhausted.
+    A walk over the rotation Cayley graph with tolerance deduplication of
+    visited rotations; returns None when exhausted.
     """
-    visited = _RotationTable(start.shape[0], max(tol / 4.0, 1e-12))
-    visited.add(start)
-    # A list read in order while it grows is a first-in first-out queue.
-    queue = [(start, ())]
-    for rot, word in queue:
-        if len(word) >= _CORRECTOR_LENGTH_CAP:
-            continue
-        for n, rotation in enumerate(ifs.rotations, start=1):
-            nxt = rot @ rotation
-            if rotation_distance(nxt, target) < tol:
-                return word + (n,)
-            if visited.size < _CORRECTOR_STATE_CAP and visited.add_if_new(nxt):
-                queue.append((nxt, word + (n,)))
+    visited_tol = max(tol / 4.0, 1e-12)
+    for rot, word in _rotation_walk(start, ifs.rotations, visited_tol, _CORRECTOR_STATE_CAP):
+        if word.length > _CORRECTOR_LENGTH_CAP:
+            break
+        if rotation_distance(rot, target) < tol:
+            return word.letters()
     return None
 
 
@@ -528,48 +522,31 @@ def annihilating_rotation(
     tol: float = 1e-3,
     word_cap: int = 10**5,
 ) -> np.ndarray:
-    """A product O of generator rotations with ||L O v|| < tol ||L|| ||v||."""
+    """A product O of generator rotations with ||L O v|| < tol ||L|| ||v||.
+
+    The identity, then the products of the nonempty words in shortlex order,
+    skipping the extensions of a product within 1e-9 of an earlier one;
+    ``word_cap`` is the number of nonempty-word products examined.
+    """
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) == 0.0:
         raise GeometryError("v must be nonzero")
     if linear_map.rank() == 0:
         raise GeometryError("linear map must have positive rank")
     if isinstance(group_or_generators, TransformationGroup):
-        generators = list(group_or_generators.generators)
-    else:
-        generators = [np.asarray(g, dtype=float) for g in group_or_generators]
+        group_or_generators = group_or_generators.generators
+    generators = [np.asarray(g, dtype=float) for g in group_or_generators]
     threshold = tol * linear_map.operator_norm() * float(np.linalg.norm(v))
 
     def residual(o: np.ndarray) -> float:
         return float(np.linalg.norm(linear_map(o @ v)))
 
-    d = generators[0].shape[0]
-    identity = np.eye(d)
+    identity = np.eye(generators[0].shape[0])
     if residual(identity) < threshold:
         return identity
-    if len(generators) == 1:
-        g = generators[0]
-        o = identity.copy()
-        for _ in range(word_cap):
-            o = o @ g
-            if residual(o) < threshold:
-                return o
-    else:
-        visited = _RotationTable(d, 1e-9)
-        visited.add(identity)
-        # A list read in order while it grows is a first-in first-out queue.
-        queue = [identity]
-        examined = 0
-        for current in queue:
-            if examined >= word_cap:
-                break
-            for g in generators:
-                nxt = current @ g
-                examined += 1
-                if residual(nxt) < threshold:
-                    return nxt
-                if visited.add_if_new(nxt):
-                    queue.append(nxt)
+    for o, _ in itertools.islice(_rotation_walk(identity, generators, 1e-9), word_cap):
+        if residual(o) < threshold:
+            return o
     raise NumericFailureError(
         "no annihilating rotation found within the word cap; "
         "the orbit-density assumption may fail at this tolerance"

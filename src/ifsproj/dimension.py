@@ -1,4 +1,4 @@
-"""Similarity-dimension solver and spectral-radius machinery.
+"""Similarity-dimension solver and the Perron root behind it.
 
 For a strongly connected graph-directed system the similarity dimension is
 the unique s with spectral radius rho(A(s)) = 1, where A(s)[i, j] sums r_e^s
@@ -9,6 +9,9 @@ Every entry of A(s) is log-linear in s, so phi(s) = log rho(A(s)) is convex
 phi from s = 0 therefore climbs monotonically to the root, with no bracket
 search; the derivative is phi'(s) = u^T A'(s) v / (rho u^T v) for the left
 and right Perron vectors u, v.
+
+One routine, ``_perron`` (the eig pair of largest real part), gives the Perron
+root and vector to the solver, ``spectral_radius`` and ``perron_eigenpair``.
 """
 
 from __future__ import annotations
@@ -204,63 +207,39 @@ def is_strongly_connected(g: GDIFS) -> bool:
     return len(comps) == 1
 
 
-def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
-    """Perron root and vector of a nonnegative matrix with an irreducible
-    positivity pattern, via power iteration on A + I (always primitive)."""
-    q = a.shape[0]
-    shifted = a + np.eye(q)
-    x = np.ones(q)
-    scale = max(1.0, float(np.abs(a).max()))
-    lam = 0.0
-    for _ in range(max_iter):
-        y = shifted @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0, x
-        y /= norm
-        lam = float(y @ (shifted @ y))
-        residual = float(np.linalg.norm(shifted @ y - lam * y, np.inf))
-        x = y
-        if residual <= tol * scale:
-            return lam - 1.0, x
-    raise NumericFailureError("power iteration did not converge within the cap")
+def _perron(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """(rho, v): the eigenvalue of a nonnegative matrix with the largest real
+    part, which is rho(A) by Perron-Frobenius, and its right eigenvector."""
+    w, v = np.linalg.eig(a)
+    i = int(np.argmax(w.real))
+    return float(w[i].real), v[:, i].real
 
 
-def spectral_radius(a, tol: float | None = None, max_iter: int = 10**5) -> float:
+def spectral_radius(a) -> float:
     """Largest absolute eigenvalue of a nonnegative matrix.
 
-    Computed per strongly connected component of the positivity pattern and
-    maximized, so reducible matrices are handled as well.
+    The largest Perron root over the strongly connected components of the
+    positivity pattern: one eig of a whole reducible matrix can lose half the
+    digits of a repeated block root, one per diagonal block does not.
     """
-    if tol is None:
-        tol = tolerances.TAU_EIG
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GeometryError("matrix must be square")
     if (a < 0).any():
         raise GeometryError("matrix must be entrywise nonnegative")
-    q = a.shape[0]
-    arcs = zip(*np.nonzero(a))
-    best = 0.0
-    for comp in strongly_connected_components(q, arcs):
-        sub = a[np.ix_(comp, comp)]
-        if len(comp) == 1 and sub[0, 0] == 0.0:
-            continue
-        rho, _ = _power_iteration(sub, tol, max_iter)
-        best = max(best, rho)
-    return best
+    comps = strongly_connected_components(a.shape[0], zip(*np.nonzero(a)))
+    return max((_perron(a[np.ix_(comp, comp)])[0] for comp in comps), default=0.0)
 
 
-def perron_eigenpair(a, tol: float | None = None, max_iter: int = 10**5):
-    """(rho, y) with A y = rho y and y > 0; requires an irreducible matrix."""
-    if tol is None:
-        tol = tolerances.TAU_EIG
+def perron_eigenpair(a):
+    """(rho, y) with A y = rho y, y > 0 and sum(y) = 1; requires an
+    irreducible matrix."""
     a = np.asarray(a, dtype=float)
     comps = strongly_connected_components(a.shape[0], zip(*np.nonzero(a)))
     if len(comps) != 1:
         raise GeometryError("matrix is reducible; no Perron eigenpair")
-    rho, y = _power_iteration(a, tol, max_iter)
-    return rho, y
+    rho, y = _perron(a)
+    return rho, y / y.sum()
 
 
 class DimensionMethod(enum.Enum):
@@ -298,11 +277,8 @@ def _dimension_root(cell: np.ndarray, log_ratio: np.ndarray, q: int, max_iter: i
         if q == 1:
             rho = float(a[0, 0])
             return rho, float(da[0, 0]) / rho
-        w, vr = np.linalg.eig(a)
-        wl, vl = np.linalg.eig(a.T)
-        i = int(np.argmax(w.real))
-        rho = float(w[i].real)
-        u, v = vl[:, int(np.argmax(wl.real))].real, vr[:, i].real
+        rho, v = _perron(a)
+        u = _perron(a.T)[1]
         return rho, float(u @ da @ v) / (rho * float(u @ v))
 
     rho, slope = evaluate(0.0)

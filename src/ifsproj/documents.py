@@ -27,6 +27,13 @@ def similarity_to_json(s: Similarity) -> dict:
     }
 
 
+def _check_finite(ratio, rotation, translation) -> None:
+    """Reject NaN and infinite map entries, which the range and
+    orthogonality checks let through (NaN compares false)."""
+    if not all(np.isfinite(x).all() for x in (ratio, rotation, translation)):
+        raise SchemaError("map ratios, rotations and translations must be finite")
+
+
 def _similarity_from_json(entry: dict, d: int) -> Similarity:
     try:
         ratio = float(entry["ratio"])
@@ -34,6 +41,7 @@ def _similarity_from_json(entry: dict, d: int) -> Similarity:
         translation = np.array(entry["translation"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed map entry: {exc}") from exc
+    _check_finite(ratio, rotation, translation)
     if translation.shape != (d,):
         raise SchemaError(f"translation length {translation.shape[0]} != ambient_dim {d}")
     try:
@@ -78,16 +86,27 @@ def ifs_from_document(doc: dict) -> SSIFS:
     if not isinstance(maps_json, list) or not maps_json:
         raise SchemaError("maps must be a nonempty list")
     maps = [_similarity_from_json(entry, d) for entry in maps_json]
-    name = (doc.get("metadata") or {}).get("name")
-    return SSIFS(maps, name=name)
+    return SSIFS(maps, name=document_metadata(doc).get("name"))
+
+
+def document_metadata(doc: dict) -> dict:
+    """The ``metadata`` object of a document, empty when it has none."""
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SchemaError("metadata must be a JSON object")
+    return metadata
+
+
+def load_document(path) -> dict:
+    """The parsed JSON of a document file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read IFS document {path}: {exc}") from exc
 
 
 def load_ifs(path) -> SSIFS:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read IFS document {path}: {exc}") from exc
-    return ifs_from_document(doc)
+    return ifs_from_document(load_document(path))
 
 
 def gdifs_to_document(g: GDIFS) -> dict:
@@ -124,6 +143,7 @@ def gdifs_from_document(doc: dict) -> GDIFS:
         translation = np.array([e["translation"] for e in edges], dtype=float).reshape(n, d)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed GDIFS document: {exc}") from exc
+    _check_finite(ratio, rotation, translation)
     try:
         return GDIFS.from_arrays(q, source, target, ratio, rotation, translation)
     except GeometryError as exc:

@@ -25,11 +25,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tolerances
-from .geometry import GeometryError, NumericFailureError, orthogonality_defect
+from .geometry import GeometryError, NumericFailureError, _orthogonality_defects, orthogonality_defect
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,31 +81,18 @@ class _RotationTable:
         dots = np.einsum("nij,ij->n", mats, self._weights)
         return np.floor(dots / self._width).astype(np.int64)
 
-    def find(self, m: np.ndarray) -> list[int]:
-        """Indices of the stored matrices within tol of m."""
+    def add_if_new(self, m: np.ndarray) -> bool:
+        """Store m unless a stored matrix lies within tol; True if stored."""
         k = int(self._key(m[None])[0])
         near = [i for j in (k - 1, k, k + 1) for i in self._buckets.get(j, ())]
-        if not near:
-            return []
-        dist = np.abs(self._stack[near] - m[None]).max(axis=(1, 2))
-        return [near[i] for i in np.flatnonzero(dist <= self.tol)]
-
-    def add(self, m: np.ndarray) -> None:
+        if near and (np.abs(self._stack[near] - m[None]).max(axis=(1, 2)) <= self.tol).any():
+            return False
         if self.size == len(self._stack):
             self._stack = np.concatenate([self._stack, np.empty_like(self._stack)])
             self._keys = np.concatenate([self._keys, np.empty_like(self._keys)])
-        i = self.size
-        self._stack[i] = m
-        k = int(self._key(m[None])[0])
-        self._keys[i] = k
-        self._buckets.setdefault(k, []).append(i)
+        self._stack[self.size], self._keys[self.size] = m, k
+        self._buckets.setdefault(k, []).append(self.size)
         self.size += 1
-
-    def add_if_new(self, m: np.ndarray) -> bool:
-        """Store m unless a stored matrix lies within tol; True if stored."""
-        if self.find(m):
-            return False
-        self.add(m)
         return True
 
     def lookup(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,6 +117,46 @@ class _RotationTable:
         counts += np.bincount(query[hit], minlength=n)
         match[query[hit]] = stored[hit]
         return counts, match
+
+
+class _LinkedWord(NamedTuple):
+    """A word as a link to the word before it, its last letter and its
+    length, so extending a word copies nothing; the empty word has length 0
+    and no prefix."""
+
+    prefix: "_LinkedWord | None"
+    letter: int
+    length: int
+
+    def letters(self) -> tuple[int, ...]:
+        out, node = [], self
+        while node.length:
+            out.append(node.letter)
+            node = node.prefix
+        return tuple(reversed(out))
+
+
+def _rotation_walk(start: np.ndarray, generators, tol: float, state_cap: int | None = None):
+    """Yield (start T_w, w) for the nonempty words w over the generators
+    (letters 1..m) in shortlex order: by length, then letter by letter.
+
+    A breadth-first walk of the Cayley graph: a product within tol of a
+    stored one (start included), or met once ``state_cap`` products are
+    stored, is yielded but not extended.
+    """
+    stored = _RotationTable(start.shape[0], tol)
+    stored.add_if_new(start)
+    # The word of each stored product; a list read in order while it grows
+    # is a first-in first-out queue.
+    words = [_LinkedWord(None, 0, 0)]
+    for i, word in enumerate(words):
+        rot = stored.elements[i]
+        for n, g in enumerate(generators, start=1):
+            nxt = rot @ g
+            child = _LinkedWord(word, n, word.length + 1)
+            yield nxt, child
+            if (state_cap is None or stored.size < state_cap) and stored.add_if_new(nxt):
+                words.append(child)
 
 
 @dataclass(frozen=True)
@@ -191,7 +219,7 @@ def _distinct(gens: np.ndarray, tol: float) -> np.ndarray:
     table = _RotationTable(gens.shape[1], tol)
     remaining = gens
     while len(remaining):
-        table.add(remaining[0])
+        table.add_if_new(remaining[0])
         counts, _ = table.lookup(remaining[1:])
         remaining = remaining[1:][counts == 0]
     return table.elements.copy()
@@ -241,8 +269,7 @@ def group_closure(generators, tolerance: float = 1e-6, closure_cap: int = 5000) 
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
         raise GroupClosureError("generators must share their dimension")
     d = gens.shape[1]
-    defect = np.abs(np.einsum("nki,nkj->nij", gens, gens) - np.eye(d)).max(axis=(1, 2))
-    if (defect > tolerances.tau_orth()).any():
+    if (_orthogonality_defects(gens) > tolerances.tau_orth()).any():
         raise GroupClosureError("generator is not orthogonal")
     given = tuple(gens)
     distinct = _distinct(gens, tolerance)
@@ -255,20 +282,15 @@ def group_closure(generators, tolerance: float = 1e-6, closure_cap: int = 5000) 
 
     multipliers = np.concatenate([distinct, distinct.transpose(0, 2, 1)])
     table = _RotationTable(d, tolerance)
-    table.add(np.eye(d))
+    table.add_if_new(np.eye(d))
     frontier = table.elements.copy()
     while len(frontier):
         candidates = (multipliers[None] @ frontier[:, None]).reshape(-1, d, d)
         counts, _ = table.lookup(candidates)
         start = table.size
         for c in candidates[counts == 0]:
-            if table.find(c):
-                continue
-            if table.size >= closure_cap:
-                return TransformationGroup(
-                    given, None, table.size + 1, tolerance, "cap_exceeded"
-                )
-            table.add(c)
+            if table.add_if_new(c) and table.size > closure_cap:
+                return TransformationGroup(given, None, table.size, tolerance, "cap_exceeded")
         frontier = table.elements[start:].copy()
     elements = table.elements[_canonical_order(table.elements)]
     elements.setflags(write=False)

@@ -24,7 +24,6 @@ PROFILES = {
 }
 
 # Tolerances that do not vary with the profile.
-TAU_EIG = 1e-12
 TAU_ANGLE = 1e-9
 TAU_SEP_FACTOR = 1e-12  # ball separation threshold, relative to diameter
 

@@ -147,6 +147,59 @@ class TestCliSimdim:
         assert main(["simdim", "--input", str(bad)]) == 2
 
 
+# Each bad document is the sierpinski_half document with the entry at the
+# key path replaced by the value.
+BAD_DOCUMENTS = {
+    "metadata string": (["metadata"], "sierpinski"),
+    "metadata list": (["metadata"], [{"name": "sierpinski"}]),
+    "metadata null": (["metadata"], None),
+    "nan ratio": (["maps", 1, "ratio"], math.nan),
+    "nan rotation": (["maps", 1, "rotation", 0], math.nan),
+    "inf rotation": (["maps", 1, "rotation", 3], math.inf),
+    "inf translation": (["maps", 1, "translation", 0], math.inf),
+    "nan translation": (["maps", 1, "translation", 1], math.nan),
+}
+
+INPUT_COMMANDS = [
+    ["simdim"],
+    ["project-gdifs"],
+    ["dimdrop"],
+    ["estimate", "boxdim"],
+    ["estimate", "project-boxdim"],
+    ["estimate", "collapse-sweep"],
+    ["estimate", "ssc-approx"],
+    ["estimate", "cylinders"],
+]
+
+
+class TestCliBadDocuments:
+    @pytest.mark.parametrize("command", INPUT_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("kind", sorted(BAD_DOCUMENTS))
+    def test_exits_two_with_one_line(self, capsys, tmp_path, command, kind):
+        doc = fixture_document("sierpinski_half")
+        *keys, last = BAD_DOCUMENTS[kind][0]
+        entry = doc
+        for key in keys:
+            entry = entry[key]
+        entry[last] = BAD_DOCUMENTS[kind][1]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(command + ["--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("schema error:")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_gdifs_document_rejects_non_finite_entries(self, sierpinski, value):
+        doc = gdifs_to_document(GDIFS(1, [Edge(0, 0, s) for s in sierpinski]))
+        doc["edges"][2]["translation"][1] = value
+        with pytest.raises(SchemaError, match="finite"):
+            gdifs_from_document(doc)
+
+
 class TestCliProjectGdifs:
     def test_c4_report_and_emitted_document(self, capsys, fixture_dir, tmp_path):
         code, out = run_json(

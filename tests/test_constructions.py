@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsproj import tolerances
+from ifsproj import constructions, tolerances
 from ifsproj.constructions import (
+    _CORRECTOR_LENGTH_CAP,
+    _CORRECTOR_STATE_CAP,
     HypothesisViolationError,
     _greedy_pack,
     _identity_equal_ratio_pair,
@@ -35,7 +37,7 @@ from ifsproj.geometry import (
     attractor_bounding_ball,
     cylinder_ball,
 )
-from ifsproj.groups import group_closure, planar_rotation, rotation_distance
+from ifsproj.groups import _RotationTable, group_closure, planar_rotation, rotation_distance
 
 from conftest import composed_by_oracle, random_ssifs
 
@@ -384,12 +386,13 @@ def queue_selection(ifs, o, delta, t, mass_target, depth_cap):
 
 
 @st.composite
-def planar_systems(draw):
-    """(system, reachable target rotation, delta) for a random planar system
-    whose rotation group is cyclic, dihedral or holds an irrational angle."""
+def planar_generators(draw, min_size=1):
+    """(rng, generators): min_size..3 planar orthogonal matrices whose group
+    is cyclic, dihedral or holds an irrational angle, and the rng they came
+    from."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["cyclic", "dihedral", "irrational"]))
-    m = draw(st.integers(2, 3))
+    m = draw(st.integers(min_size, 3))
     if kind == "irrational":
         rotations = [planar_rotation(a) for a in rng.uniform(0.3, 2.8, size=m)]
     else:
@@ -397,6 +400,15 @@ def planar_systems(draw):
         rotations = [planar_rotation(2.0 * math.pi * k / n) for k in rng.integers(0, n, size=m)]
         if kind == "dihedral":
             rotations[-1] = rotations[-1] @ np.diag([1.0, -1.0])
+    return rng, rotations
+
+
+@st.composite
+def planar_systems(draw):
+    """(system, reachable target rotation, delta) for a random planar system
+    whose rotation group is cyclic, dihedral or holds an irrational angle."""
+    rng, rotations = draw(planar_generators(min_size=2))
+    m = len(rotations)
     ratios, translations = rng.uniform(0.2, 0.6, m), rng.normal(size=(m, 2))
     ifs = SSIFS([Similarity(r, o, v) for r, o, v in zip(ratios, rotations, translations)])
     target = np.eye(2)
@@ -539,3 +551,134 @@ class TestAnnihilatingRotation:
         # The identity group can never rotate (1,0) out of the x-axis.
         with pytest.raises(NumericFailureError):
             annihilating_rotation([np.eye(2)], X_AXIS, [1.0, 0.0], tol=1e-6, word_cap=100)
+
+
+def queue_word_search(ifs, start, target, tol, state_cap=_CORRECTOR_STATE_CAP):
+    """The corrector search as a breadth-first queue of (rotation, word)
+    pairs, each word copied from its parent's."""
+    visited = _RotationTable(start.shape[0], max(tol / 4.0, 1e-12))
+    visited.add_if_new(start)
+    queue = deque([(start, ())])
+    while queue:
+        rot, word = queue.popleft()
+        if len(word) >= _CORRECTOR_LENGTH_CAP:
+            continue
+        for n, rotation in enumerate(ifs.rotations, start=1):
+            nxt = rot @ rotation
+            if rotation_distance(nxt, target) < tol:
+                return word + (n,)
+            if visited.size < state_cap and visited.add_if_new(nxt):
+                queue.append((nxt, word + (n,)))
+    return None
+
+
+def queue_annihilating_rotation(generators, v, tol, word_cap):
+    """The annihilating search for L = X_AXIS as repeated multiplication for
+    one generator and a breadth-first queue that checks the cap before each
+    expansion for several: (O, products examined), or None."""
+    threshold = tol * X_AXIS.operator_norm() * float(np.linalg.norm(v))
+
+    def residual(o):
+        return float(np.linalg.norm(X_AXIS(o @ v)))
+
+    identity = np.eye(2)
+    if residual(identity) < threshold:
+        return identity, 0
+    if len(generators) == 1:
+        o = identity.copy()
+        for examined in range(1, word_cap + 1):
+            o = o @ generators[0]
+            if residual(o) < threshold:
+                return o, examined
+        return None
+    visited = _RotationTable(2, 1e-9)
+    visited.add_if_new(identity)
+    queue = deque([identity])
+    examined = 0
+    while queue and examined < word_cap:
+        current = queue.popleft()
+        for g in generators:
+            nxt = current @ g
+            examined += 1
+            if residual(nxt) < threshold:
+                return nxt, examined
+            if visited.add_if_new(nxt):
+                queue.append(nxt)
+    return None
+
+
+class TestRotationWalkAgainstQueues:
+    @settings(max_examples=60, deadline=None)
+    @given(system=planar_systems(), angle=st.floats(-math.pi, math.pi), reachable=st.booleans())
+    def test_word_search_matches_the_queue(self, system, angle, reachable):
+        ifs, target, delta = system
+        start = planar_rotation(angle)
+        if not reachable:
+            # Off the orbit of a finite group; the search then exhausts it.
+            target = planar_rotation(0.1 + angle)
+        tol = delta / 2.0
+        assert _rotation_word_search(ifs, start, target, tol) == queue_word_search(
+            ifs, start, target, tol
+        )
+
+    def test_word_search_stops_at_the_length_cap(self):
+        # Only powers of R are new, so the walk is one chain of words.
+        ifs = SSIFS(
+            [
+                Similarity(0.5, np.eye(2), [0.0, 0.0]),
+                Similarity(0.5, planar_rotation(1.0), [1.0, 0.0]),
+            ]
+        )
+        for power in (_CORRECTOR_LENGTH_CAP - 10, _CORRECTOR_LENGTH_CAP + 10):
+            target = np.linalg.matrix_power(planar_rotation(1.0), power)
+            word = _rotation_word_search(ifs, np.eye(2), target, 1e-6)
+            assert word == queue_word_search(ifs, np.eye(2), target, 1e-6)
+            assert (word is None) == (power > _CORRECTOR_LENGTH_CAP)
+
+    def test_word_search_stops_at_the_state_cap(self, monkeypatch):
+        # Two generic space rotations generate a free semigroup, so depth k
+        # holds 2^k new products.  With a cap of 64 the start and depths 1..5
+        # fill 63 places; depth 6 is examined, but only its first product,
+        # that of 1^6, is extended, so a depth-7 word starting with 2 is out
+        # of reach.
+        monkeypatch.setattr(constructions, "_CORRECTOR_STATE_CAP", 64)
+        rng = np.random.default_rng(3)
+        rotations = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2)]
+        rotations = [q * np.linalg.det(q) for q in rotations]
+        ifs = SSIFS([Similarity(0.5, q, rng.normal(size=3)) for q in rotations])
+        for depth in (6, 7):
+            word = (2,) + tuple(rng.integers(1, 3, size=depth - 1).tolist())
+            target = composed_by_oracle(ifs, word).rotation
+            found = _rotation_word_search(ifs, np.eye(3), target, 1e-6)
+            assert found == queue_word_search(ifs, np.eye(3), target, 1e-6, state_cap=64)
+            assert found == (word if depth == 6 else None)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        generators=planar_generators(),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        letters=st.lists(st.integers(0, 2), max_size=5),
+        tol=st.sampled_from([1e-1, 1e-2, 1e-3]),
+        word_cap=st.one_of(st.integers(1, 40), st.integers(41, 400)),
+    )
+    def test_annihilating_rotation_matches_the_queue(
+        self, generators, angle, letters, tol, word_cap
+    ):
+        _, generators = generators
+        v = np.array([math.cos(angle), math.sin(angle)])
+        if letters:
+            # A direction that the product of these letters turns onto the
+            # y-axis, so that most searches have a hit.
+            o = np.eye(2)
+            for k in letters:
+                o = o @ generators[k % len(generators)]
+            v = o.T @ [0.0, 1.0]
+        found = queue_annihilating_rotation(generators, v, tol, word_cap)
+        if found is not None and found[1] <= word_cap:
+            o = annihilating_rotation(generators, X_AXIS, v, tol=tol, word_cap=word_cap)
+            assert np.array_equal(o, found[0])
+        else:
+            # The queue may overrun the cap by up to m - 1 products; the
+            # walk examines exactly word_cap.
+            with pytest.raises(NumericFailureError):
+                annihilating_rotation(generators, X_AXIS, v, tol=tol, word_cap=word_cap)

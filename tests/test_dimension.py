@@ -68,6 +68,16 @@ class TestSpectralRadius:
         a = np.array([[2.0, 1.0], [0.0, 3.0]])
         assert abs(spectral_radius(a) - 3.0) < 1e-9
 
+    def test_reducible_repeated_blocks(self):
+        # Two copies of B coupled by a block of ones, with the vertices
+        # shuffled: the root of B is a double eigenvalue of the whole matrix,
+        # which one eig of it resolves to only about 1e-8.
+        b = np.array([[0.3, 0.7], [0.9, 0.2]])
+        a = np.block([[b, np.ones((2, 2))], [np.zeros((2, 2)), b]])
+        perm = [2, 0, 3, 1]
+        exact = (0.5 + math.sqrt(0.5**2 + 4.0 * (0.7 * 0.9 - 0.3 * 0.2))) / 2.0
+        assert abs(spectral_radius(a[np.ix_(perm, perm)]) - exact) < 1e-12
+
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((3, 3))) == 0.0
 

@@ -404,7 +404,7 @@ class TestRotationTable:
         assert (dist[np.flatnonzero(hit), match[hit]] <= tol).all()
         assert (match[~hit] == -1).all()
         for q, c in zip(queries, counts):
-            assert len(table.find(q)) == c
+            assert _RotationTable.of(stored, tol).add_if_new(q) == (c == 0)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds, d=st.integers(1, 4), tol_exp=st.integers(-12, -3))
