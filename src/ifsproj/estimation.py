@@ -74,22 +74,49 @@ def sample_attractor(
     """Sample the attractor.
 
     Deterministic mode enumerates the depth-k images of the first map's fixed
-    point, for the smallest k with m^k >= n.  The chaos game iterates
-    uniformly chosen maps from the fixed point (the start lies on the
-    attractor, so a burn-in of 100 steps is kept only for contract parity).
+    point, for the smallest k with m^k >= n.  The word tree lives in one
+    C-ordered (m^k, d) buffer: level j occupies its last m^j rows, and map i
+    writes level j + 1's i-th block of m^j rows in place.  The last block
+    covers level j itself, so it reads a copy of it; the copy (1/m of the
+    output) is the only other buffer.
+
+    The chaos game iterates uniformly chosen maps from the fixed point (the
+    start lies on the attractor, so a burn-in of 100 steps is kept only for
+    contract parity) on 1024 parallel chains.  Each step applies every map to
+    every chain with one matmul against the stacked R_i^T and gathers each
+    chain's chosen image straight into the output.
+
+    Both modes run, per coordinate, the IEEE operations of
+    ``Similarity.__call__`` in its order: the matmul, then ``* ratio``, then
+    ``+ translation``.  BLAS gives each row of a product of several rows the
+    same rounding whatever the row count, but a one-row product runs another
+    kernel; the tree keeps each level's row count, and in the chaos game a map
+    that one chain alone draws is applied to that row alone.  So the points
+    are bitwise those of applying the maps one by one, as the per-map oracles
+    in the tests check.
     """
     if n < 1:
         raise GeometryError("need n >= 1")
     digest = ifs_digest(ifs)
     m = len(ifs)
     x0 = ifs[0].fixed_point()
+    d = x0.shape[0]
     if method is SamplingMethod.DETERMINISTIC_DEPTH:
         depth = 0
         while m**depth < n:
             depth += 1
-        points = x0[None]
-        for _ in range(depth):
-            points = np.concatenate([s(points) for s in ifs])
+        points = np.empty((m**depth, d))
+        points[-1] = x0
+        for k in range(depth):
+            size = m**k
+            prev = points[-size:]
+            start = points.shape[0] - m * size
+            for i, s in enumerate(ifs):
+                block = points[start + i * size : start + (i + 1) * size]
+                np.matmul(prev.copy() if i == m - 1 else prev, s.rotation.T, out=block)
+                block *= s.ratio
+                for j in range(d):
+                    block[:, j] += s.translation[j]
         return PointCloud(points, seed, method, digest, depth)
 
     rng = np.random.default_rng(seed)
@@ -101,16 +128,35 @@ def sample_attractor(
     chains = min(n, 1024)
     steps = burn_in + -(-n // chains)
     choices = rng.choice(m, size=(steps, chains), p=weights)
+    # Map i applied to chain c is row c * m + i of the (chains * m, d) view of
+    # images.  Ratios and translations are tiled to the full (chains, m * d)
+    # shape: broadcasting along a short axis is several times slower.
+    stacked_rt = np.ascontiguousarray(np.concatenate([s.rotation.T for s in ifs], axis=1))
+    ratios = np.tile(np.repeat([s.ratio for s in ifs], d), (chains, 1))
+    translations = np.tile(np.concatenate([s.translation for s in ifs]), (chains, 1))
+    images = np.empty((chains, m * d))
+    flat_images = images.reshape(chains * m, d)
+    base = np.arange(chains) * m
+    # lone[step, i]: map i is drawn by one chain only, so its image takes the
+    # one-row product, as Similarity.__call__ on that chain alone would.
+    draws = np.bincount((choices + np.arange(0, steps * m, m)[:, None]).ravel(), minlength=steps * m)
+    lone = draws.reshape(steps, m) == 1
+    has_lone = lone.any(axis=1).tolist()
     x = np.tile(x0, (chains, 1))
-    collected = np.empty((steps - burn_in, chains, x0.shape[0]))
+    collected = np.empty((steps - burn_in, chains, d))
     for step, row in enumerate(choices):
-        for i, s in enumerate(ifs):
-            mask = row == i
-            if mask.any():
-                x[mask] = s(x[mask])
+        np.matmul(x, stacked_rt, out=images)
+        images *= ratios
+        images += translations
+        if has_lone[step]:
+            for i in np.flatnonzero(lone[step]):
+                c = int(np.flatnonzero(row == i)[0])
+                flat_images[c * m + i] = ifs[i](x[c : c + 1])[0]
         if step >= burn_in:
-            collected[step - burn_in] = x
-    points = collected.reshape(-1, x0.shape[0])[:n]
+            x = collected[step - burn_in]
+        # mode="clip" writes straight into out; "raise" would buffer it.
+        np.take(flat_images, base + row, axis=0, out=x, mode="clip")
+    points = collected.reshape(-1, d)[:n]
     return PointCloud(points, seed, SamplingMethod.CHAOS_GAME, digest)
 
 

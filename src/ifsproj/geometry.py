@@ -68,6 +68,8 @@ def checked_rotations(rotation: np.ndarray) -> np.ndarray:
     A defect above tau_orth raises; one above tau_orth / 10 is repaired.
     """
     tau = tolerances.tau_orth()
+    if not np.isfinite(rotation).all():
+        raise GeometryError("rotation entries must be finite")
     defect = _orthogonality_defects(rotation)
     if (defect > tau).any():
         raise GeometryError(f"rotation is not orthogonal (defect {defect.max():.3e})")
@@ -114,6 +116,8 @@ class Similarity:
             raise DimensionMismatchError(
                 f"rotation shape {self.rotation.shape} does not match translation length {d}"
             )
+        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise GeometryError("rotation and translation entries must be finite")
         tau = tolerances.tau_orth()
         defect = orthogonality_defect(self.rotation)
         if defect > tau:

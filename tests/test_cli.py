@@ -512,12 +512,18 @@ class TestCliEstimate:
         assert a == b
 
 
-PINNED_SWEEP = json.loads((Path(__file__).parent / "data" / "projection_sweep_seed1.json").read_text())
+PINNED_SWEEP = []
+for name in ("projection_sweep_seed1.json", "projection_sweep_seed2.json"):
+    # The seedless boxdim command is pinned in both files; it runs once.
+    cases = json.loads((Path(__file__).parent / "data" / name).read_text())
+    PINNED_SWEEP += [case for case in cases if case not in PINNED_SWEEP]
 
 
 class TestProjectionSweepPin:
-    """The box-counting reports of perfbench's projection-sweep workload at
-    seed 1, as the per-scale counter computed them before the dyadic ladder."""
+    """The box-counting reports of perfbench's projection-sweep workload: at
+    seed 1 as the per-scale counter computed them before the dyadic ladder,
+    and at the holdout seed 2 (other directions, another chaos seed) as the
+    per-map sampler computed them before the in-place one."""
 
     @pytest.mark.parametrize("case", PINNED_SWEEP, ids=lambda c: " ".join(c["args"][1:]))
     def test_report_fields(self, capsys, fixture_dir, case):

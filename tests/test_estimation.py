@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,8 @@ from ifsproj.geometry import (
     attractor_bounding_ball,
     cylinder_ball,
 )
+
+from conftest import random_ssifs
 
 
 def cloud_of(points):
@@ -59,6 +62,40 @@ def chaos_game_by_appending(ifs, n, seed):
                 x[mask] = s(x[mask])
         collected.append(x.copy())
     return np.concatenate(collected[burn_in:])[:n]
+
+
+def deterministic_by_concatenation(ifs, n):
+    """The depth-k word tree as one concatenation of every map's image of
+    the previous level; returns the points and the depth."""
+    m = len(ifs)
+    depth = 0
+    while m**depth < n:
+        depth += 1
+    points = ifs[0].fixed_point()[None]
+    for _ in range(depth):
+        points = np.concatenate([s(points) for s in ifs])
+    return points, depth
+
+
+@st.composite
+def random_systems(draw, dims):
+    d = draw(st.sampled_from(dims))
+    m = draw(st.integers(2, 5))
+    return random_ssifs(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d, m)
+
+
+@st.composite
+def tree_sizes(draw, m, cap=3 * 10**4):
+    """n up to cap, with the level sizes m^k and the sizes m^k + 1 just past
+    them drawn on purpose."""
+    levels = [m**k for k in range(20) if m**k + 1 <= cap]
+    return draw(
+        st.one_of(
+            st.integers(1, cap),
+            st.sampled_from(levels),
+            st.sampled_from(levels).map(lambda size: size + 1),
+        )
+    )
 
 
 TINY = np.finfo(float).tiny
@@ -135,6 +172,41 @@ class TestSampleAttractor:
         ifs = request.getfixturevalue(name)
         cloud = sample_attractor(ifs, n, seed=seed, method=SamplingMethod.CHAOS_GAME)
         assert np.array_equal(cloud.points, chaos_game_by_appending(ifs, n, seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_deterministic_matches_concatenation(self, data):
+        ifs = data.draw(random_systems((1, 2, 3, 4)))
+        n = data.draw(tree_sizes(len(ifs)))
+        cloud = sample_attractor(ifs, n)
+        points, depth = deterministic_by_concatenation(ifs, n)
+        assert np.array_equal(cloud.points, points)
+        assert cloud.depth == depth
+
+    @settings(max_examples=35, deadline=None)
+    @given(
+        random_systems((1, 2, 3)),
+        st.integers(0, 2**32 - 1),
+        st.one_of(
+            st.integers(1, 1023),
+            st.integers(1025, 4097),
+            st.integers(1, 4).map(lambda k: 1024 * k),
+        ),
+    )
+    def test_chaos_game_matches_appending_loop_on_random_systems(self, ifs, seed, n):
+        cloud = sample_attractor(ifs, n, seed=seed, method=SamplingMethod.CHAOS_GAME)
+        assert np.array_equal(cloud.points, chaos_game_by_appending(ifs, n, seed))
+
+    def test_deterministic_peak_memory_is_output_plus_one_level(self, irrational):
+        # One (m^k, d) buffer plus a copy of level k - 1 for the block that
+        # overwrites it: (1 + 1/m) times the output.
+        tracemalloc.start()
+        try:
+            cloud = sample_attractor(irrational, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 + 1 / len(irrational)) * cloud.points.nbytes + 2**20
 
     def test_rejects_nonpositive_n(self, sierpinski):
         with pytest.raises(GeometryError):

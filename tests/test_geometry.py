@@ -18,6 +18,7 @@ from ifsproj.geometry import (
     Word,
     WordLevel,
     attractor_bounding_ball,
+    checked_rotations,
     cylinder_ball,
     orthogonality_defect,
     similarity_equal,
@@ -32,7 +33,7 @@ def halving(v):
 
 class TestSimilarity:
     def test_rejects_ratio_outside_unit_interval(self):
-        for ratio in (0.0, 1.0, 1.5, -0.2):
+        for ratio in (0.0, 1.0, 1.5, -0.2, math.nan, math.inf, -math.inf):
             with pytest.raises(GeometryError):
                 Similarity(ratio, np.eye(2), [1.0, 0.0])
 
@@ -50,6 +51,28 @@ class TestSimilarity:
         drift = np.eye(2) + 5e-10 * np.array([[0.0, 1.0], [0.0, 0.0]])
         s = Similarity(0.5, drift, [0.0, 0.0])
         assert orthogonality_defect(s.rotation) < 1e-14
+
+    def test_rejects_nan_rotation_entry(self):
+        with pytest.raises(GeometryError):
+            Similarity(0.5, [[math.nan, 0.0], [0.0, 1.0]], [0.0, 0.0])
+
+    def test_rejects_infinite_rotation_entry(self):
+        with pytest.raises(GeometryError):
+            Similarity(0.5, [[math.inf, 0.0], [0.0, 1.0]], [0.0, 0.0])
+
+    def test_rejects_infinite_translation(self):
+        with pytest.raises(GeometryError):
+            Similarity(0.5, np.eye(2), [math.inf, 0.0])
+
+    def test_rejects_nan_translation(self):
+        with pytest.raises(GeometryError):
+            Similarity(0.5, np.eye(2), [math.nan, 0.0])
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_checked_rotations_rejects_non_finite_entries(self, entry):
+        stack = np.stack([np.eye(2), [[1.0, 0.0], [0.0, entry]]])
+        with pytest.raises(GeometryError):
+            checked_rotations(stack)
 
     def test_rejects_rotation_translation_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
