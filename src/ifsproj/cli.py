@@ -203,6 +203,7 @@ def _estimate_boxdim(args, ifs, out, metadata, project=False):
     scales = (
         _parse_scales(args.scales, cloud.diameter()) if args.scales else default_scales(counted)
     )
+    del cloud  # a projection is counted without the sample it came from
     est = box_dim(counted, scales)
     out["points"] = len(counted)
     if project:
@@ -223,8 +224,8 @@ def _estimate_collapse_sweep(args, ifs, out, metadata):
     cloud = sample_attractor(ifs, args.n, seed=args.seed, method=_method(args))
     projected = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim))
     t = args.t if args.t is not None else sim_dim_ssifs(ifs).value
-    diam = cloud.diameter()
-    scales = _parse_scales(args.scales or "4..10", diam)
+    scales = _parse_scales(args.scales or "4..10", cloud.diameter())
+    del cloud  # the projection is counted without the sample it came from
     counts, sums = covering_sums(projected, t, scales)
     out.update(
         {

@@ -18,6 +18,10 @@ from . import tolerances
 from .geometry import DimensionMismatchError, GeometryError, LinearMap, SSIFS, attractor_bounding_ball
 
 
+_BOUNDS_BLOCK = 1024  # rows per block of column_bounds' contiguous reductions
+_CHAOS_BLOCK = 16  # chaos-game steps whose map choices are drawn at once
+
+
 class SamplingMethod(enum.Enum):
     DETERMINISTIC_DEPTH = "deterministic_depth"
     CHAOS_GAME = "chaos_game"
@@ -49,10 +53,18 @@ class PointCloud:
 
 
 def column_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column min and max; one contiguous reduction per column is several
-    times faster than an ``axis=0`` reduction over a tall (n, d) array."""
-    lo = np.array([col.min() for col in points.T])
-    hi = np.array([col.max() for col in points.T])
+    """``points.min(axis=0)`` and ``points.max(axis=0)``, faster: numpy
+    reduces a tall array along axis 0 a few values at a time.  A C-ordered
+    array with d > 1 is reduced as rows of ``_BOUNDS_BLOCK * d`` contiguous
+    values whose columns are folded afterwards (min and max are exact, so the
+    order does not matter); any other array one column at a time."""
+    n, d = points.shape
+    k = n - n % _BOUNDS_BLOCK
+    if d == 1 or k == 0 or not points.flags.c_contiguous:
+        return np.array([col.min() for col in points.T]), np.array([col.max() for col in points.T])
+    blocks, rest = points[:k].reshape(-1, _BOUNDS_BLOCK * d), points[k:]
+    lo = np.concatenate([blocks.min(axis=0).reshape(-1, d), rest]).min(axis=0)
+    hi = np.concatenate([blocks.max(axis=0).reshape(-1, d), rest]).max(axis=0)
     return lo, hi
 
 
@@ -120,14 +132,11 @@ def sample_attractor(
         return PointCloud(points, seed, method, digest, depth)
 
     rng = np.random.default_rng(seed)
-    # Explicit uniform p: rng.choice draws a different stream without it.
-    weights = np.full(m, 1.0 / m)
     burn_in = 100
     # Many parallel chains keep the sequential chaos game vectorized; block
     # assignment is fixed, so the output is reproducible for a fixed seed.
     chains = min(n, 1024)
     steps = burn_in + -(-n // chains)
-    choices = rng.choice(m, size=(steps, chains), p=weights)
     # Map i applied to chain c is row c * m + i of the (chains * m, d) view of
     # images.  Ratios and translations are tiled to the full (chains, m * d)
     # shape: broadcasting along a short axis is several times slower.
@@ -137,27 +146,37 @@ def sample_attractor(
     images = np.empty((chains, m * d))
     flat_images = images.reshape(chains * m, d)
     base = np.arange(chains) * m
-    # lone[step, i]: map i is drawn by one chain only, so its image takes the
-    # one-row product, as Similarity.__call__ on that chain alone would.
-    draws = np.bincount((choices + np.arange(0, steps * m, m)[:, None]).ravel(), minlength=steps * m)
-    lone = draws.reshape(steps, m) == 1
-    has_lone = lone.any(axis=1).tolist()
     x = np.tile(x0, (chains, 1))
     collected = np.empty((steps - burn_in, chains, d))
-    for step, row in enumerate(choices):
+    for step, (row, lone) in enumerate(_chaos_choices(rng, m, steps, chains)):
         np.matmul(x, stacked_rt, out=images)
         images *= ratios
         images += translations
-        if has_lone[step]:
-            for i in np.flatnonzero(lone[step]):
-                c = int(np.flatnonzero(row == i)[0])
-                flat_images[c * m + i] = ifs[i](x[c : c + 1])[0]
+        for i in lone:
+            c = int(np.flatnonzero(row == i)[0])
+            flat_images[c * m + i] = ifs[i](x[c : c + 1])[0]
         if step >= burn_in:
             x = collected[step - burn_in]
         # mode="clip" writes straight into out; "raise" would buffer it.
         np.take(flat_images, base + row, axis=0, out=x, mode="clip")
     points = collected.reshape(-1, d)[:n]
     return PointCloud(points, seed, SamplingMethod.CHAOS_GAME, digest)
+
+
+def _chaos_choices(rng: np.random.Generator, m: int, steps: int, chains: int):
+    """Per step, the map each chain draws and the maps one chain alone draws
+    (whose image takes the one-row product, as ``Similarity.__call__`` would).
+    Drawn ``_CHAOS_BLOCK`` steps at a time, which continues the stream of
+    doubles one ``rng.choice(m, size=(steps, chains))`` call would read."""
+    # Explicit uniform p: rng.choice draws a different stream without it.
+    weights = np.full(m, 1.0 / m)
+    offsets = np.arange(0, _CHAOS_BLOCK * m, m)[:, None]
+    for first in range(0, steps, _CHAOS_BLOCK):
+        choices = rng.choice(m, size=(min(_CHAOS_BLOCK, steps - first), chains), p=weights)
+        draws = np.bincount((choices + offsets[: len(choices)]).ravel(), minlength=len(choices) * m)
+        lone = draws.reshape(-1, m) == 1
+        for row, lone_maps, any_lone in zip(choices, lone, lone.any(axis=1).tolist()):
+            yield row, (np.flatnonzero(lone_maps) if any_lone else ())
 
 
 @dataclass(frozen=True)
@@ -174,39 +193,55 @@ _TINY = np.finfo(float).tiny
 _INT64_LIMIT = 2.0**63
 
 
-def _floor_cells(column: np.ndarray, scale: float, guard: float = 0.0) -> tuple[np.ndarray, bool]:
-    """floor(column / scale) as int64 cells, and whether every negative
-    quotient is at most -guard."""
+def _floor_cells(column: np.ndarray, scale: float, guard: float = 0.0):
+    """floor(column / scale) as int64 cells, their min and max as ints, and
+    whether every negative quotient is at most -guard."""
     with np.errstate(over="ignore"):
         q = np.divide(column, scale)
-    clear = not guard or np.max(q, where=q < 0, initial=-math.inf) <= -guard
-    np.floor(q, out=q)
-    lo, hi = q.min(), q.max()
+    lo, hi = np.floor(q.min()), np.floor(q.max())  # floor is monotone
     if not (-_INT64_LIMIT <= lo and hi < _INT64_LIMIT):
         raise GeometryError(
             f"box counting needs finite points with |x|/scale < 2^63 (scale {scale:g})"
         )
+    # A quotient in (-guard, 0) is one above -guard that is not >= 0.
+    clear = not guard or lo >= 0 or np.count_nonzero(q > -guard) == np.count_nonzero(q >= 0)
+    np.floor(q, out=q)
     cells = q.view(np.int64)
     cells[...] = q  # element-wise in-place cast: no second n-length buffer
-    return cells, clear
+    return cells, int(lo), int(hi), clear
+
+
+def _narrowed(key: np.ndarray) -> np.ndarray:
+    """The int64 ``key`` as int32 over the front of its own buffer.  Chunk
+    [a, 2a) fills the bytes of int64 values [a/2, a), already read, so only
+    the first chunk overlaps its source (numpy buffers that small copy)."""
+    out = key.view(np.int32)[: key.size]
+    done = 0
+    while done < key.size:
+        end = min(max(2 * done, 4096), key.size)
+        out[done:end] = key[done:end]
+        done = end
+    return out
 
 
 def _distinct_cells(column, d: int) -> np.ndarray:
     """Distinct rows, as an (m, d) int64 array, of the cells whose j-th column
-    ``column(j)`` returns as a fresh int64 array.
+    ``column(j)`` returns as a fresh int64 array, with its min and max.
 
-    One mixed-radix int64 key per row, sorted in place; only the key and one
-    column are alive at a time.  When the product of the column spans would
-    overflow int64 the rows are sorted with ``np.lexsort`` instead.
+    One mixed-radix key per row, sorted in place; only the key and one
+    column are alive at a time.  When the product of the column spans is
+    below 2^31, so that every key and radix fits int32, the int64 key is
+    narrowed to int32 in place, which halves the bytes the sort moves.  When
+    the product would overflow int64 the rows are sorted with ``np.lexsort``
+    instead.
     """
     key = None
     los, radices = [], []
     radix = 1
     for j in range(d):
-        cells = column(j)
-        lo, hi = int(cells.min()), int(cells.max())
-        if radix * (hi - lo + 1) > 2**63:
-            return _distinct_rows_lexsort(np.stack([column(i) for i in range(d)], axis=1))
+        cells, lo, hi = column(j)
+        if radix * (hi - lo + 1) >= 2**63:
+            return _distinct_rows_lexsort(np.stack([column(i)[0] for i in range(d)], axis=1))
         cells -= lo
         if key is None:
             key = cells
@@ -217,6 +252,8 @@ def _distinct_cells(column, d: int) -> np.ndarray:
         radices.append(radix)
         radix *= hi - lo + 1
         del cells  # freed before the next column is floored
+    if radix < 2**31:
+        key = _narrowed(key)
     key.sort()
     keep = np.empty(key.size, dtype=bool)
     keep[0] = True
@@ -267,23 +304,24 @@ def box_counts(points: np.ndarray, scales) -> list[int]:
     halving = len(ladder) > 1 and all(a == 2.0 * b for a, b in zip(ladder, ladder[1:]))
     if halving:
         guard = 2.0 * _TINY * (ladder[0] / ladder[-1])  # tiny 2^len, inf on overflow
-        clear = []
+        clear, bounds = [True] * d, [None] * d
 
         def finest(j):
-            cells, ok = _floor_cells(points[:, j], ladder[-1], guard)
-            clear.append(ok)
-            return cells
+            cells, lo, hi, clear[j] = _floor_cells(points[:, j], ladder[-1], guard)
+            bounds[j] = (lo, hi)
+            return cells, lo, hi
 
         cells = _distinct_cells(finest, d)
         if all(clear):
             counts[order[-1]] = len(cells)
             for i in reversed(order[:-1]):
-                cells >>= 1
-                cells = _distinct_cells(lambda j: cells[:, j].copy(), d)
+                # c >> 1 is monotone: it shifts each column's min and max.
+                bounds = [(lo >> 1, hi >> 1) for lo, hi in bounds]
+                cells = _distinct_cells(lambda j: (cells[:, j] >> 1, *bounds[j]), d)
                 counts[i] = len(cells)
             return counts
     for i, s in enumerate(scales):
-        counts[i] = len(_distinct_cells(lambda j: _floor_cells(points[:, j], s)[0], d))
+        counts[i] = len(_distinct_cells(lambda j: _floor_cells(points[:, j], s)[:3], d))
     return counts
 
 

@@ -536,6 +536,23 @@ class TestProjectionSweepPin:
         assert abs(out["slope"] - case["slope"]) <= 1e-12
 
 
+PINNED_COLLAPSE = json.loads((Path(__file__).parent / "data" / "collapse_sweep.json").read_text())
+
+
+class TestCollapseSweepPin:
+    """The collapse-sweep report of perfbench's projection-sweep workload (the
+    same command at seeds 1 and 2), as computed before the int32 cell keys."""
+
+    @pytest.mark.parametrize("case", PINNED_COLLAPSE, ids=lambda c: " ".join(c["args"][1:]))
+    def test_report_fields(self, capsys, fixture_dir, case):
+        argv = [*case["args"], "--input", str(fixture_dir / f"{case['fixture']}.json")]
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        assert out["exponent_t"] == case["exponent_t"]
+        assert out["scales"] == case["scales"]
+        assert out["covering_sums"] == case["covering_sums"]
+
+
 class TestStartup:
     def test_cli_import_loads_no_package_beyond_numpy(self):
         # In a fresh interpreter that has imported numpy, importing the CLI

@@ -208,6 +208,17 @@ class TestSampleAttractor:
             tracemalloc.stop()
         assert peak <= (1 + 1 / len(irrational)) * cloud.points.nbytes + 2**20
 
+    def test_chaos_game_peak_memory_is_output_plus_one_block(self, irrational):
+        # The map choices are drawn a block of steps at a time, which adds
+        # about 1.2 MiB to the output; drawing all steps at once added 8.6 MiB.
+        tracemalloc.start()
+        try:
+            cloud = sample_attractor(irrational, 10**6, seed=1, method=SamplingMethod.CHAOS_GAME)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cloud.points.nbytes + 2**21
+
     def test_rejects_nonpositive_n(self, sierpinski):
         with pytest.raises(GeometryError):
             sample_attractor(sierpinski, 0)
@@ -304,6 +315,75 @@ class TestBoxCounts:
             assert box_counts(points, scales) == [per_scale_count(points, s) for s in scales]
         far = np.array([[0.0, 0.0], [2.0**62, 0.0], [0.0, 2.0**62], [2.0**62, 2.0**62]])
         assert box_counts(far, [1.0]) == [4]
+        # A first column of exactly 2^63 cells leaves no int64 radix for
+        # the next one, even a constant one.
+        edge = np.array([[-(2.0**63), 5.0, 0.0], [-1.0, 5.0, 0.0]])
+        assert box_counts(edge, [1.0]) == [2]
+        assert box_counts(edge[:, :1], [1.0]) == [2]
+
+
+def points_with_spans(spans, shift, seed=8):
+    """Points whose cells at scale 1 take exactly spans[j] values in column j,
+    from shift on: both corners, random cells between, and repeats."""
+    spans = np.array(spans, dtype=np.int64)
+    inner = np.random.default_rng(seed).integers(0, spans, size=(200, spans.size))
+    cells = np.concatenate([np.zeros((1, spans.size), np.int64), spans[None] - 1, inner, inner[:20]])
+    return (cells + shift).astype(float) + 0.5
+
+
+SPANS = [
+    (2**31 - 1,),
+    (2**31,),
+    (2**31 + 1,),
+    (2**32,),
+    (1, 2**31 - 1),
+    (2**16, 2**15),
+    (3, 715827883),  # 2^31 + 1
+    (2**16, 2**16),
+    (2**31, 1),  # a radix of 2^31 for the constant column
+]
+
+
+class TestCellKeyWidth:
+    """The mixed-radix cell key is int32 for a product of spans below 2^31
+    and int64 from there on."""
+
+    @pytest.mark.parametrize("shift", [0, -(2**31) - 5], ids=["nonnegative", "negative"])
+    @pytest.mark.parametrize("spans", SPANS, ids=str)
+    def test_counts_match_the_oracle_at_the_width_boundary(self, spans, shift):
+        # 36 halvings: at the coarse scales, cells on both sides of 2^31 (or
+        # of 0, shifted) merge, which a wrapped int32 key would keep apart.
+        points = points_with_spans(spans, shift)
+        scales = [2.0**k for k in range(35, -1, -1)]
+        assert box_counts(points, scales) == [per_scale_count(points, s) for s in scales]
+
+    @pytest.mark.parametrize("spans", SPANS, ids=str)
+    def test_narrows_the_key_only_below_2_to_the_31(self, monkeypatch, spans):
+        narrowed = []
+        real = estimation._narrowed
+
+        def spy(key):
+            narrowed.append(key.size)
+            return real(key)
+
+        monkeypatch.setattr(estimation, "_narrowed", spy)
+        points = points_with_spans(spans, 0)
+        assert box_counts(points, [1.0]) == [per_scale_count(points, 1.0)]
+        assert bool(narrowed) == (math.prod(spans) < 2**31)
+
+    def test_peak_memory_is_one_quotient_and_a_mask(self):
+        # One float quotient, floored, cast and narrowed in place, a one-byte
+        # mask per point and the 2^14 distinct int32 keys: 1.1335 x the
+        # column's bytes.  The int64 key took 1.1417 x (its distinct keys
+        # are twice as wide); a separate int32 key would take over 1.5 x.
+        column = np.random.default_rng(9).uniform(-1.0, 1.0, size=(10**6, 1))
+        tracemalloc.start()
+        try:
+            box_counts(column, [2.0**-k for k in range(5, 14)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.135 * column.nbytes
 
 
 class TestBoxDim:
@@ -345,13 +425,37 @@ class TestBoxDim:
         assert 0.0 <= est.r_squared <= 1.0
 
 
+BLOCK = estimation._BOUNDS_BLOCK
+
+
+def assert_axis_bounds(points):
+    lo, hi = column_bounds(points)
+    assert np.array_equal(lo, points.min(axis=0))
+    assert np.array_equal(hi, points.max(axis=0))
+
+
 class TestColumnBounds:
-    @pytest.mark.parametrize("shape", [(1, 2), (7, 1), (1000, 2), (50, 3)])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 2), (7, 1), (1000, 2), (50, 3)]
+        + [(n, d) for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5) for d in (1, 2, 3, 4)],
+    )
     def test_matches_axis_reductions(self, shape):
         points = np.random.default_rng(4).normal(size=shape)
-        lo, hi = column_bounds(points)
-        assert np.array_equal(lo, points.min(axis=0))
-        assert np.array_equal(hi, points.max(axis=0))
+        assert_axis_bounds(points)
+        # Extremes in the partial last block and in the first block.
+        points[-1, 0], points[0, -1] = 1e9, -1e9
+        assert_axis_bounds(points)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_any_layout(self, d):
+        points = np.random.default_rng(5).normal(size=(3 * BLOCK + 5, d))
+        assert_axis_bounds(np.asfortranarray(points))
+        assert_axis_bounds(points[::3])
+        assert_axis_bounds(points[::-1])
+        wide = np.random.default_rng(6).normal(size=(2 * BLOCK + 3, 2 * d))
+        assert_axis_bounds(wide[:, ::2])
+        assert_axis_bounds(wide[:, :d])
 
 
 class TestProjectCloud:
