@@ -15,7 +15,6 @@ from .constructions import (
     HypothesisViolationError,
     ProjectionGdifsResult,
     Subsystem,
-    annihilating_rotation,
     build_projection_gdifs,
     find_dimension_drop,
     select_disjoint_cylinders,
@@ -61,7 +60,6 @@ from .geometry import (
     WordLevel,
     attractor_bounding_ball,
     cylinder_ball,
-    similarity_equal,
 )
 from .groups import (
     Block,

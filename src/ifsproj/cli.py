@@ -1,22 +1,28 @@
 """Command line front end.
 
+Each command, and each mode of ``estimate``, has its own parser that
+declares only the options its handler reads; any other option exits 2.
+
 Exit codes: 0 ok, 2 bad or unreadable input document (also a non-finite
 map ratio, rotation or translation entry, or a metadata that is not a JSON
-object) or bad option (an unparsable, non-finite or zero --direction, an
---l outside 1..d, a negative --seed, an --n above MAX_SAMPLE_SIZE =
-10**7), 3 degenerate system, 4 structural hypothesis violation (infinite
-group, not strongly connected), 5 numeric failure (also a --delta,
---epsilon or --t of cylinders, collapse-sweep or ssc-approx that is not
-finite and positive, an --angle that is not finite, or a --depth-cap below
-1), 6 I/O error (an output file or directory cannot be written).
+object) or bad option (an option the command does not take, an empty,
+unparsable, non-finite or zero --direction, an empty or unparsable
+--scales, an --l outside 1..d, a negative --seed, an --n outside
+1..MAX_SAMPLE_SIZE = 10**7), 3 degenerate system, 4 structural hypothesis
+violation (infinite group, not strongly connected), 5 numeric failure
+(also a --delta, --epsilon or --t of cylinders, collapse-sweep or
+ssc-approx that is not finite and positive, a --mass-target outside
+(0, 1), an --angle that is not finite, a --depth-cap below 1, or a
+covering sum that overflows), 6 I/O error (an output file or directory
+cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +70,7 @@ EXIT_IO = 6
 MAX_SAMPLE_SIZE = 10**7
 
 
-def _report_header(args, ifs=None) -> dict:
+def _report_header(path=None, ifs=None, seed=None) -> dict:
     profile = tolerances.active_profile()
     header = {
         "tool": "ifsproj",
@@ -76,12 +82,18 @@ def _report_header(args, ifs=None) -> dict:
             "tau_dim": profile.tau_dim,
         },
     }
-    if getattr(args, "input", None):
-        header["input"] = str(args.input)
+    if path is not None:
+        header["input"] = str(path)
     if ifs is not None and ifs.name:
         header["fixture"] = ifs.name
-    if getattr(args, "seed", None) is not None:
-        header["seed"] = args.seed
+    if seed is not None:
+        header["seed"] = seed
+    return header
+
+
+def _estimate_header(args, ifs, seed=None) -> dict:
+    header = _report_header(args.input, ifs, seed)
+    header["mode"] = args.mode
     return header
 
 
@@ -119,7 +131,7 @@ def _projection_dim(args, d: int, default: int) -> int:
 
 
 def _linear_map_for(args, d: int) -> LinearMap:
-    if getattr(args, "direction", None):
+    if args.direction is not None:
         try:
             vec = np.array([float(x) for x in args.direction.split(",")])
         except ValueError:
@@ -133,10 +145,27 @@ def _linear_map_for(args, d: int) -> LinearMap:
     return LinearMap.coordinate_projection(d, _projection_dim(args, d, 1))
 
 
+def _box_scales(args, sample, counted) -> list[float]:
+    """The --scales ladder of the sample's diameter, else the default ladder
+    of the counted cloud."""
+    if args.scales is None:
+        return default_scales(counted)
+    return _parse_scales(args.scales, sample.diameter())
+
+
+def _sample(args, ifs):
+    method = (
+        SamplingMethod.CHAOS_GAME
+        if args.method == "chaos"
+        else SamplingMethod.DETERMINISTIC_DEPTH
+    )
+    return sample_attractor(ifs, args.n, seed=args.seed, method=method)
+
+
 def cmd_simdim(args) -> int:
     ifs = load_ifs(args.input)
     report = sim_dim_ssifs(ifs)
-    out = _report_header(args, ifs)
+    out = _report_header(args.input, ifs)
     out.update(
         {
             "similarity_dim": report.value,
@@ -156,7 +185,7 @@ def cmd_project_gdifs(args) -> int:
     gd_report = sim_dim_gdifs(g)
     a = g.transition_matrix(result.source_dim)
     row_sum_err = float(np.abs(a.sum(axis=1) - 1.0).max())
-    out = _report_header(args, ifs)
+    out = _report_header(args.input, ifs)
     out.update(
         {
             "vertices": g.vertex_count,
@@ -181,7 +210,7 @@ def cmd_dimdrop(args) -> int:
     ifs = load_ifs(args.input)
     d = ifs.ambient_dim
     result = find_dimension_drop(ifs, _projection_dim(args, d, d - 1))
-    out = _report_header(args, ifs)
+    out = _report_header(args.input, ifs)
     out.update(
         {
             "subspace_basis": [list(map(float, col)) for col in result.subspace.basis.T],
@@ -197,17 +226,8 @@ def cmd_dimdrop(args) -> int:
     return EXIT_OK
 
 
-def _estimate_boxdim(args, ifs, out, metadata, project=False):
-    cloud = sample_attractor(ifs, args.n, seed=args.seed, method=_method(args))
-    counted = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim)) if project else cloud
-    scales = (
-        _parse_scales(args.scales, cloud.diameter()) if args.scales else default_scales(counted)
-    )
-    del cloud  # a projection is counted without the sample it came from
+def _report_box_dim(args, counted, scales, out) -> int:
     est = box_dim(counted, scales)
-    out["points"] = len(counted)
-    if project:
-        out["projected_dim"] = counted.ambient_dim
     out.update(
         {
             "slope": est.slope,
@@ -216,15 +236,50 @@ def _estimate_boxdim(args, ifs, out, metadata, project=False):
             "counts": list(est.counts),
         }
     )
-    _write_cloud_outputs(args, counted, est, out)
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        csv_path = out_dir / "scale_counts.csv"
+        write_scale_count_csv(csv_path, est.scales, est.counts)
+        out["csv"] = str(csv_path)
+        points_path = out_dir / "points.csv"
+        write_points_csv(points_path, counted.points[:100000])
+        out["points_csv"] = str(points_path)
+        if counted.ambient_dim == 2:
+            pgm_path = out_dir / "cloud.pgm"
+            write_pgm(pgm_path, counted.points)
+            out["pgm"] = str(pgm_path)
+    _emit(args, out)
     return EXIT_OK
 
 
-def _estimate_collapse_sweep(args, ifs, out, metadata):
-    cloud = sample_attractor(ifs, args.n, seed=args.seed, method=_method(args))
+def cmd_boxdim(args) -> int:
+    ifs = load_ifs(args.input)
+    out = _estimate_header(args, ifs, args.seed)
+    cloud = _sample(args, ifs)
+    out["points"] = len(cloud)
+    return _report_box_dim(args, cloud, _box_scales(args, cloud, cloud), out)
+
+
+def cmd_project_boxdim(args) -> int:
+    ifs = load_ifs(args.input)
+    out = _estimate_header(args, ifs, args.seed)
+    cloud = _sample(args, ifs)
+    projected = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim))
+    scales = _box_scales(args, cloud, projected)
+    del cloud  # the projection is counted without the sample it came from
+    out["points"] = len(projected)
+    out["projected_dim"] = projected.ambient_dim
+    return _report_box_dim(args, projected, scales, out)
+
+
+def cmd_collapse_sweep(args) -> int:
+    ifs = load_ifs(args.input)
+    out = _estimate_header(args, ifs, args.seed)
+    cloud = _sample(args, ifs)
     projected = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim))
     t = args.t if args.t is not None else sim_dim_ssifs(ifs).value
-    scales = _parse_scales(args.scales or "4..10", cloud.diameter())
+    scales = _parse_scales(args.scales, cloud.diameter())
     del cloud  # the projection is counted without the sample it came from
     counts, sums = covering_sums(projected, t, scales)
     out.update(
@@ -241,11 +296,15 @@ def _estimate_collapse_sweep(args, ifs, out, metadata):
         path = out_dir / "collapse_sweep.csv"
         write_scale_count_csv(path, scales, counts)
         out["csv"] = str(path)
+    _emit(args, out)
     return EXIT_OK
 
 
-def _estimate_ssc_approx(args, ifs, out, metadata):
-    osc = bool(metadata.get("osc_certified"))
+def cmd_ssc_approx(args) -> int:
+    doc = load_document(args.input)
+    ifs = ifs_from_document(doc)
+    out = _estimate_header(args, ifs, args.seed)
+    osc = bool(document_metadata(doc).get("osc_certified"))
     subsystem = ssc_subsystem(ifs, args.epsilon, t=args.t, osc_certified=osc, seed=args.seed)
     out.update(
         {
@@ -257,10 +316,13 @@ def _estimate_ssc_approx(args, ifs, out, metadata):
             "words": [list(w.indices) for w in subsystem.words[:50]],
         }
     )
+    _emit(args, out)
     return EXIT_OK
 
 
-def _estimate_cylinders(args, ifs, out, metadata):
+def cmd_cylinders(args) -> int:
+    ifs = load_ifs(args.input)
+    out = _estimate_header(args, ifs)
     d = ifs.ambient_dim
     if args.angle is not None:
         if d != 2:
@@ -290,58 +352,15 @@ def _estimate_cylinders(args, ifs, out, metadata):
             "closure_size": selection.group.witness_count,
         }
     )
-    return EXIT_OK
-
-
-def _method(args) -> SamplingMethod:
-    return (
-        SamplingMethod.CHAOS_GAME
-        if args.method == "chaos"
-        else SamplingMethod.DETERMINISTIC_DEPTH
-    )
-
-
-def _write_cloud_outputs(args, cloud, est, out) -> None:
-    if not args.out:
-        return
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "scale_counts.csv"
-    write_scale_count_csv(csv_path, est.scales, est.counts)
-    out["csv"] = str(csv_path)
-    points_path = out_dir / "points.csv"
-    write_points_csv(points_path, cloud.points[:100000])
-    out["points_csv"] = str(points_path)
-    if cloud.ambient_dim == 2:
-        pgm_path = out_dir / "cloud.pgm"
-        write_pgm(pgm_path, cloud.points)
-        out["pgm"] = str(pgm_path)
-
-
-ESTIMATE_MODES = {
-    "boxdim": _estimate_boxdim,
-    "project-boxdim": partial(_estimate_boxdim, project=True),
-    "collapse-sweep": _estimate_collapse_sweep,
-    "ssc-approx": _estimate_ssc_approx,
-    "cylinders": _estimate_cylinders,
-}
-
-
-def cmd_estimate(args) -> int:
-    doc = load_document(args.input)
-    ifs = ifs_from_document(doc)
-    out = _report_header(args, ifs)
-    out["mode"] = args.mode
-    code = ESTIMATE_MODES[args.mode](args, ifs, out, document_metadata(doc))
     _emit(args, out)
-    return code
+    return EXIT_OK
 
 
 def cmd_fixtures(args) -> int:
     from .fixtures import write_all
 
-    written = write_all(args.out or "fixtures")
-    report = _report_header(args)
+    written = write_all(args.out)
+    report = _report_header()
     report["written"] = [str(p) for p in written]
     _emit(args, report)
     return EXIT_OK
@@ -365,9 +384,32 @@ def _sample_size(text: str) -> int:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if n > MAX_SAMPLE_SIZE:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLE_SIZE}, got {n}")
+    if not 1 <= n <= MAX_SAMPLE_SIZE:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_SAMPLE_SIZE}, got {n}")
     return n
+
+
+# The argparse keywords of every option.  Each command declares, by flag,
+# only the options its handler reads.
+_OPTIONS = {
+    "--input": dict(required=True, help="IfsDocument JSON path"),
+    "--l": dict(type=int, help="projection dimension"),
+    "--direction": dict(help="projection direction x1,..,xd"),
+    "--n": dict(type=_sample_size, default=10**6, help="sample size"),
+    "--seed": dict(type=_seed, default=0),
+    "--method": dict(choices=["deterministic", "chaos"], default="deterministic"),
+    "--scales": dict(help="dyadic ladder a..b (of the diameter)"),
+    "--t": dict(type=float, help="dimension exponent override"),
+    "--epsilon": dict(type=float, default=0.3, help="dimension slack"),
+    "--delta": dict(type=float, default=0.2, help="rotation tolerance"),
+    "--angle": dict(type=float, help="target rotation angle"),
+    "--mass-target": dict(type=float, default=0.9, help="mass the selection should reach"),
+    "--depth-cap": dict(type=int, default=12, help="longest word searched"),
+    "--out": dict(help="directory for emitted files"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+}
+_SAMPLING = ("--n", "--seed", "--method")
+_PROJECTION = ("--l", "--direction")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,51 +420,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ifsproj {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="IfsDocument JSON path")
-        p.add_argument("--l", type=int, default=None, help="projection dimension")
-        p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--scales", default=None, help="dyadic ladder a..b (of the diameter)")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--out", default=None, help="directory for emitted files")
+    def command(group, name, func, help, *flags, **defaults):
+        p = group.add_parser(name, help=help)
+        for flag in (*flags, "--json"):
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=func, **defaults)
 
-    p = sub.add_parser("simdim", help="similarity dimension of an SS-IFS")
-    common(p)
-    p.set_defaults(func=cmd_simdim)
-
-    p = sub.add_parser("project-gdifs", help="graph-directed system of a linear image")
-    common(p)
-    p.add_argument("--direction", default=None, help="projection direction x1,..,xd")
-    p.set_defaults(func=cmd_project_gdifs)
-
-    p = sub.add_parser("dimdrop", help="projection subspace with a strict dimension drop")
-    common(p)
-    p.set_defaults(func=cmd_dimdrop)
-
-    p = sub.add_parser("estimate", help="sampling-based estimators")
-    p.add_argument("mode", choices=sorted(ESTIMATE_MODES))
-    common(p)
-    p.add_argument("--n", type=_sample_size, default=10**6, help="sample size")
-    p.add_argument("--method", choices=["deterministic", "chaos"], default="deterministic")
-    p.add_argument("--direction", default=None, help="projection direction x1,..,xd")
-    p.add_argument("--t", type=float, default=None, help="dimension exponent override")
-    p.add_argument("--epsilon", type=float, default=0.3, help="ssc-approx dimension slack")
-    p.add_argument("--delta", type=float, default=0.2, help="cylinders rotation tolerance")
-    p.add_argument("--angle", type=float, default=None, help="cylinders target rotation angle")
-    p.add_argument("--mass-target", type=float, default=0.9, dest="mass_target")
-    p.add_argument("--depth-cap", type=int, default=12, dest="depth_cap")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("fixtures", help="write the fixture corpus")
-    common(p, needs_input=False)
-    p.set_defaults(func=cmd_fixtures)
-
+    command(sub, "simdim", cmd_simdim, "similarity dimension of an SS-IFS", "--input")
+    command(
+        sub, "project-gdifs", cmd_project_gdifs, "graph-directed system of a linear image",
+        "--input", *_PROJECTION, "--out",
+    )
+    command(
+        sub, "dimdrop", cmd_dimdrop, "projection subspace with a strict dimension drop",
+        "--input", "--l",
+    )
+    estimate = sub.add_parser("estimate", help="sampling-based estimators")
+    modes = estimate.add_subparsers(dest="mode", required=True)
+    command(
+        modes, "boxdim", cmd_boxdim, "box dimension of a sample",
+        "--input", *_SAMPLING, "--scales", "--out",
+    )
+    command(
+        modes, "project-boxdim", cmd_project_boxdim, "box dimension of a projected sample",
+        "--input", *_SAMPLING, *_PROJECTION, "--scales", "--out",
+    )
+    command(
+        modes, "collapse-sweep", cmd_collapse_sweep, "covering sums of a projected sample",
+        "--input", *_SAMPLING, *_PROJECTION, "--t", "--scales", "--out", scales="4..10",
+    )
+    command(
+        modes, "ssc-approx", cmd_ssc_approx, "strongly separated subsystem",
+        "--input", "--epsilon", "--t", "--seed",
+    )
+    command(
+        modes, "cylinders", cmd_cylinders, "disjoint cylinders with a rotation target",
+        "--input", "--angle", "--delta", "--t", "--mass-target", "--depth-cap",
+    )
+    command(sub, "fixtures", cmd_fixtures, "write the fixture corpus", "--out", out="fixtures")
     return parser
 
 
+@functools.cache
+def _process_parser() -> argparse.ArgumentParser:
+    """The parser that main reuses: building it takes longer than a small
+    command runs, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _process_parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -2,13 +2,12 @@
 
 Implements the projection graph-directed system for a finite rotation group,
 the dimension-dropping projection built from an exact overlap, the
-strong-separation subsystem extraction, greedy disjoint-cylinder selection
-with a rotation target, and the annihilating-rotation search.
+strong-separation subsystem extraction, and greedy disjoint-cylinder
+selection with a rotation target.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -512,42 +511,4 @@ def select_disjoint_cylinders(
         )
     return CylinderSelection(
         tuple(words), delta, t, mass, depth_cap, partial, group, len(dropped)
-    )
-
-
-def annihilating_rotation(
-    group_or_generators,
-    linear_map: LinearMap,
-    v,
-    tol: float = 1e-3,
-    word_cap: int = 10**5,
-) -> np.ndarray:
-    """A product O of generator rotations with ||L O v|| < tol ||L|| ||v||.
-
-    The identity, then the products of the nonempty words in shortlex order,
-    skipping the extensions of a product within 1e-9 of an earlier one;
-    ``word_cap`` is the number of nonempty-word products examined.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.linalg.norm(v) == 0.0:
-        raise GeometryError("v must be nonzero")
-    if linear_map.rank() == 0:
-        raise GeometryError("linear map must have positive rank")
-    if isinstance(group_or_generators, TransformationGroup):
-        group_or_generators = group_or_generators.generators
-    generators = [np.asarray(g, dtype=float) for g in group_or_generators]
-    threshold = tol * linear_map.operator_norm() * float(np.linalg.norm(v))
-
-    def residual(o: np.ndarray) -> float:
-        return float(np.linalg.norm(linear_map(o @ v)))
-
-    identity = np.eye(generators[0].shape[0])
-    if residual(identity) < threshold:
-        return identity
-    for o, _ in itertools.islice(_rotation_walk(identity, generators, 1e-9), word_cap):
-        if residual(o) < threshold:
-            return o
-    raise NumericFailureError(
-        "no annihilating rotation found within the word cap; "
-        "the orbit-density assumption may fail at this tolerance"
     )

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tolerances
-from .geometry import DimensionMismatchError, GeometryError, LinearMap, SSIFS, attractor_bounding_ball
+from .geometry import DimensionMismatchError, GeometryError, LinearMap, NumericFailureError, SSIFS
 
 
 _BOUNDS_BLOCK = 1024  # rows per block of column_bounds' contiguous reductions
@@ -182,7 +181,6 @@ def _chaos_choices(rng: np.random.Generator, m: int, steps: int, chains: int):
 @dataclass(frozen=True)
 class BoxDimEstimate:
     slope: float
-    intercept: float
     scales: tuple[float, ...]
     counts: tuple[int, ...]
     r_squared: float
@@ -344,7 +342,7 @@ def _fit(log_inv_scale: np.ndarray, log_counts: np.ndarray):
     ss_res = float(np.sum((log_counts - predicted) ** 2))
     ss_tot = float(np.sum((log_counts - log_counts.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return float(slope), r2
 
 
 def box_dim(cloud: PointCloud, scales) -> BoxDimEstimate:
@@ -361,14 +359,14 @@ def box_dim(cloud: PointCloud, scales) -> BoxDimEstimate:
     counts = box_counts(cloud.points, scales)
     if len(set(counts)) == 1:
         if counts[0] == 1:
-            return BoxDimEstimate(0.0, 0.0, tuple(scales), tuple(counts), 1.0)
+            return BoxDimEstimate(0.0, tuple(scales), tuple(counts), 1.0)
         raise GeometryError("degenerate fit: all box counts equal")
     log_inv = np.log(1.0 / np.array(scales))
     log_n = np.log(np.array(counts, dtype=float))
-    slope, intercept, r2 = _fit(log_inv, log_n)
+    slope, r2 = _fit(log_inv, log_n)
     if r2 < 0.99 and len(scales) > 4:
-        slope, intercept, r2 = _fit(log_inv[2:], log_n[2:])
-    return BoxDimEstimate(slope, intercept, tuple(scales), tuple(counts), r2)
+        slope, r2 = _fit(log_inv[2:], log_n[2:])
+    return BoxDimEstimate(slope, tuple(scales), tuple(counts), r2)
 
 
 def project_cloud(cloud: PointCloud, linear_map: LinearMap) -> PointCloud:
@@ -381,26 +379,21 @@ def project_cloud(cloud: PointCloud, linear_map: LinearMap) -> PointCloud:
 
 def covering_sums(cloud: PointCloud, t: float, scales) -> tuple[list[int], list[float]]:
     """Grid-cover upper bounds on the t-dimensional Hausdorff content, one per
-    scale in the order given: N(s) (s sqrt(d))^t.  Returns (counts, sums)."""
+    scale in the order given: N(s) (s sqrt(d))^t.  Returns (counts, sums);
+    a sum that overflows raises NumericFailureError."""
     if not (math.isfinite(t) and t > 0):
         raise GeometryError("t must be finite and positive")
     counts = box_counts(cloud.points, scales)
     side = math.sqrt(cloud.ambient_dim)
-    return counts, [count * (float(s) * side) ** t for count, s in zip(counts, scales)]
+    try:
+        sums = [count * (float(s) * side) ** t for count, s in zip(counts, scales)]
+        if all(map(math.isfinite, sums)):
+            return counts, sums
+    except OverflowError:
+        pass
+    raise NumericFailureError(f"a covering sum at t = {t} overflows")
 
 
 def covering_sum_upper_bound(cloud: PointCloud, t: float, scale: float) -> float:
     """Grid-cover upper bound on the t-dimensional Hausdorff content."""
     return covering_sums(cloud, t, [scale])[1][0]
-
-
-def cloud_in_ball(cloud: PointCloud, center, radius: float) -> bool:
-    center = np.asarray(center, dtype=float)
-    dist = np.linalg.norm(cloud.points - center[None], axis=1)
-    return bool((dist <= radius * (1.0 + tolerances.tau_num()) + tolerances.tau_num()).all())
-
-
-def verify_cloud(ifs: SSIFS, cloud: PointCloud) -> bool:
-    """Every sampled point must lie in the certified bounding ball."""
-    center, radius = attractor_bounding_ball(ifs)
-    return cloud_in_ball(cloud, center, radius)

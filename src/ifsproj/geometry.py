@@ -154,17 +154,6 @@ class Similarity:
         return np.linalg.solve(np.eye(d) - self.ratio * self.rotation, self.translation)
 
 
-def similarity_equal(a: Similarity, b: Similarity, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = tolerances.tau_num()
-    return (
-        a.ambient_dim == b.ambient_dim
-        and abs(a.ratio - b.ratio) <= tol
-        and np.abs(a.rotation - b.rotation).max() <= tol
-        and np.abs(a.translation - b.translation).max() <= tol
-    )
-
-
 class SSIFS:
     """Self-similar iterated function system: a finite list of similarities.
 
@@ -422,12 +411,6 @@ class LinearMap:
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.matrix.T
-
-    def rank(self) -> int:
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0:
-            return 0
-        return int(np.sum(sv > tolerances.tau_rank(float(sv[0]))))
 
     def operator_norm(self) -> float:
         sv = np.linalg.svd(self.matrix, compute_uv=False)

@@ -136,7 +136,7 @@ class _LinkedWord(NamedTuple):
         return tuple(reversed(out))
 
 
-def _rotation_walk(start: np.ndarray, generators, tol: float, state_cap: int | None = None):
+def _rotation_walk(start: np.ndarray, generators, tol: float, state_cap: int):
     """Yield (start T_w, w) for the nonempty words w over the generators
     (letters 1..m) in shortlex order: by length, then letter by letter.
 
@@ -155,7 +155,7 @@ def _rotation_walk(start: np.ndarray, generators, tol: float, state_cap: int | N
             nxt = rot @ g
             child = _LinkedWord(word, n, word.length + 1)
             yield nxt, child
-            if (state_cap is None or stored.size < state_cap) and stored.add_if_new(nxt):
+            if stored.size < state_cap and stored.add_if_new(nxt):
                 words.append(child)
 
 

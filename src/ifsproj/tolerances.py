@@ -48,7 +48,3 @@ def tau_orth() -> float:
 
 def tau_dim() -> float:
     return active_profile().tau_dim
-
-
-def tau_rank(largest_singular_value: float) -> float:
-    return 1e-8 * largest_singular_value

@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +133,7 @@ class TestCliSimdim:
         assert out["tool"] == "ifsproj"
         assert out["fixture"] == "sierpinski_half"
         assert out["tolerances"]["profile"] == "default"
+        assert "seed" not in out  # only commands that take --seed report one
 
     def test_cantor_value(self, capsys, fixture_dir):
         code, out = run_json(capsys, ["simdim", "--input", str(fixture_dir / "cantor_third.json")])
@@ -236,7 +239,9 @@ class TestCliProjectGdifs:
         assert code == 4
 
     @pytest.mark.parametrize(
-        "option", ["--l=0", "--direction=1,abc", "--direction=1,", "--direction=nan,0", "--direction=1,inf"]
+        "option",
+        ["--l=0", "--direction=1,abc", "--direction=1,", "--direction=nan,0", "--direction=1,inf",
+         "--direction="],
     )
     def test_bad_projection_option_exits_two(self, capsys, fixture_dir, option):
         code = main(["project-gdifs", "--input", str(fixture_dir / "c4_rotation.json"), option])
@@ -473,7 +478,7 @@ class TestCliEstimate:
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert captured.out == ""
-        assert captured.err.startswith("ifsproj estimate: error: argument --seed:")
+        assert captured.err.startswith("ifsproj estimate boxdim: error: argument --seed:")
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
 
@@ -497,8 +502,48 @@ class TestCliEstimate:
             captured = capsys.readouterr()
             assert exc.value.code == 2
             assert captured.out == ""
-            assert captured.err.startswith("ifsproj estimate: error: argument --n:")
+            assert captured.err.startswith("ifsproj estimate boxdim: error: argument --n:")
             assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_sample_size_below_one_exits_two_at_parse_time(self, capsys, fixture_dir, n):
+        argv = ["estimate", "boxdim", "--input", str(fixture_dir / "sierpinski_half.json")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--n={n}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("ifsproj estimate boxdim: error: argument --n:")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("mode", ["boxdim", "project-boxdim", "collapse-sweep"])
+    @pytest.mark.parametrize("scales", ["--scales=", "--scales=3", "--scales=a..b"])
+    def test_bad_scales_exit_two(self, capsys, fixture_dir, mode, scales):
+        # An empty ladder once fell back to the default one.
+        code = main(
+            ["estimate", mode, "--input", str(fixture_dir / "sierpinski_half.json"), "--n", "1000",
+             scales]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("schema error: bad --scales")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_overflowing_covering_sum_exits_five(self, capsys, fixture_dir):
+        code = main(
+            [
+                "estimate", "collapse-sweep",
+                "--input", str(fixture_dir / "irrational_rotation_planar.json"),
+                "--n", "1000", "--t", "5000", "--scales", "0..1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure:")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
 
     def test_deterministic_reports_are_reproducible(self, capsys, fixture_dir):
         argv = [
@@ -551,6 +596,103 @@ class TestCollapseSweepPin:
         assert out["exponent_t"] == case["exponent_t"]
         assert out["scales"] == case["scales"]
         assert out["covering_sums"] == case["covering_sums"]
+
+
+# The options of each command and each estimate mode, besides --help: the
+# options its handler reads.
+COMMAND_OPTIONS = {
+    "simdim": {"--input", "--json"},
+    "project-gdifs": {"--input", "--l", "--direction", "--out", "--json"},
+    "dimdrop": {"--input", "--l", "--json"},
+    "estimate boxdim": {"--input", "--n", "--seed", "--method", "--scales", "--out", "--json"},
+    "estimate project-boxdim": {
+        "--input", "--n", "--seed", "--method", "--l", "--direction", "--scales", "--out", "--json"
+    },
+    "estimate collapse-sweep": {
+        "--input", "--n", "--seed", "--method", "--l", "--direction", "--t", "--scales", "--out",
+        "--json",
+    },
+    "estimate ssc-approx": {"--input", "--epsilon", "--t", "--seed", "--json"},
+    "estimate cylinders": {
+        "--input", "--angle", "--delta", "--t", "--mass-target", "--depth-cap", "--json"
+    },
+    "fixtures": {"--out", "--json"},
+}
+
+# One option of each kind that some command does not take, with a command
+# that once accepted and ignored it.
+UNTAKEN_OPTIONS = [
+    ("simdim", "--scales", "3..10"),
+    ("dimdrop", "--out", "d"),
+    ("fixtures", "--l", "1"),
+    ("project-gdifs", "--seed", "1"),
+    ("estimate boxdim", "--direction", "1,0"),
+    ("estimate boxdim", "--delta", "0.2"),
+    ("estimate project-boxdim", "--t", "0.8"),
+    ("estimate project-boxdim", "--mass-target", "0.9"),
+    ("estimate collapse-sweep", "--epsilon", "0.3"),
+    ("estimate collapse-sweep", "--depth-cap", "6"),
+    ("estimate ssc-approx", "--angle", "0.5"),
+    ("estimate ssc-approx", "--method", "chaos"),
+    ("estimate cylinders", "--n", "5"),
+]
+
+
+def leaf_parsers(parser, path=()):
+    """(command, parser) of each parser that has no subcommands."""
+    subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subcommands:
+        yield " ".join(path), parser
+    for action in subcommands:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*path, name))
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+README_CLI = README.split("## CLI", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_commands():
+    """The words of each command line of the README's CLI block."""
+    block = README_CLI.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+class TestCliOptions:
+    def test_each_command_declares_the_options_its_handler_reads(self):
+        found = {
+            command: {flag for action in parser._actions for flag in action.option_strings}
+            - {"-h", "--help"}
+            for command, parser in leaf_parsers(build_parser())
+        }
+        assert found == COMMAND_OPTIONS
+        assert sum(map(len, found.values())) == 50
+
+    @pytest.mark.parametrize("command, option, value", UNTAKEN_OPTIONS, ids=lambda x: x)
+    def test_an_untaken_option_exits_two(self, capsys, fixture_dir, command, option, value):
+        assert option not in COMMAND_OPTIONS[command]
+        argv = command.split()
+        if "--input" in COMMAND_OPTIONS[command]:
+            argv += ["--input", str(fixture_dir / "c4_rotation.json")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err == f"ifsproj: error: unrecognized arguments: {option} {value}\n"
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[1:3]))
+    def test_readme_command_parses(self, argv):
+        assert argv[0] == "ifsproj"
+        build_parser().parse_args(argv[1:])
+
+    def test_readme_lists_each_command_and_its_options(self):
+        rows = [line.split("|")[1:3] for line in README_CLI.splitlines() if line.startswith("| `")]
+        listed = {
+            name.strip().strip("`"): {flag.strip().strip("`") for flag in flags.split(",")}
+            for name, flags in rows
+        }
+        assert listed == {command: flags - {"--json"} for command, flags in COMMAND_OPTIONS.items()}
 
 
 class TestStartup:

@@ -17,7 +17,6 @@ from ifsproj.constructions import (
     _greedy_pack,
     _identity_equal_ratio_pair,
     _rotation_word_search,
-    annihilating_rotation,
     build_projection_gdifs,
     find_dimension_drop,
     select_disjoint_cylinders,
@@ -528,31 +527,6 @@ class TestSelectionPin:
         assert [list(w.indices) for w in words] == case["words"]
 
 
-class TestAnnihilatingRotation:
-    def test_identity_suffices_when_already_annihilated(self):
-        o = annihilating_rotation([planar_rotation(1.0)], X_AXIS, [0.0, 1.0])
-        assert np.allclose(o, np.eye(2))
-
-    def test_quarter_turn_kills_x_direction(self):
-        o = annihilating_rotation(
-            group_closure([planar_rotation(math.pi / 2.0)]), X_AXIS, [1.0, 0.0], tol=1e-9
-        )
-        assert np.abs(X_AXIS(o @ np.array([1.0, 0.0]))).max() < 1e-9
-
-    def test_irrational_rotation_power_scan(self):
-        o = annihilating_rotation([planar_rotation(1.0)], X_AXIS, [1.0, 0.0], tol=1e-3)
-        assert np.linalg.norm(X_AXIS(o @ np.array([1.0, 0.0]))) < 1e-3
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(GeometryError):
-            annihilating_rotation([np.eye(2)], X_AXIS, [0.0, 0.0])
-
-    def test_exhaustion_raises(self):
-        # The identity group can never rotate (1,0) out of the x-axis.
-        with pytest.raises(NumericFailureError):
-            annihilating_rotation([np.eye(2)], X_AXIS, [1.0, 0.0], tol=1e-6, word_cap=100)
-
-
 def queue_word_search(ifs, start, target, tol, state_cap=_CORRECTOR_STATE_CAP):
     """The corrector search as a breadth-first queue of (rotation, word)
     pairs, each word copied from its parent's."""
@@ -569,41 +543,6 @@ def queue_word_search(ifs, start, target, tol, state_cap=_CORRECTOR_STATE_CAP):
                 return word + (n,)
             if visited.size < state_cap and visited.add_if_new(nxt):
                 queue.append((nxt, word + (n,)))
-    return None
-
-
-def queue_annihilating_rotation(generators, v, tol, word_cap):
-    """The annihilating search for L = X_AXIS as repeated multiplication for
-    one generator and a breadth-first queue that checks the cap before each
-    expansion for several: (O, products examined), or None."""
-    threshold = tol * X_AXIS.operator_norm() * float(np.linalg.norm(v))
-
-    def residual(o):
-        return float(np.linalg.norm(X_AXIS(o @ v)))
-
-    identity = np.eye(2)
-    if residual(identity) < threshold:
-        return identity, 0
-    if len(generators) == 1:
-        o = identity.copy()
-        for examined in range(1, word_cap + 1):
-            o = o @ generators[0]
-            if residual(o) < threshold:
-                return o, examined
-        return None
-    visited = _RotationTable(2, 1e-9)
-    visited.add_if_new(identity)
-    queue = deque([identity])
-    examined = 0
-    while queue and examined < word_cap:
-        current = queue.popleft()
-        for g in generators:
-            nxt = current @ g
-            examined += 1
-            if residual(nxt) < threshold:
-                return nxt, examined
-            if visited.add_if_new(nxt):
-                queue.append(nxt)
     return None
 
 
@@ -652,33 +591,3 @@ class TestRotationWalkAgainstQueues:
             found = _rotation_word_search(ifs, np.eye(3), target, 1e-6)
             assert found == queue_word_search(ifs, np.eye(3), target, 1e-6, state_cap=64)
             assert found == (word if depth == 6 else None)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        generators=planar_generators(),
-        angle=st.floats(0.0, 2.0 * math.pi),
-        letters=st.lists(st.integers(0, 2), max_size=5),
-        tol=st.sampled_from([1e-1, 1e-2, 1e-3]),
-        word_cap=st.one_of(st.integers(1, 40), st.integers(41, 400)),
-    )
-    def test_annihilating_rotation_matches_the_queue(
-        self, generators, angle, letters, tol, word_cap
-    ):
-        _, generators = generators
-        v = np.array([math.cos(angle), math.sin(angle)])
-        if letters:
-            # A direction that the product of these letters turns onto the
-            # y-axis, so that most searches have a hit.
-            o = np.eye(2)
-            for k in letters:
-                o = o @ generators[k % len(generators)]
-            v = o.T @ [0.0, 1.0]
-        found = queue_annihilating_rotation(generators, v, tol, word_cap)
-        if found is not None and found[1] <= word_cap:
-            o = annihilating_rotation(generators, X_AXIS, v, tol=tol, word_cap=word_cap)
-            assert np.array_equal(o, found[0])
-        else:
-            # The queue may overrun the cap by up to m - 1 products; the
-            # walk examines exactly word_cap.
-            with pytest.raises(NumericFailureError):
-                annihilating_rotation(generators, X_AXIS, v, tol=tol, word_cap=word_cap)

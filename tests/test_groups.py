@@ -439,20 +439,18 @@ class TestRotationTable:
 # One block of a normal form: a sign (a [1] or [-1] block) or a rotation angle.
 # The pool repeats angles often and holds the tiny ones the cyclic-orbit
 # certificate depends on; angles near pi sit next to -1 blocks.
+# At most three blocks (d <= 6), each drawn as one tuple, keep the draws cheap.
 normal_form_parts = st.lists(
     st.one_of(
-        st.tuples(st.just("sign"), st.sampled_from([1.0, -1.0])),
-        st.tuples(
-            st.just("angle"),
-            st.one_of(
-                st.sampled_from([1e-6, 1e-5, 0.5, 1.0, math.pi / 2.0, math.pi - 1e-6]),
-                st.floats(1e-4, TWO_PI - 1e-4).filter(lambda a: abs(math.sin(a)) > 1e-4),
-            ),
-        ),
+        st.sampled_from([("sign", 1.0), ("sign", -1.0)]),
+        st.one_of(
+            st.sampled_from([1e-6, 1e-5, 0.5, 1.0, math.pi / 2.0, math.pi - 1e-6]),
+            st.floats(1e-4, TWO_PI - 1e-4).filter(lambda a: abs(math.sin(a)) > 1e-4),
+        ).map(lambda angle: ("angle", angle)),
     ),
     min_size=1,
-    max_size=4,
-).filter(lambda parts: sum(1 if kind == "sign" else 2 for kind, _ in parts) <= 6)
+    max_size=3,
+)
 
 
 class TestBlockDiagonalizeOracle:
