@@ -12,7 +12,8 @@ unparsable, non-finite or zero --direction, an empty or unparsable
 violation (infinite group, not strongly connected), 5 numeric failure
 (also a --delta, --epsilon or --t of cylinders, collapse-sweep or
 ssc-approx that is not finite and positive, a --mass-target outside
-(0, 1), an --angle that is not finite, a --depth-cap below 1, or a
+(0, 1), an --angle that is not finite, a --depth-cap below 1, a
+--scales ladder with an end that overflows or underflows to zero, or a
 covering sum that overflows), 6 I/O error (an output file or directory
 cannot be written).
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -111,7 +113,11 @@ def _emit(args, report: dict) -> None:
 
 
 def _parse_scales(spec: str, diameter: float) -> list[float]:
-    """Parse "a..b" into the dyadic ladder 2^-a .. 2^-b of the diameter."""
+    """Parse "a..b" into the dyadic ladder 2^-a .. 2^-b of the diameter.
+
+    Both ends are checked before the ladder is built, so a ladder that
+    leaves the positive finite floats fails at once, however long it is.
+    """
     try:
         a, b = spec.split("..")
         coarse, fine = int(a), int(b)
@@ -119,6 +125,15 @@ def _parse_scales(spec: str, diameter: float) -> list[float]:
         raise SchemaError(f"bad --scales {spec!r}; expected e.g. 3..10") from None
     if coarse > fine:
         coarse, fine = fine, coarse
+    try:
+        ends = [diameter * 2.0**-k for k in (coarse, fine)]
+    except OverflowError:  # 2.0**k for k above 1023
+        ends = [math.inf]
+    if not all(0.0 < s < math.inf for s in ends):
+        raise NumericFailureError(
+            f"--scales {spec!r} of diameter {diameter:g} reaches a scale "
+            "that is zero or not finite"
+        )
     return [diameter * 2.0**-k for k in range(coarse, fine + 1)]
 
 
@@ -398,7 +413,11 @@ _OPTIONS = {
     "--n": dict(type=_sample_size, default=10**6, help="sample size"),
     "--seed": dict(type=_seed, default=0),
     "--method": dict(choices=["deterministic", "chaos"], default="deterministic"),
-    "--scales": dict(help="dyadic ladder a..b (of the diameter)"),
+    "--scales": dict(
+        help="dyadic ladder a..b: 2^-a .. 2^-b of the diameter of the sample, before any "
+        "projection (unset: 3..10 of the diameter of the counted cloud, which for "
+        "project-boxdim is the projected one)"
+    ),
     "--t": dict(type=float, help="dimension exponent override"),
     "--epsilon": dict(type=float, default=0.3, help="dimension slack"),
     "--delta": dict(type=float, default=0.2, help="rotation tolerance"),

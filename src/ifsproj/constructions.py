@@ -18,6 +18,7 @@ from .dimension import (
     GDIFS,
     DimensionReport,
     GdifsStructureError,
+    _moran_report,
     is_strongly_connected,
     sim_dim_gdifs,
     sim_dim_ssifs,
@@ -32,6 +33,7 @@ from .geometry import (
     Word,
     WordLevel,
     _fixed_points,
+    _row_max_abs,
     attractor_bounding_ball,
 )
 from .groups import (
@@ -68,36 +70,42 @@ def build_projection_gdifs(ifs: SSIFS | WordLevel, linear_map: LinearMap) -> Pro
     Vertices are the elements of the (finite) rotation group; there is an
     edge from i to j for every map index n with O_i T_n = O_j, carrying the
     homothety x -> r_n x + L(O_i(v_n)).  Edges are emitted in (vertex, map)
-    order.  A word level stands for its depth-iterated system.
+    order.  A word level stands for its depth-iterated system; its words
+    are read as they are, with no second check of the system.
     """
     if isinstance(ifs, WordLevel):
-        ifs = ifs.system()
+        ratios, rotations, translations = ifs.ratio, ifs.rotation, ifs.translation
+        name = ifs.ifs.name
+    else:
+        ratios, rotations, translations = ifs.ratios, ifs.rotations, ifs.translations
+        name = ifs.name
+    d, m = translations.shape[1], len(ratios)
     if linear_map.operator_norm() == 0.0:
         raise GeometryError("linear map must be nonzero")
-    if linear_map.domain_dim != ifs.ambient_dim:
+    if linear_map.domain_dim != d:
         raise GeometryError("linear map domain does not match the system dimension")
-    group = group_closure(ifs.rotations)
+    group = group_closure(rotations)
     if not group.is_finite:
         raise HypothesisViolationError(
             "rotation group closure exceeded the cap; the projection "
             "graph-directed construction needs a finite group"
         )
-    d, d2, m, q = ifs.ambient_dim, linear_map.codomain_dim, len(ifs), group.order
+    d2, q = linear_map.codomain_dim, group.order
     elements = np.array(group.elements)
-    targets = group.indices_of((elements[:, None] @ ifs.rotations[None]).reshape(-1, d, d))
-    translation = np.einsum("lj,ijk,nk->inl", linear_map.matrix, elements, ifs.translations)
+    targets = group.indices_of((elements[:, None] @ rotations[None]).reshape(-1, d, d))
+    translation = np.einsum("lj,ijk,nk->inl", linear_map.matrix, elements, translations)
     gdifs = GDIFS.from_arrays(
         q,
         np.repeat(np.arange(q), m),
         targets,
-        np.tile(ifs.ratios, q),
+        np.tile(ratios, q),
         np.broadcast_to(np.eye(d2), (q * m, d2, d2)),
         translation.reshape(q * m, d2),
-        name=ifs.name,
+        name=name,
     )
     if not is_strongly_connected(gdifs):
         raise NumericFailureError("projection graph is unexpectedly not strongly connected")
-    source_dim = sim_dim_ssifs(ifs).value
+    source_dim = _moran_report(ratios).value
     return ProjectionGdifsResult(gdifs, group, source_dim)
 
 
@@ -127,7 +135,7 @@ def _identity_equal_ratio_pair(level: WordLevel, tau: float) -> tuple[int, int] 
     none; so ka is the first word in such a run and kb its first partner.
     """
     d = level.ifs.ambient_dim
-    off_identity = np.abs(level.rotation - np.eye(d)).max(axis=(1, 2))
+    off_identity = _row_max_abs(level.rotation - np.eye(d))
     words = np.flatnonzero(off_identity <= 10.0 * tolerances.tau_orth())
     ratio = level.ratio[words]
     order = np.argsort(ratio, kind="stable")

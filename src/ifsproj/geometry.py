@@ -56,10 +56,38 @@ def reorthonormalize(rotation: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over broadcast stacks of small matrices.
+
+    The sum over j runs in order from 0, as np.einsum's does, so the bits
+    equal those of the einsum products it replaces ("nij,njk->nik" and its
+    broadcasts; a matrix-vector product, b of shape (..., d, 1), only for
+    d <= 2, where einsum does not use a SIMD reduction).  np.matmul rounds
+    differently (it fuses multiply and add).
+    """
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    out += 0.0  # einsum's sum starts at +0, and 0 + (-0) is +0
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
+def _row_max_abs(x: np.ndarray) -> np.ndarray:
+    """np.abs(x).max over every axis but the first, as a fold over the
+    entry columns: max is exact, so the bits are the same, and d * d passes
+    over N values beat one reduction over N short rows."""
+    flat = np.abs(x).reshape(len(x), math.prod(x.shape[1:]))
+    out = flat[:, 0].copy()
+    for column in flat.T[1:]:
+        np.maximum(out, column, out=out)
+    return out
+
+
 def _orthogonality_defects(rotation: np.ndarray) -> np.ndarray:
     """orthogonality_defect of every matrix of an (N, d, d) stack."""
-    gram = np.einsum("nki,nkj->nij", rotation, rotation)
-    return np.abs(gram - np.eye(rotation.shape[1])).max(axis=(1, 2), initial=0.0)
+    gram = _matmul(rotation.transpose(0, 2, 1), rotation)
+    gram -= np.eye(rotation.shape[1])
+    return _row_max_abs(gram)
 
 
 def checked_rotations(rotation: np.ndarray) -> np.ndarray:
@@ -283,9 +311,9 @@ class WordLevel:
         # The empty word keeps ratio 1.
         nonempty = (letters < m).any(axis=1)
         for column in letters.T:
-            moved = np.einsum("nij,nj->ni", rotation, translations[column])
+            moved = _matmul(rotation, translations[column, :, None])[..., 0]
             translation = ratio[:, None] * moved + translation
-            rotation = np.einsum("nij,njk->nik", rotation, rotations[column])
+            rotation = _matmul(rotation, rotations[column])
             ratio = ratio * ratios[column]
             rotation = _checked_word_maps(ratio[nonempty], rotation)
         return cls(ifs, letters, ratio, rotation, translation)
@@ -308,8 +336,8 @@ class WordLevel:
         n, m, d = len(self), len(ifs), ifs.ambient_dim
         prefix = np.repeat(self.letters, m, axis=0)
         letters = np.column_stack([prefix, np.tile(np.arange(m, dtype=prefix.dtype), n)])
-        rotation = np.einsum("aij,bjk->abik", self.rotation, ifs.rotations).reshape(-1, d, d)
-        moved = np.einsum("aij,bj->abi", self.rotation, ifs.translations)
+        rotation = _matmul(self.rotation[:, None], ifs.rotations).reshape(n * m, d, d)
+        moved = _matmul(self.rotation[:, None], ifs.translations[..., None])[..., 0]
         translation = self.ratio[:, None, None] * moved + self.translation[:, None]
         ratio = (self.ratio[:, None] * ifs.ratios[None]).ravel()
         rotation = _checked_word_maps(ratio, rotation)
@@ -322,7 +350,8 @@ class WordLevel:
 
     def balls(self, root_center, root_radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Centers (N, d) and radii (N,) of the cylinder balls S_w(root ball)."""
-        moved = np.einsum("nij,j->ni", self.rotation, np.asarray(root_center, dtype=float))
+        center = np.asarray(root_center, dtype=float)
+        moved = _matmul(self.rotation, center[:, None])[..., 0]
         return self.ratio[:, None] * moved + self.translation, self.ratio * root_radius
 
     def system(self) -> SSIFS:

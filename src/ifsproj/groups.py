@@ -30,7 +30,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tolerances
-from .geometry import GeometryError, NumericFailureError, _orthogonality_defects, orthogonality_defect
+from .geometry import (
+    GeometryError,
+    NumericFailureError,
+    _orthogonality_defects,
+    _row_max_abs,
+    orthogonality_defect,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,7 +91,7 @@ class _RotationTable:
         """Store m unless a stored matrix lies within tol; True if stored."""
         k = int(self._key(m[None])[0])
         near = [i for j in (k - 1, k, k + 1) for i in self._buckets.get(j, ())]
-        if near and (np.abs(self._stack[near] - m[None]).max(axis=(1, 2)) <= self.tol).any():
+        if near and (_row_max_abs(self._stack[near] - m) <= self.tol).any():
             return False
         if self.size == len(self._stack):
             self._stack = np.concatenate([self._stack, np.empty_like(self._stack)])
@@ -112,7 +118,7 @@ class _RotationTable:
         query = np.repeat(np.arange(n), lens)
         offset = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
         stored = order[np.repeat(lo, lens) + offset]
-        dist = np.abs(self._stack[stored] - mats[query]).max(axis=(1, 2))
+        dist = _row_max_abs(self._stack[stored] - mats[query])
         hit = dist <= self.tol
         counts += np.bincount(query[hit], minlength=n)
         match[query[hit]] = stored[hit]
@@ -161,7 +167,8 @@ def _rotation_walk(start: np.ndarray, generators, tol: float, state_cap: int):
 
 @dataclass(frozen=True)
 class TransformationGroup:
-    """Result of the closure computation over the generators.
+    """Result of the closure computation over the generators, a read-only
+    (N, d, d) stack.
 
     ``elements`` is a canonically ordered tuple when the closure is finite and
     None otherwise; ``witness_count`` then records how many distinct elements
@@ -171,7 +178,7 @@ class TransformationGroup:
     for the last, ``margin`` is (smallest power distance, threshold).
     """
 
-    generators: tuple[np.ndarray, ...]
+    generators: np.ndarray
     elements: tuple[np.ndarray, ...] | None
     witness_count: int
     tolerance: float
@@ -253,13 +260,18 @@ def _canonical_order(elements: np.ndarray) -> np.ndarray:
 def group_closure(generators, tolerance: float = 1e-6, closure_cap: int = 5000) -> TransformationGroup:
     """Semigroup closure of the generators (and their transposes).
 
+    The generators are an (N, d, d) array or any iterable of d x d matrices;
+    an array is read as one stack, without a Python object per matrix.
+
     Returns a finite element list closed under generator multiplication, or
     an infinite verdict once more than ``closure_cap`` distinct elements
     accumulate, or at once when one generator's powers certify that they
     would (see the module docstring).
     """
+    if not isinstance(generators, np.ndarray):
+        generators = list(generators)
     try:
-        gens = np.array(list(generators), dtype=float)
+        gens = np.array(generators, dtype=float)
     except ValueError:
         raise GroupClosureError("generators must share their dimension") from None
     if len(gens) == 0:
@@ -271,13 +283,13 @@ def group_closure(generators, tolerance: float = 1e-6, closure_cap: int = 5000) 
     d = gens.shape[1]
     if (_orthogonality_defects(gens) > tolerances.tau_orth()).any():
         raise GroupClosureError("generator is not orthogonal")
-    given = tuple(gens)
+    gens.setflags(write=False)
     distinct = _distinct(gens, tolerance)
 
     certificate = _cyclic_certificate(distinct, tolerance, closure_cap)
     if certificate is not None:
         return TransformationGroup(
-            given, None, closure_cap + 1, tolerance, "cyclic_orbit_exceeds_cap", certificate
+            gens, None, closure_cap + 1, tolerance, "cyclic_orbit_exceeds_cap", certificate
         )
 
     multipliers = np.concatenate([distinct, distinct.transpose(0, 2, 1)])
@@ -290,12 +302,12 @@ def group_closure(generators, tolerance: float = 1e-6, closure_cap: int = 5000) 
         start = table.size
         for c in candidates[counts == 0]:
             if table.add_if_new(c) and table.size > closure_cap:
-                return TransformationGroup(given, None, table.size, tolerance, "cap_exceeded")
+                return TransformationGroup(gens, None, table.size, tolerance, "cap_exceeded")
         frontier = table.elements[start:].copy()
     elements = table.elements[_canonical_order(table.elements)]
     elements.setflags(write=False)
     return TransformationGroup(
-        given,
+        gens,
         tuple(elements),
         len(elements),
         tolerance,

@@ -68,3 +68,17 @@ def composed_by_oracle(ifs, indices) -> Similarity:
     for the empty word)."""
     maps = [ifs[i - 1] for i in indices]
     return functools.reduce(compose, maps, Similarity.identity(ifs.ambient_dim))
+
+
+# The np.einsum products that geometry._matmul replaced, by the name of the
+# place they stood; each takes the stacks a and b of the kernel call.
+EINSUM_MATRIX_PRODUCTS = {
+    "fold rotation": lambda a, b: np.einsum("nij,njk->nik", a, b),
+    "extend rotation": lambda a, b: np.einsum("aij,bjk->abik", a, b),
+    "gram": lambda a, b: np.einsum("nki,nkj->nij", a, a),
+}
+EINSUM_VECTOR_PRODUCTS = {
+    "fold translation": lambda a, v: np.einsum("nij,nj->ni", a, v),
+    "extend translation": lambda a, v: np.einsum("aij,bj->abi", a, v),
+    "balls": lambda a, v: np.einsum("nij,j->ni", a, v[0]),
+}

@@ -4,6 +4,7 @@ import math
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -529,6 +530,26 @@ class TestCliEstimate:
         assert captured.out == ""
         assert captured.err.startswith("schema error: bad --scales")
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("mode", ["boxdim", "project-boxdim", "collapse-sweep"])
+    @pytest.mark.parametrize("scales", ["-2000..3", "3..1080", "3..2000000"])
+    def test_scales_leaving_the_floats_exit_five(self, capsys, fixture_dir, mode, scales):
+        # 2.0**2000 raised an OverflowError traceback; 3..2000000 built its
+        # two-million-scale ladder (64 MB of floats) before a zero scale failed.
+        argv = ["estimate", mode, "--input", str(fixture_dir / "sierpinski_half.json")]
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--n", "1000", f"--scales={scales}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert captured.err.startswith(f"numeric failure: --scales '{scales}'")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert peak < 16 * 2**20
 
     def test_overflowing_covering_sum_exits_five(self, capsys, fixture_dir):
         code = main(

@@ -17,13 +17,22 @@ from ifsproj.geometry import (
     Subspace,
     Word,
     WordLevel,
+    _matmul,
+    _row_max_abs,
     attractor_bounding_ball,
     checked_rotations,
     cylinder_ball,
     orthogonality_defect,
 )
 
-from conftest import compose, composed_by_oracle, random_similarity, random_ssifs
+from conftest import (
+    EINSUM_MATRIX_PRODUCTS,
+    EINSUM_VECTOR_PRODUCTS,
+    compose,
+    composed_by_oracle,
+    random_similarity,
+    random_ssifs,
+)
 
 
 def halving(v):
@@ -281,6 +290,75 @@ class TestWordLevel:
             c, r = cylinder_ball(sierpinski.word(level.indices(k)), [0.5, 0.3], 0.7)
             assert np.abs(centers[k] - c).max() <= 1e-15
             assert radii[k] == r
+
+
+def stack(rng, n, d):
+    """An (n, d, d) stack whose entries mix signed zeros, small integers
+    and random doubles, so sums of -0.0 products occur."""
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -3.0])
+    a = rng.normal(size=(n, d, d))
+    special = rng.random(size=a.shape) < 0.5
+    a[special] = rng.choice(pool, size=int(special.sum()))
+    return a
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+# Rows of a stack in a kernel call: 0, 1 or many.  The two stacks of a
+# broadcast (n, 1) x (1, m) call draw theirs apart.
+KERNEL_ROWS = st.sampled_from([0, 1]) | st.integers(2, 40)
+
+
+class TestMatmulKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS, m=KERNEL_ROWS)
+    def test_matrix_products_equal_einsum_bitwise(self, seed, d, n, m):
+        rng = np.random.default_rng(seed)
+        a, b, c = stack(rng, n, d), stack(rng, n, d), stack(rng, m, d)
+        oracle = EINSUM_MATRIX_PRODUCTS
+        assert same_bits(_matmul(a, b), oracle["fold rotation"](a, b))
+        assert same_bits(_matmul(a[:, None], c[None]), oracle["extend rotation"](a, c))
+        assert same_bits(_matmul(a.transpose(0, 2, 1), a), oracle["gram"](a, a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS, m=KERNEL_ROWS)
+    def test_vector_products_equal_einsum_bitwise_up_to_d_two(self, seed, d, n, m):
+        rng = np.random.default_rng(seed)
+        a = stack(rng, n, d)
+        v, w, x = stack(rng, n, d)[:, 0], stack(rng, m, d)[:, 0], stack(rng, 1, d)[:, 0]
+        oracle = EINSUM_VECTOR_PRODUCTS
+        calls = [
+            ("fold translation", a, v, _matmul(a, v[..., None])[..., 0]),
+            ("extend translation", a, w, _matmul(a[:, None], w[..., None])[..., 0]),
+            ("balls", a, x, _matmul(a, x[0][:, None])[..., 0]),
+        ]
+        for name, mats, vecs, got in calls:
+            want = oracle[name](mats, vecs)
+            if d <= 2:
+                assert same_bits(got, want)
+            else:
+                # einsum sums d >= 3 terms in a SIMD order: equal up to rounding.
+                bound = d * np.finfo(float).eps * oracle[name](np.abs(mats), np.abs(vecs))
+                assert got.shape == want.shape
+                assert (np.abs(got - want) <= bound).all()
+
+    def test_signed_zero_sums_are_positive(self):
+        # -1 * 0 + 1 * (-0) is -0 in a sum that starts from its first term,
+        # but +0 in einsum's, which starts from +0.
+        a = np.array([[[-1.0, 1.0]]])
+        b = np.array([[[0.0], [-0.0]]])
+        assert same_bits(_matmul(a, b), np.einsum("nij,njk->nik", a, b))
+        assert not np.signbit(_matmul(a, b)).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS)
+    def test_row_max_abs_equals_the_axis_reduction(self, seed, d, n):
+        a = stack(np.random.default_rng(seed), n, d)
+        if n:
+            a[n // 2, d - 1, 0] = np.nan
+        assert same_bits(_row_max_abs(a), np.abs(a).max(axis=(1, 2)))
 
 
 class TestWord:
