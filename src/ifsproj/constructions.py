@@ -51,6 +51,8 @@ _CORRECTOR_STATE_CAP = 4096
 _MAX_POWER_ROUNDS = 12
 # ssc_subsystem packs no level of more words than this.
 _PACK_WORD_BUDGET = 300000
+# Most powers of a lead generator tried to move a fixed point apart.
+_FIXED_POINT_POWER_CAP = 64
 
 
 class HypothesisViolationError(GeometryError):
@@ -94,7 +96,7 @@ def build_projection_gdifs(ifs: SSIFS | WordLevel, linear_map: LinearMap) -> Pro
     elements = np.array(group.elements)
     targets = group.indices_of((elements[:, None] @ rotations[None]).reshape(-1, d, d))
     translation = np.einsum("lj,ijk,nk->inl", linear_map.matrix, elements, translations)
-    gdifs = GDIFS.from_arrays(
+    gdifs = GDIFS(
         q,
         np.repeat(np.arange(q), m),
         targets,
@@ -225,7 +227,7 @@ class Subsystem:
     trivial_fallback: bool = False
 
 
-def _fixed_point_change_words(ifs: SSIFS, root_radius: float, cap: int = 64) -> list[Word]:
+def _fixed_point_change_words(ifs: SSIFS, root_radius: float) -> list[Word]:
     """One word per generator, with pairwise distinct fixed points.
 
     Word i is p^c * i (or q^c * i) for small c, where p, q are two generators
@@ -242,7 +244,7 @@ def _fixed_point_change_words(ifs: SSIFS, root_radius: float, cap: int = 64) -> 
     chosen: list[Word] = []
     points: list[np.ndarray] = []
     for i in range(m):
-        for c in range(cap):
+        for c in range(_FIXED_POINT_POWER_CAP):
             words = [(lead + 1,) * c + (i + 1,) for lead in (p, q)]
             level = WordLevel.of_words(ifs, words)
             fps = _fixed_points(level.ratio, level.rotation, level.translation)

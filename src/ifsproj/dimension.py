@@ -20,7 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .geometry import (
     NumericFailureError,
     SSIFS,
     Similarity,
-    checked_rotations,
+    checked_maps,
 )
 
 
@@ -50,61 +49,35 @@ class GDIFS:
     """Directed multigraph with a contracting similarity on every edge.
 
     Edge e runs from ``source[e]`` to ``target[e]`` and carries the map with
-    ``ratio[e]``, ``rotation[e]`` and ``translation[e]``; ``edges`` builds
-    the same graph as a tuple of Edge objects on first use.
+    ``ratio[e]``, ``rotation[e]`` and ``translation[e]``; the maps pass
+    ``checked_maps``.  ``edges`` is a read-only view of the same graph as a
+    tuple of Edge objects, built on first use.
     """
 
-    def __init__(self, vertex_count: int, edges: Sequence[Edge], name: str | None = None):
-        edges = tuple(edges)
-        if not edges:
-            raise GdifsStructureError("need at least one edge")
-        d = edges[0].map.ambient_dim
-        if any(e.map.ambient_dim != d for e in edges):
-            raise DimensionMismatchError("all edge maps must share the ambient dimension")
-        self._set_arrays(
-            vertex_count,
-            np.array([e.source for e in edges], dtype=np.intp),
-            np.array([e.target for e in edges], dtype=np.intp),
-            np.array([e.map.ratio for e in edges]),
-            np.array([e.map.rotation for e in edges]),
-            np.array([e.map.translation for e in edges]),
-            name,
-        )
-        self.edges = edges
-
-    @classmethod
-    def from_arrays(
-        cls, vertex_count: int, source, target, ratio, rotation, translation, name=None
-    ) -> "GDIFS":
-        """A graph from edge arrays, with the checks Similarity applies per map."""
+    def __init__(
+        self, vertex_count: int, source, target, ratio, rotation, translation, name=None
+    ):
+        q = vertex_count
+        source = np.asarray(source, dtype=np.intp)
+        target = np.asarray(target, dtype=np.intp)
         ratio = np.asarray(ratio, dtype=float)
-        if not ((ratio > 0.0) & (ratio < 1.0)).all():
-            raise GeometryError("edge ratios must lie in (0, 1)")
-        rotation = checked_rotations(np.asarray(rotation, dtype=float))
-        g = cls.__new__(cls)
-        g._set_arrays(
-            vertex_count,
-            np.asarray(source, dtype=np.intp),
-            np.asarray(target, dtype=np.intp),
-            ratio,
-            rotation,
-            np.asarray(translation, dtype=float),
-            name,
-        )
-        return g
-
-    def _set_arrays(self, q, source, target, ratio, rotation, translation, name) -> None:
+        translation = np.asarray(translation, dtype=float)
+        rotation = np.asarray(rotation, dtype=float)
         if q < 1:
             raise GdifsStructureError("need at least one vertex")
         if len(source) == 0:
             raise GdifsStructureError("need at least one edge")
-        if rotation.shape[1:] != (translation.shape[1],) * 2:
-            raise DimensionMismatchError("edge rotations do not match the translations")
+        n, d = translation.shape
+        if not len(source) == len(target) == len(ratio) == n or rotation.shape != (n, d, d):
+            raise DimensionMismatchError("edge arrays differ in length or dimension")
+        rotation = checked_maps(ratio, rotation, translation)
         outside = (source < 0) | (source >= q) | (target < 0) | (target >= q)
         if outside.any():
             e = int(np.argmax(outside))
             raise GdifsStructureError(f"edge endpoint out of range: {source[e]}->{target[e]}")
-        if (np.bincount(source, minlength=q) == 0).any():
+        # More vertices than edges leaves one without an outgoing edge; it is
+        # tested first, so a huge vertex count allocates nothing.
+        if q > n or (np.bincount(source, minlength=q) == 0).any():
             raise GdifsStructureError("every vertex needs at least one outgoing edge")
         self.vertex_count = q
         self.source = source
@@ -134,17 +107,8 @@ class GDIFS:
         if not 0 <= index < len(self.source):
             raise GdifsStructureError("edge index out of range")
         keep = np.arange(len(self.source)) != index
-        g = GDIFS.__new__(GDIFS)
-        g._set_arrays(
-            self.vertex_count,
-            self.source[keep],
-            self.target[keep],
-            self.ratio[keep],
-            self.rotation[keep],
-            self.translation[keep],
-            self.name,
-        )
-        return g
+        arrays = (self.source, self.target, self.ratio, self.rotation, self.translation)
+        return GDIFS(self.vertex_count, *(a[keep] for a in arrays), name=self.name)
 
 
 def strongly_connected_components(vertex_count: int, arcs) -> list[list[int]]:
@@ -259,7 +223,11 @@ def _cell_sums(cell: np.ndarray, weights: np.ndarray, q: int) -> np.ndarray:
     return np.bincount(cell, weights=weights, minlength=q * q).reshape(q, q)
 
 
-def _dimension_root(cell: np.ndarray, log_ratio: np.ndarray, q: int, max_iter: int = 100):
+# Most Newton or bisection steps of the dimension solver.
+_DIMENSION_MAX_ITER = 100
+
+
+def _dimension_root(cell: np.ndarray, log_ratio: np.ndarray, q: int):
     """(s, rho(A(s)) - 1, steps) at the root of rho(A(s)) = 1.
 
     Newton steps on phi(s) = log rho(A(s)) from s = 0; a step that leaves the
@@ -287,7 +255,7 @@ def _dimension_root(cell: np.ndarray, log_ratio: np.ndarray, q: int, max_iter: i
     if abs(rho - 1.0) <= tau:
         return 0.0, rho - 1.0, 0
     s, lo, hi = 0.0, 0.0, math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _DIMENSION_MAX_ITER + 1):
         nxt = s - math.log(rho) / slope
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + 1.0
@@ -338,4 +306,5 @@ def sim_dim_gdifs(g: GDIFS) -> DimensionReport:
 
 def single_vertex_gdifs(ifs: SSIFS) -> GDIFS:
     """Embed an SSIFS as a one-vertex GDIFS with one self-loop per map."""
-    return GDIFS(1, [Edge(0, 0, s) for s in ifs], name=ifs.name)
+    zeros = np.zeros(len(ifs), dtype=np.intp)
+    return GDIFS(1, zeros, zeros, ifs.ratios, ifs.rotations, ifs.translations, name=ifs.name)

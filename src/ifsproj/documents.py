@@ -10,7 +10,7 @@ import numpy as np
 from . import tolerances
 from .dimension import GDIFS
 from .estimation import column_bounds
-from .geometry import GeometryError, SSIFS, Similarity
+from .geometry import DegenerateSystemError, GeometryError, SSIFS
 
 SCHEMA_VERSION = "1"
 
@@ -19,49 +19,41 @@ class SchemaError(ValueError):
     pass
 
 
-def similarity_to_json(s: Similarity) -> dict:
-    return {
-        "ratio": s.ratio,
-        "rotation": [float(x) for x in s.rotation.ravel()],
-        "translation": [float(x) for x in s.translation],
-    }
-
-
-def _check_finite(ratio, rotation, translation) -> None:
-    """Reject NaN and infinite map entries, which the range and
-    orthogonality checks let through (NaN compares false)."""
-    if not all(np.isfinite(x).all() for x in (ratio, rotation, translation)):
-        raise SchemaError("map ratios, rotations and translations must be finite")
-
-
-def _similarity_from_json(entry: dict, d: int) -> Similarity:
-    try:
-        ratio = float(entry["ratio"])
-        rotation = np.array(entry["rotation"], dtype=float).reshape(d, d)
-        translation = np.array(entry["translation"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed map entry: {exc}") from exc
-    _check_finite(ratio, rotation, translation)
-    if translation.shape != (d,):
-        raise SchemaError(f"translation length {translation.shape[0]} != ambient_dim {d}")
-    try:
-        return Similarity(ratio, rotation, translation)
-    except GeometryError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
-def ifs_to_document(ifs: SSIFS, metadata: dict | None = None) -> dict:
+def ifs_to_document(ratios, rotations, translations, metadata: dict | None = None) -> dict:
+    """The IfsDocument of the maps given as (m,), (m, d, d) and (m, d)
+    arrays (or nested lists), with the metadata object when one is given."""
+    rotations = np.asarray(rotations, dtype=float)
+    m, d = len(rotations), rotations.shape[-1]
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "ambient_dim": ifs.ambient_dim,
-        "maps": [similarity_to_json(s) for s in ifs],
+        "ambient_dim": d,
+        "maps": [
+            {"ratio": r, "rotation": o, "translation": v}
+            for r, o, v in zip(
+                np.asarray(ratios, dtype=float).tolist(),
+                rotations.reshape(m, d * d).tolist(),
+                np.asarray(translations, dtype=float).tolist(),
+            )
+        ],
     }
-    meta = dict(metadata or {})
-    if ifs.name and "name" not in meta:
-        meta["name"] = ifs.name
-    if meta:
-        doc["metadata"] = meta
+    if metadata:
+        doc["metadata"] = metadata
     return doc
+
+
+def _map_arrays(entries: list, d: int):
+    """(ratios, rotations, translations) of the map entries of a document:
+    each rotation is d * d numbers in any nesting, each translation d."""
+    try:
+        ratios = np.array([float(e["ratio"]) for e in entries])
+        rotations = np.array([np.reshape(np.array(e["rotation"], float), (d, d)) for e in entries])
+        translations = [np.array(e["translation"], dtype=float) for e in entries]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed map entry: {exc}") from exc
+    for v in translations:
+        if v.shape != (d,):
+            raise SchemaError(f"translation length {len(np.atleast_1d(v))} != ambient_dim {d}")
+    return ratios, rotations, np.array(translations)
 
 
 def ifs_from_document(doc: dict) -> SSIFS:
@@ -85,8 +77,13 @@ def ifs_from_document(doc: dict) -> SSIFS:
         raise SchemaError("ambient_dim must be positive")
     if not isinstance(maps_json, list) or not maps_json:
         raise SchemaError("maps must be a nonempty list")
-    maps = [_similarity_from_json(entry, d) for entry in maps_json]
-    return SSIFS(maps, name=document_metadata(doc).get("name"))
+    arrays = _map_arrays(maps_json, d)
+    try:
+        return SSIFS.from_arrays(*arrays, name=document_metadata(doc).get("name"))
+    except DegenerateSystemError:
+        raise
+    except GeometryError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def document_metadata(doc: dict) -> dict:
@@ -135,17 +132,13 @@ def gdifs_from_document(doc: dict) -> GDIFS:
         q = int(doc["vertices"])
         d = int(doc["ambient_dim"])
         edges = doc["edges"]
-        n = len(edges)
         source = [int(e["from"]) for e in edges]
         target = [int(e["to"]) for e in edges]
-        ratio = [float(e["ratio"]) for e in edges]
-        rotation = np.array([e["rotation"] for e in edges], dtype=float).reshape(n, d, d)
-        translation = np.array([e["translation"] for e in edges], dtype=float).reshape(n, d)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed GDIFS document: {exc}") from exc
-    _check_finite(ratio, rotation, translation)
+    arrays = _map_arrays(edges, d)
     try:
-        return GDIFS.from_arrays(q, source, target, ratio, rotation, translation)
+        return GDIFS(q, source, target, *arrays)
     except GeometryError as exc:
         raise SchemaError(str(exc)) from exc
 

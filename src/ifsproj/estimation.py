@@ -14,7 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, GeometryError, LinearMap, NumericFailureError, SSIFS
+from .geometry import (
+    DimensionMismatchError,
+    GeometryError,
+    LinearMap,
+    NumericFailureError,
+    SSIFS,
+    _fixed_points,
+)
 
 
 _BOUNDS_BLOCK = 1024  # rows per block of column_bounds' contiguous reductions
@@ -68,12 +75,10 @@ def column_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ifs_digest(ifs: SSIFS) -> str:
-    h = hashlib.sha256()
-    for s in ifs:
-        h.update(np.float64(s.ratio).tobytes())
-        h.update(np.ascontiguousarray(s.rotation, dtype=np.float64).tobytes())
-        h.update(np.ascontiguousarray(s.translation, dtype=np.float64).tobytes())
-    return h.hexdigest()
+    """sha256 of each map's ratio, rotation and translation, map by map."""
+    m = len(ifs)
+    rows = np.column_stack([ifs.ratios, ifs.rotations.reshape(m, -1), ifs.translations])
+    return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
 def sample_attractor(
@@ -109,9 +114,9 @@ def sample_attractor(
     if n < 1:
         raise GeometryError("need n >= 1")
     digest = ifs_digest(ifs)
-    m = len(ifs)
-    x0 = ifs[0].fixed_point()
-    d = x0.shape[0]
+    m, d = ifs.translations.shape
+    ratios, rotations, translations = ifs.ratios.tolist(), ifs.rotations, ifs.translations
+    x0 = _fixed_points(ifs.ratios[:1], rotations[:1], translations[:1])[0]
     if method is SamplingMethod.DETERMINISTIC_DEPTH:
         depth = 0
         while m**depth < n:
@@ -122,12 +127,12 @@ def sample_attractor(
             size = m**k
             prev = points[-size:]
             start = points.shape[0] - m * size
-            for i, s in enumerate(ifs):
+            for i in range(m):
                 block = points[start + i * size : start + (i + 1) * size]
-                np.matmul(prev.copy() if i == m - 1 else prev, s.rotation.T, out=block)
-                block *= s.ratio
+                np.matmul(prev.copy() if i == m - 1 else prev, rotations[i].T, out=block)
+                block *= ratios[i]
                 for j in range(d):
-                    block[:, j] += s.translation[j]
+                    block[:, j] += translations[i, j]
         return PointCloud(points, seed, method, digest, depth)
 
     rng = np.random.default_rng(seed)
@@ -139,9 +144,9 @@ def sample_attractor(
     # Map i applied to chain c is row c * m + i of the (chains * m, d) view of
     # images.  Ratios and translations are tiled to the full (chains, m * d)
     # shape: broadcasting along a short axis is several times slower.
-    stacked_rt = np.ascontiguousarray(np.concatenate([s.rotation.T for s in ifs], axis=1))
-    ratios = np.tile(np.repeat([s.ratio for s in ifs], d), (chains, 1))
-    translations = np.tile(np.concatenate([s.translation for s in ifs]), (chains, 1))
+    stacked_rt = np.ascontiguousarray(np.concatenate(rotations.transpose(0, 2, 1), axis=1))
+    tiled_ratios = np.tile(np.repeat(ratios, d), (chains, 1))
+    tiled_translations = np.tile(translations.ravel(), (chains, 1))
     images = np.empty((chains, m * d))
     flat_images = images.reshape(chains * m, d)
     base = np.arange(chains) * m
@@ -149,11 +154,12 @@ def sample_attractor(
     collected = np.empty((steps - burn_in, chains, d))
     for step, (row, lone) in enumerate(_chaos_choices(rng, m, steps, chains)):
         np.matmul(x, stacked_rt, out=images)
-        images *= ratios
-        images += translations
+        images *= tiled_ratios
+        images += tiled_translations
         for i in lone:
             c = int(np.flatnonzero(row == i)[0])
-            flat_images[c * m + i] = ifs[i](x[c : c + 1])[0]
+            image = ratios[i] * (x[c : c + 1] @ rotations[i].T) + translations[i]
+            flat_images[c * m + i] = image[0]
         if step >= burn_in:
             x = collected[step - burn_in]
         # mode="clip" writes straight into out; "raise" would buffer it.
@@ -328,12 +334,12 @@ def box_count(points: np.ndarray, scale: float) -> int:
     return box_counts(points, [scale])[0]
 
 
-def default_scales(cloud: PointCloud, coarse: int = 3, fine: int = 10) -> list[float]:
-    """Dyadic ladder 2^-coarse .. 2^-fine relative to the cloud diameter."""
+def default_scales(cloud: PointCloud) -> list[float]:
+    """Dyadic ladder 2^-3 .. 2^-10 relative to the cloud diameter."""
     diam = cloud.diameter()
     if diam == 0.0:
         diam = 1.0
-    return [diam * 2.0**-k for k in range(coarse, fine + 1)]
+    return [diam * 2.0**-k for k in range(3, 11)]
 
 
 def _fit(log_inv_scale: np.ndarray, log_counts: np.ndarray):

@@ -14,28 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .documents import ifs_from_document
+from .documents import ifs_from_document, ifs_to_document
 from .geometry import SSIFS
 from .groups import planar_rotation
 
 SIERPINSKI_CORNERS = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)]
-
-
-def _doc(d, maps, name, **metadata):
-    metadata = {"name": name, **metadata}
-    return {
-        "schema_version": "1",
-        "ambient_dim": d,
-        "maps": [
-            {
-                "ratio": r,
-                "rotation": [float(x) for x in np.asarray(rot, dtype=float).ravel()],
-                "translation": [float(x) for x in v],
-            }
-            for r, rot, v in maps
-        ],
-        "metadata": metadata,
-    }
 
 
 def _homothety_fixing(r, point):
@@ -44,42 +27,31 @@ def _homothety_fixing(r, point):
 
 
 def sierpinski_half() -> dict:
-    maps = [
-        (0.5, np.eye(2), _homothety_fixing(0.5, c)) for c in SIERPINSKI_CORNERS
-    ]
-    return _doc(
-        2,
-        maps,
-        "sierpinski_half",
-        expected_sim_dim=math.log(3) / math.log(2),
-        osc_certified=True,
-    )
+    translations = [_homothety_fixing(0.5, c) for c in SIERPINSKI_CORNERS]
+    metadata = {
+        "name": "sierpinski_half",
+        "expected_sim_dim": math.log(3) / math.log(2),
+        "osc_certified": True,
+    }
+    return ifs_to_document([0.5] * 3, [np.eye(2)] * 3, translations, metadata)
 
 
 def cantor_third() -> dict:
-    maps = [
-        (1.0 / 3.0, [[1.0]], [0.0]),
-        (1.0 / 3.0, [[1.0]], [2.0 / 3.0]),
-    ]
-    return _doc(
-        1,
-        maps,
-        "cantor_third",
-        expected_sim_dim=math.log(2) / math.log(3),
-        osc_certified=True,
-    )
+    metadata = {
+        "name": "cantor_third",
+        "expected_sim_dim": math.log(2) / math.log(3),
+        "osc_certified": True,
+    }
+    return ifs_to_document([1.0 / 3.0] * 2, [[[1.0]]] * 2, [[0.0], [2.0 / 3.0]], metadata)
 
 
 def c4_rotation() -> dict:
     # Rotation parts I, rot(90°), rot(180°) generate C4 with two independent
     # cycle steps, so the projection graph stays strongly connected after
     # any single edge deletion.
-    maps = [
-        (0.5, np.eye(2), [0.0, 0.0]),
-        (0.5, planar_rotation(math.pi / 2.0), [0.5, 0.0]),
-        (0.5, planar_rotation(math.pi), [0.25, 0.5]),
-    ]
-    return _doc(2, maps, "c4_rotation", expected_sim_dim=math.log(3) / math.log(2))
+    rotations = [np.eye(2), planar_rotation(math.pi / 2.0), planar_rotation(math.pi)]
+    metadata = {"name": "c4_rotation", "expected_sim_dim": math.log(3) / math.log(2)}
+    return ifs_to_document([0.5] * 3, rotations, [[0.0, 0.0], [0.5, 0.0], [0.25, 0.5]], metadata)
 
 
 def irrational_rotation_planar() -> dict:
@@ -93,19 +65,15 @@ def irrational_rotation_planar() -> dict:
     r = 3.0 ** (-1.25)
     angles = [0.0, 0.25, 0.41]
     fixed_points = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.9)]
-    maps = []
-    for angle, fp in zip(angles, fixed_points):
-        rot = planar_rotation(angle)
-        v = (np.eye(2) - r * rot) @ np.array(fp)
-        maps.append((r, rot, list(v)))
-    return _doc(
-        2,
-        maps,
-        "irrational_rotation_planar",
-        expected_sim_dim=0.8,
-        osc_certified=True,
-        rotation_angles=angles,
-    )
+    rotations = [planar_rotation(angle) for angle in angles]
+    translations = [(np.eye(2) - r * o) @ np.array(fp) for o, fp in zip(rotations, fixed_points)]
+    metadata = {
+        "name": "irrational_rotation_planar",
+        "expected_sim_dim": 0.8,
+        "osc_certified": True,
+        "rotation_angles": angles,
+    }
+    return ifs_to_document([r] * 3, rotations, translations, metadata)
 
 
 def example_7_2_r4() -> dict:
@@ -117,18 +85,16 @@ def example_7_2_r4() -> dict:
     rot = np.eye(4)
     rot[:2, :2] = t1
     plane1_fp = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.9)]
-    maps = []
-    for fp1, corner in zip(plane1_fp, SIERPINSKI_CORNERS):
-        v1 = (np.eye(2) - r * t1) @ np.array(fp1)
-        v2 = (1.0 - r) * np.array(corner)
-        maps.append((r, rot, list(v1) + list(v2)))
-    return _doc(
-        4,
-        maps,
-        "example_7_2_r4",
-        expected_sim_dim=math.log(3) / math.log(1.0 / r),
-        osc_certified=True,
-    )
+    translations = [
+        np.concatenate([(np.eye(2) - r * t1) @ np.array(fp1), (1.0 - r) * np.array(corner)])
+        for fp1, corner in zip(plane1_fp, SIERPINSKI_CORNERS)
+    ]
+    metadata = {
+        "name": "example_7_2_r4",
+        "expected_sim_dim": math.log(3) / math.log(1.0 / r),
+        "osc_certified": True,
+    }
+    return ifs_to_document([r] * 3, [rot] * 3, translations, metadata)
 
 
 def example_7_4_line() -> dict:
@@ -139,19 +105,13 @@ def example_7_4_line() -> dict:
     r = 0.3
     g = (1.0 - 3.0 * r) / 2.0
     shift = r * (r + g)
-    maps = [
-        (r, [[1.0]], [0.0]),
-        (r, [[1.0]], [shift]),
-        (r, [[1.0]], [r + g]),
-        (r, [[1.0]], [r + g + shift]),
-    ]
-    return _doc(
-        1,
-        maps,
-        "example_7_4_line",
-        parent_dim=math.log(3) / math.log(1.0 / r),
-        osc_certified=False,
-    )
+    translations = [[0.0], [shift], [r + g], [r + g + shift]]
+    metadata = {
+        "name": "example_7_4_line",
+        "parent_dim": math.log(3) / math.log(1.0 / r),
+        "osc_certified": False,
+    }
+    return ifs_to_document([r] * 4, [[[1.0]]] * 4, translations, metadata)
 
 
 def example_7_5_plane() -> dict:
@@ -162,35 +122,25 @@ def example_7_5_plane() -> dict:
     rot = planar_rotation(math.pi / 4.0)
     width = g + 2.0 * r
     shifted = r * (rot @ np.array([width, 0.0]))
-    maps = [
-        (r, rot, [-width, 0.0]),
-        (r, rot, [shifted[0] - width, shifted[1]]),
-        (r, rot, [0.0, 0.0]),
-        (r, rot, [shifted[0], shifted[1]]),
-    ]
-    return _doc(2, maps, "example_7_5_plane", rotation_order=8)
+    translations = [[-width, 0.0], [shifted[0] - width, shifted[1]], [0.0, 0.0], shifted]
+    metadata = {"name": "example_7_5_plane", "rotation_order": 8}
+    return ifs_to_document([r] * 4, [rot] * 4, translations, metadata)
 
 
 def cantor_pair_r2() -> dict:
-    maps = [
-        (1.0 / 3.0, np.eye(2), [0.0, 0.0]),
-        (1.0 / 3.0, np.eye(2), [2.0 / 3.0, 2.0 / 3.0]),
-    ]
-    return _doc(
-        2,
-        maps,
-        "cantor_pair_r2",
-        expected_sim_dim=math.log(2) / math.log(3),
-        osc_certified=True,
-    )
+    metadata = {
+        "name": "cantor_pair_r2",
+        "expected_sim_dim": math.log(2) / math.log(3),
+        "osc_certified": True,
+    }
+    translations = [[0.0, 0.0], [2.0 / 3.0, 2.0 / 3.0]]
+    return ifs_to_document([1.0 / 3.0] * 2, [np.eye(2)] * 2, translations, metadata)
 
 
 def degenerate_single_fixed_point() -> dict:
-    maps = [
-        (0.5, [[1.0]], [0.0]),
-        (1.0 / 3.0, [[1.0]], [0.0]),
-    ]
-    return _doc(1, maps, "degenerate_single_fixed_point")
+    # Both maps fix 0, so this document cannot be an SSIFS.
+    metadata = {"name": "degenerate_single_fixed_point"}
+    return ifs_to_document([0.5, 1.0 / 3.0], [[[1.0]]] * 2, [[0.0], [0.0]], metadata)
 
 
 BUILDERS = {

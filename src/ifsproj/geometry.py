@@ -90,14 +90,17 @@ def _orthogonality_defects(rotation: np.ndarray) -> np.ndarray:
     return _row_max_abs(gram)
 
 
-def checked_rotations(rotation: np.ndarray) -> np.ndarray:
-    """The orthogonality check of Similarity, applied to an (N, d, d) stack.
-
-    A defect above tau_orth raises; one above tau_orth / 10 is repaired.
-    """
+def checked_maps(ratio: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """The one check of a stack of maps x -> ratio * rotation @ x + translation:
+    finite entries, ratios in (0, 1) and orthogonal rotations.  A rotation
+    defect above tau_orth raises; one above tau_orth / 10 is repaired.
+    Returns the rotations, repaired."""
+    if not all(np.isfinite(a).all() for a in (ratio, rotation, translation)):
+        raise GeometryError("map ratios, rotations and translations must be finite")
+    outside = ~((ratio > 0.0) & (ratio < 1.0))
+    if outside.any():
+        raise GeometryError(f"ratio must lie in (0, 1), got {ratio[outside][0]}")
     tau = tolerances.tau_orth()
-    if not np.isfinite(rotation).all():
-        raise GeometryError("rotation entries must be finite")
     defect = _orthogonality_defects(rotation)
     if (defect > tau).any():
         raise GeometryError(f"rotation is not orthogonal (defect {defect.max():.3e})")
@@ -106,14 +109,6 @@ def checked_rotations(rotation: np.ndarray) -> np.ndarray:
         rotation = rotation.copy()
         rotation[bad] = [reorthonormalize(r) for r in rotation[bad]]
     return rotation
-
-
-def _checked_word_maps(ratio: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """The checks on word maps: ratios in (0, 1), and the rotation checks
-    and repairs of ``checked_rotations``."""
-    if not ((ratio > 0.0) & (ratio < 1.0)).all():
-        raise GeometryError("word ratio left (0, 1)")
-    return checked_rotations(rotation)
 
 
 def _fixed_points(ratio: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
@@ -185,37 +180,47 @@ class Similarity:
 class SSIFS:
     """Self-similar iterated function system: a finite list of similarities.
 
-    The maps are also held as arrays: ``ratios`` (m,), ``rotations``
-    (m, d, d) and ``translations`` (m, d).  A system built from arrays (a
-    word level, see ``iterate``) creates its ``maps`` only on first use.
+    The maps are held as arrays: ``ratios`` (m,), ``rotations`` (m, d, d)
+    and ``translations`` (m, d).  ``from_arrays`` is the one checked
+    constructor; ``SSIFS(maps)`` stacks its Similarity objects into it, and
+    a system built from arrays creates its ``maps`` only on first use.
     """
 
     def __init__(self, maps: Sequence[Similarity], name: str | None = None):
         maps = tuple(maps)
         if not maps:
             raise GeometryError("an SSIFS needs at least one map")
-        d = maps[0].ambient_dim
-        for s in maps:
-            if s.ambient_dim != d:
-                raise DimensionMismatchError("all maps must share the ambient dimension")
-            if not s.ratio < 1.0:
-                raise GeometryError("SSIFS maps must be strict contractions")
-        self.maps = maps
+        if any(s.ambient_dim != maps[0].ambient_dim for s in maps):
+            raise DimensionMismatchError("all maps must share the ambient dimension")
         self._set_arrays(
             np.array([s.ratio for s in maps]),
             np.array([s.rotation for s in maps]),
             np.array([s.translation for s in maps]),
             name,
         )
+        self.maps = maps
 
     @classmethod
-    def _from_arrays(cls, ratios, rotations, translations, name=None) -> "SSIFS":
-        """A system over already validated map arrays; ``maps`` is built lazily."""
+    def from_arrays(cls, ratios, rotations, translations, name=None) -> "SSIFS":
+        """The system of the maps given as (m,), (m, d, d) and (m, d) arrays,
+        after ``checked_maps``; a system whose maps share one fixed point
+        raises DegenerateSystemError."""
         ifs = cls.__new__(cls)
-        ifs._set_arrays(ratios, rotations, translations, name)
+        ifs._set_arrays(
+            np.array(ratios, dtype=float),
+            np.array(rotations, dtype=float),
+            np.array(translations, dtype=float),
+            name,
+        )
         return ifs
 
     def _set_arrays(self, ratios, rotations, translations, name) -> None:
+        m, d = translations.shape
+        if m == 0:
+            raise GeometryError("an SSIFS needs at least one map")
+        if ratios.shape != (m,) or rotations.shape != (m, d, d):
+            raise DimensionMismatchError("map ratios, rotations and translations do not match")
+        rotations = checked_maps(ratios, rotations, translations)
         fps = _fixed_points(ratios, rotations, translations)
         if len(fps) == 1 or np.abs(fps - fps[0]).max() <= tolerances.tau_num():
             raise DegenerateSystemError(
@@ -315,7 +320,7 @@ class WordLevel:
             translation = ratio[:, None] * moved + translation
             rotation = _matmul(rotation, rotations[column])
             ratio = ratio * ratios[column]
-            rotation = _checked_word_maps(ratio[nonempty], rotation)
+            rotation = checked_maps(ratio[nonempty], rotation, translation)
         return cls(ifs, letters, ratio, rotation, translation)
 
     @property
@@ -340,7 +345,7 @@ class WordLevel:
         moved = _matmul(self.rotation[:, None], ifs.translations[..., None])[..., 0]
         translation = self.ratio[:, None, None] * moved + self.translation[:, None]
         ratio = (self.ratio[:, None] * ifs.ratios[None]).ravel()
-        rotation = _checked_word_maps(ratio, rotation)
+        rotation = checked_maps(ratio, rotation, translation)
         return WordLevel(ifs, letters, ratio, rotation, translation.reshape(n * m, d))
 
     def indices(self, k: int) -> tuple[int, ...]:
@@ -356,7 +361,7 @@ class WordLevel:
 
     def system(self) -> SSIFS:
         """The words of this level as an SSIFS (the depth-iterated system)."""
-        return SSIFS._from_arrays(self.ratio, self.rotation, self.translation, self.ifs.name)
+        return SSIFS.from_arrays(self.ratio, self.rotation, self.translation, self.ifs.name)
 
 
 @dataclass(frozen=True)
@@ -387,36 +392,41 @@ class Word:
 
 
 def cylinder_ball(word: Word, root_center, root_radius: float):
-    """Bounding ball of the cylinder S_w(root ball)."""
-    return word.composed(root_center), word.ratio * root_radius
+    """Bounding ball of the cylinder S_w(root ball): the one-word
+    ``WordLevel.balls``."""
+    centers, radii = WordLevel.of_words(word.ifs, [word.indices]).balls(root_center, root_radius)
+    return centers[0], float(radii[0])
 
 
-def attractor_bounding_ball(ifs, max_iter: int = 1000):
+# Most mean-of-images steps toward the center of the bounding ball.
+_BALL_MAX_ITER = 1000
+
+
+def attractor_bounding_ball(ifs: SSIFS):
     """A ball B = (center, radius) with S_i(B) subset of B for every map.
 
-    Accepts an SSIFS or a plain sequence of similarities; a degenerate list
-    whose maps share a fixed point p yields the guard ball (p, eps_min).
+    Each map is applied on its own, x -> r * (x @ O^T) + v, as
+    ``Similarity.__call__`` does, so the bits do not depend on the map count.
     """
-    maps = list(ifs)
-    fps = np.array([s.fixed_point() for s in maps])
+    ratios = ifs.ratios.tolist()
+    maps = list(zip(ratios, ifs.rotations, ifs.translations))
+
+    def images(x):
+        return [r * (x @ o.T) + v for r, o, v in maps]
+
     eps_min = 1e-12
-    if np.abs(fps - fps[0]).max() <= tolerances.tau_num():
-        return fps[0], eps_min
-    ifs = maps
-    center = fps.mean(axis=0)
-    for _ in range(max_iter):
-        new_center = np.mean([s(center) for s in ifs], axis=0)
+    center = _fixed_points(ifs.ratios, ifs.rotations, ifs.translations).mean(axis=0)
+    for _ in range(_BALL_MAX_ITER):
+        new_center = np.mean(images(center), axis=0)
         if np.abs(new_center - center).max() <= 1e-14 * (1.0 + np.abs(center).max()):
             center = new_center
             break
         center = new_center
-    radius = max(
-        float(np.linalg.norm(s(center) - center)) / (1.0 - s.ratio) for s in ifs
-    )
-    radius = max(radius, eps_min)
+    distances = [float(np.linalg.norm(y - center)) for y in images(center)]
+    radius = max(max(dist / (1.0 - r) for dist, r in zip(distances, ratios)), eps_min)
     slack = tolerances.tau_num() * (1.0 + radius)
-    for s in ifs:
-        if np.linalg.norm(s(center) - center) + s.ratio * radius > radius + slack:
+    for dist, r in zip(distances, ratios):
+        if dist + r * radius > radius + slack:
             raise NumericFailureError("bounding ball invariance check failed")
     return center, radius
 

@@ -39,6 +39,12 @@ from .geometry import (
 )
 
 TWO_PI = 2.0 * math.pi
+# Max-abs distance below which two rotations are one group element.
+CLOSURE_TOLERANCE = 1e-6
+# Largest rotation-block order angle_order looks for.
+_MAX_DENOMINATOR = 10**6
+# kronecker_power's density witness must come closer to T than this.
+_WITNESS_DELTA = 0.05
 
 
 class GroupClosureError(GeometryError):
@@ -257,7 +263,7 @@ def _canonical_order(elements: np.ndarray) -> np.ndarray:
     return np.lexsort(flat.T[::-1])
 
 
-def group_closure(generators, tolerance: float = 1e-6, closure_cap: int = 5000) -> TransformationGroup:
+def group_closure(generators, closure_cap: int = 5000) -> TransformationGroup:
     """Semigroup closure of the generators (and their transposes).
 
     The generators are an (N, d, d) array or any iterable of d x d matrices;
@@ -284,6 +290,7 @@ def group_closure(generators, tolerance: float = 1e-6, closure_cap: int = 5000) 
     if (_orthogonality_defects(gens) > tolerances.tau_orth()).any():
         raise GroupClosureError("generator is not orthogonal")
     gens.setflags(write=False)
+    tolerance = CLOSURE_TOLERANCE
     distinct = _distinct(gens, tolerance)
 
     certificate = _cyclic_certificate(distinct, tolerance, closure_cap)
@@ -396,24 +403,22 @@ def block_diagonalize(t: np.ndarray) -> BlockForm:
     return form
 
 
-def angle_order(alpha: float, max_denominator: int = 10**6, tol: float | None = None) -> int | None:
+def angle_order(alpha: float) -> int | None:
     """Order k when alpha is (close to) a rational multiple 2*pi*p/k, else None.
 
-    Returns the smallest k <= max_denominator with |alpha/(2 pi) - p/k| < tol/k
+    Returns the smallest k <= 10^6 with |alpha/(2 pi) - p/k| < TAU_ANGLE/k
     found along the continued-fraction convergents; ties at the tolerance
     boundary resolve to the finite order.
     """
-    if tol is None:
-        tol = tolerances.TAU_ANGLE
     x = (alpha % TWO_PI) / TWO_PI
     # Continued-fraction convergents p/q of x.
     p_prev, q_prev = 1, 0
     p, q = int(math.floor(x)), 1
     rem = x - math.floor(x)
     for _ in range(64):
-        if q <= max_denominator and abs(x - p / q) < tol / q:
+        if q <= _MAX_DENOMINATOR and abs(x - p / q) < tolerances.TAU_ANGLE / q:
             return q
-        if rem == 0.0 or q > max_denominator:
+        if rem == 0.0 or q > _MAX_DENOMINATOR:
             break
         rem = 1.0 / rem
         a = int(math.floor(rem))
@@ -461,18 +466,13 @@ def power_witness(t: np.ndarray, k: int, z_cap: int = 10**5):
     return int(zs[best]), float(residual[best])
 
 
-def kronecker_power(
-    t: np.ndarray,
-    n: int,
-    z_cap: int = 10**5,
-    delta_witness: float = 0.05,
-    max_denominator: int = 10**6,
-) -> int:
+def kronecker_power(t: np.ndarray, n: int) -> int:
     """An exponent k >= N such that the powers of T^k come back near T.
 
     k = 2^N * (product of finite rotation-block orders) + 1; the density of
     the group generated by T^k inside the closure of <T> is certified
-    constructively by a witness z <= z_cap with ||T^(k z) - T|| < delta_witness.
+    constructively by a witness z <= 10^5 (``power_witness``'s cap) with
+    ||T^(k z) - T|| < 0.05.
     """
     if n < 1:
         raise GeometryError("N must be >= 1")
@@ -481,12 +481,12 @@ def kronecker_power(
     k0 = 2**n
     for b in form.blocks:
         if b.kind is BlockKind.ROTATION:
-            order = angle_order(b.angle, max_denominator=max_denominator)
+            order = angle_order(b.angle)
             if order is not None:
                 k0 *= order
     k = k0 + 1
-    z, residual = power_witness(t, k, z_cap=z_cap)
-    if residual >= delta_witness:
+    z, residual = power_witness(t, k)
+    if residual >= _WITNESS_DELTA:
         raise NumericFailureError(
             f"density witness search failed: best residual {residual:.3e} at z={z}"
         )

@@ -13,7 +13,7 @@ import pytest
 import ifsproj
 from ifsproj import cli
 from ifsproj.cli import MAX_SAMPLE_SIZE, build_parser, main
-from ifsproj.dimension import Edge, GDIFS, sim_dim_gdifs
+from ifsproj.dimension import sim_dim_gdifs, single_vertex_gdifs
 from ifsproj.documents import (
     SchemaError,
     gdifs_equal,
@@ -47,7 +47,7 @@ def run_json(capsys, argv):
 
 class TestDocuments:
     def test_ifs_round_trip(self, sierpinski):
-        doc = ifs_to_document(sierpinski)
+        doc = ifs_to_document(sierpinski.ratios, sierpinski.rotations, sierpinski.translations)
         again = ifs_from_document(doc)
         for a, b in zip(sierpinski, again):
             assert abs(a.ratio - b.ratio) < 1e-15
@@ -55,12 +55,12 @@ class TestDocuments:
             assert np.allclose(a.translation, b.translation, atol=1e-15)
 
     def test_gdifs_round_trip(self, sierpinski):
-        g = GDIFS(1, [Edge(0, 0, s) for s in sierpinski])
+        g = single_vertex_gdifs(sierpinski)
         assert gdifs_equal(g, gdifs_from_document(gdifs_to_document(g)))
 
     @pytest.mark.parametrize("drop", ["from", "ratio", "rotation"])
     def test_gdifs_edge_missing_a_key_is_a_schema_error(self, sierpinski, drop):
-        doc = gdifs_to_document(GDIFS(1, [Edge(0, 0, s) for s in sierpinski]))
+        doc = gdifs_to_document(single_vertex_gdifs(sierpinski))
         del doc["edges"][1][drop]
         with pytest.raises(SchemaError):
             gdifs_from_document(doc)
@@ -121,6 +121,10 @@ class TestFixtures:
             shipped = json.loads(fixture_path(name).read_text())
             assert shipped == fixture_document(name)
 
+    def test_written_files_are_the_shipped_bytes(self, fixture_dir):
+        for name in BUILDERS:
+            assert (fixture_dir / f"{name}.json").read_bytes() == fixture_path(name).read_bytes()
+
     def test_unknown_fixture_name(self):
         with pytest.raises(KeyError):
             fixture_document("nope")
@@ -162,6 +166,8 @@ BAD_DOCUMENTS = {
     "inf rotation": (["maps", 1, "rotation", 3], math.inf),
     "inf translation": (["maps", 1, "translation", 0], math.inf),
     "nan translation": (["maps", 1, "translation", 1], math.nan),
+    "scalar translation": (["maps", 1, "translation"], 0.5),
+    "identity map": (["maps", 1], {"ratio": 1.0, "rotation": [1, 0, 0, 1], "translation": [0, 0]}),
 }
 
 INPUT_COMMANDS = [
@@ -198,7 +204,7 @@ class TestCliBadDocuments:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_gdifs_document_rejects_non_finite_entries(self, sierpinski, value):
-        doc = gdifs_to_document(GDIFS(1, [Edge(0, 0, s) for s in sierpinski]))
+        doc = gdifs_to_document(single_vertex_gdifs(sierpinski))
         doc["edges"][2]["translation"][1] = value
         with pytest.raises(SchemaError, match="finite"):
             gdifs_from_document(doc)
@@ -671,6 +677,7 @@ def leaf_parsers(parser, path=()):
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 README_CLI = README.split("## CLI", 1)[1].split("\n## ", 1)[0]
+README_LIBRARY = README.split("## Library overview", 1)[1].split("\n## ", 1)[0]
 
 
 def readme_commands():
@@ -714,6 +721,18 @@ class TestCliOptions:
             for name, flags in rows
         }
         assert listed == {command: flags - {"--json"} for command, flags in COMMAND_OPTIONS.items()}
+
+
+class TestReadmeLibrarySnippet:
+    def test_runs_as_written_and_prints_the_commented_values(self, capsys):
+        snippet = README_LIBRARY.split("```python", 1)[1].split("```", 1)[0]
+        exec(snippet, {})
+        printed = capsys.readouterr().out.splitlines()
+        prints = [line for line in snippet.splitlines() if line.startswith("print(")]
+        assert len(printed) == len(prints)
+        for line, out in zip(prints, printed):
+            if "#" in line:
+                assert out.startswith(line.split("#", 1)[1].strip().rstrip("."))
 
 
 class TestStartup:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -38,7 +39,7 @@ from ifsproj.geometry import (
 )
 from ifsproj.groups import _RotationTable, group_closure, planar_rotation, rotation_distance
 
-from conftest import composed_by_oracle, random_ssifs
+from conftest import compose, composed_by_oracle, random_ssifs
 
 LOG3_LOG2 = math.log(3.0) / math.log(2.0)
 X_AXIS = LinearMap(np.array([[1.0, 0.0]]))
@@ -362,6 +363,13 @@ def queue_selection(ifs, o, delta, t, mass_target, depth_cap):
     def ratio(word):
         return math.prod(float(ifs.ratios[i - 1]) for i in word)
 
+    @functools.cache
+    def composed(word):
+        """composed_by_oracle(ifs, word), the fold of each prefix done once."""
+        if not word:
+            return Similarity.identity(ifs.ambient_dim)
+        return compose(composed(word[:-1]), ifs[word[-1] - 1])
+
     accepted, mass = [], 0.0
     queue = deque(((n,), rotation) for n, rotation in enumerate(ifs.rotations, start=1))
     while queue and mass < mass_target:
@@ -372,11 +380,11 @@ def queue_selection(ifs, o, delta, t, mass_target, depth_cap):
         elif len(word) < depth_cap:
             queue.extend((word + (n,), rot @ r) for n, r in enumerate(ifs.rotations, start=1))
         elif (tail := corrector_for(rot)) is not None:
-            if matches(composed_by_oracle(ifs, word + tail).rotation):
+            if matches(composed(word + tail).rotation):
                 accepted.append(word + tail)
                 mass += ratio(word + tail) ** t
     center, radius = attractor_bounding_ball(ifs)
-    balls = [(composed_by_oracle(ifs, w)(center), ratio(w) * radius) for w in accepted]
+    balls = [(composed(w)(center), ratio(w) * radius) for w in accepted]
     dropped = dropped_by_all_pairs(balls, tolerances.TAU_SEP_FACTOR * 2.0 * radius)
     if dropped:
         accepted = [w for k, w in enumerate(accepted) if k not in dropped]
@@ -436,11 +444,15 @@ class TestSelectionAgainstQueue:
 
 
 def dropped_by_all_pairs(balls, separation):
-    """Brute force: each word against every earlier word still kept."""
+    """Brute force: each word against every earlier word still kept, with
+    the distances of all pairs taken at once."""
+    centers = np.array([c for c, _ in balls])
+    radii = [r for _, r in balls]
+    distance = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(axis=-1)).tolist()
     dropped = set()
     for k in range(len(balls)):
         for j in range(k):
-            if j not in dropped and not separated(balls[k], balls[j], separation):
+            if j not in dropped and distance[k][j] < radii[k] + radii[j] + separation:
                 dropped.add(k)
                 break
     return dropped

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ LOG3_LOG2 = math.log(3.0) / math.log(2.0)
 
 
 def loop(r, v=0.0, source=0, target=0):
-    return Edge(source, target, Similarity(r, [[1.0]], [v]))
+    return source, target, r, v
+
+
+def graph(q, loops):
+    """A GDIFS on the line with the homothety x -> r x + v on each loop edge."""
+    source, target, ratio, v = zip(*loops)
+    return GDIFS(q, source, target, ratio, np.ones((len(v), 1, 1)), np.array(v)[:, None])
 
 
 class TestSimDimSsifs:
@@ -116,11 +123,11 @@ class TestSpectralRadius:
 
 class TestStronglyConnected:
     def test_single_vertex_self_loop(self):
-        g = GDIFS(1, [loop(0.5)])
+        g = graph(1, [loop(0.5)])
         assert is_strongly_connected(g)
 
     def test_one_way_edge_not_strong(self):
-        g = GDIFS(2, [loop(0.5, source=0, target=1), loop(0.5, source=1, target=1)])
+        g = graph(2, [loop(0.5, source=0, target=1), loop(0.5, source=1, target=1)])
         assert not is_strongly_connected(g)
 
     def test_component_decomposition(self):
@@ -137,7 +144,7 @@ class TestStronglyConnectedArrays:
         rng = np.random.default_rng(seed)
         ends = [(v, int(rng.integers(q))) for v in range(q)]
         ends += [tuple(map(int, e)) for e in rng.integers(0, q, size=(int(rng.integers(0, 3 * q)), 2))]
-        g = GDIFS(q, [loop(0.5, v=0.1 * i, source=a, target=b) for i, (a, b) in enumerate(ends)])
+        g = graph(q, [loop(0.5, v=0.1 * i, source=a, target=b) for i, (a, b) in enumerate(ends)])
         expected = len(strongly_connected_components(q, ends)) == 1
         assert is_strongly_connected(g) == expected
         for index in range(len(ends)):
@@ -153,33 +160,42 @@ class TestStronglyConnectedArrays:
 
 
 class TestGdifs:
-    def test_from_arrays_matches_edges(self):
-        g = GDIFS(2, [loop(0.5, 0.1, 0, 1), loop(0.25, 0.2, 1, 0), loop(0.5, 0.3, 1, 1)])
-        h = GDIFS.from_arrays(
-            2, [0, 1, 1], [1, 0, 1], [0.5, 0.25, 0.5], np.ones((3, 1, 1)), [[0.1], [0.2], [0.3]]
-        )
-        def rows(graph):
-            return [(e.source, e.target, e.map.ratio, e.map.translation[0]) for e in graph.edges]
+    def test_edges_view_matches_the_arrays(self):
+        g = graph(2, [loop(0.5, 0.1, 0, 1), loop(0.25, 0.2, 1, 0), loop(0.5, 0.3, 1, 1)])
+        rows = [(e.source, e.target, e.map.ratio, e.map.translation[0]) for e in g.edges]
+        assert rows == [(0, 1, 0.5, 0.1), (1, 0, 0.25, 0.2), (1, 1, 0.5, 0.3)]
+        assert all(isinstance(e, Edge) for e in g.edges)
 
-        assert rows(h) == rows(g)
-        assert np.array_equal(h.transition_matrix(0.7), g.transition_matrix(0.7))
-
-    def test_from_arrays_checks_the_maps(self):
+    def test_constructor_checks_the_maps(self):
         with pytest.raises(GeometryError):
-            GDIFS.from_arrays(1, [0], [0], [1.5], np.ones((1, 1, 1)), [[0.0]])
+            GDIFS(1, [0], [0], [1.5], np.ones((1, 1, 1)), [[0.0]])
         with pytest.raises(GeometryError):
-            GDIFS.from_arrays(1, [0], [0], [0.5], 2.0 * np.ones((1, 1, 1)), [[0.0]])
+            GDIFS(1, [0], [0], [0.5], 2.0 * np.ones((1, 1, 1)), [[0.0]])
+        with pytest.raises(GeometryError, match="finite"):
+            GDIFS(1, [0], [0], [0.5], np.ones((1, 1, 1)), [[math.nan]])
+        with pytest.raises(GeometryError, match="differ in length"):
+            GDIFS(1, [0], [0], [0.5, 0.5], np.ones((1, 1, 1)), [[0.0]])
 
     def test_requires_outgoing_edges_everywhere(self):
         with pytest.raises(GdifsStructureError):
-            GDIFS(2, [loop(0.5)])
+            graph(2, [loop(0.5)])
+
+    def test_rejects_more_vertices_than_edges_before_counting(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GdifsStructureError, match="outgoing edge"):
+                graph(10**7, [loop(0.5)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_transition_matrix_sums_parallel_edges(self):
-        g = GDIFS(1, [loop(0.5), loop(0.5, v=0.5)])
+        g = graph(1, [loop(0.5), loop(0.5, v=0.5)])
         assert abs(g.transition_matrix(1.0)[0, 0] - 1.0) < 1e-15
 
     def test_delete_edge(self):
-        g = GDIFS(1, [loop(0.5), loop(0.5, v=0.5)])
+        g = graph(1, [loop(0.5), loop(0.5, v=0.5)])
         assert len(g.delete_edge(0).edges) == 1
 
     def test_single_vertex_three_loops(self, sierpinski):
@@ -194,10 +210,10 @@ class TestGdifs:
             loop(0.5, v=0.5, source=1, target=0),
         ]
         # Hand eigenvalue of [[0, a], [a, 0]] is a with a = 2*2^(-s).
-        assert abs(sim_dim_gdifs(GDIFS(2, edges)).value - 1.0) < 1e-9
+        assert abs(sim_dim_gdifs(graph(2, edges)).value - 1.0) < 1e-9
 
     def test_refuses_reducible_graph(self):
-        g = GDIFS(2, [loop(0.5, source=0, target=1), loop(0.5, source=1, target=1)])
+        g = graph(2, [loop(0.5, source=0, target=1), loop(0.5, source=1, target=1)])
         with pytest.raises(GdifsStructureError):
             sim_dim_gdifs(g)
 
@@ -219,7 +235,7 @@ class TestGdifs:
             assert abs(a - b) < 1e-9
 
     def test_edge_deletion_strictly_drops_dimension(self):
-        g = GDIFS(1, [loop(0.5), loop(0.5, v=0.25), loop(0.5, v=0.5)])
+        g = graph(1, [loop(0.5), loop(0.5, v=0.25), loop(0.5, v=0.5)])
         full = sim_dim_gdifs(g).value
         reduced = sim_dim_gdifs(g.delete_edge(0)).value
         assert reduced < full - 1e-12
@@ -284,7 +300,7 @@ class TestNewtonSolver:
         extra = int(rng.integers(0, 3 * q + 1))
         ends = rng.integers(0, q, size=(extra, 2))
         edges += [loop(r, source=int(a), target=int(b)) for (a, b), r in zip(ends, ratios[q:])]
-        g = GDIFS(q, edges)
+        g = graph(q, edges)
         report = sim_dim_gdifs(g)
 
         def rho(s):

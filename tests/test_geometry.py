@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsproj.fixtures import fixture_ifs
+from ifsproj.fixtures import BUILDERS, fixture_ifs
 from ifsproj.geometry import (
     DegenerateSystemError,
     DimensionMismatchError,
@@ -17,10 +17,11 @@ from ifsproj.geometry import (
     Subspace,
     Word,
     WordLevel,
+    _fixed_points,
     _matmul,
     _row_max_abs,
     attractor_bounding_ball,
-    checked_rotations,
+    checked_maps,
     cylinder_ball,
     orthogonality_defect,
 )
@@ -33,6 +34,9 @@ from conftest import (
     random_similarity,
     random_ssifs,
 )
+
+
+NON_DEGENERATE = [name for name in BUILDERS if name != "degenerate_single_fixed_point"]
 
 
 def halving(v):
@@ -84,10 +88,13 @@ class TestSimilarity:
             Similarity(0.5, np.eye(2), [math.nan, 0.0])
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
-    def test_checked_rotations_rejects_non_finite_entries(self, entry):
-        stack = np.stack([np.eye(2), [[1.0, 0.0], [0.0, entry]]])
-        with pytest.raises(GeometryError):
-            checked_rotations(stack)
+    @pytest.mark.parametrize("which", ["ratio", "rotation", "translation"])
+    def test_checked_maps_rejects_non_finite_entries(self, entry, which):
+        arrays = {"ratio": np.full(2, 0.5), "rotation": np.stack([np.eye(2)] * 2)}
+        arrays["translation"] = np.zeros((2, 2))
+        arrays[which].flat[-1] = entry
+        with pytest.raises(GeometryError, match="finite"):
+            checked_maps(**arrays)
 
     def test_rejects_rotation_translation_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -178,6 +185,23 @@ class TestSSIFS:
         b = halving([1.0, 0.0])
         with pytest.raises(DimensionMismatchError):
             SSIFS([a, b])
+
+    def test_from_arrays_equals_the_stacked_maps(self, c4):
+        again = SSIFS.from_arrays(c4.ratios, c4.rotations, c4.translations)
+        assert np.array_equal(again.ratios, c4.ratios)
+        assert np.array_equal(again.rotations, c4.rotations)
+        assert np.array_equal(again.translations, c4.translations)
+        for ratio in (1.0, 0.0, math.nan):
+            with pytest.raises(GeometryError):
+                SSIFS.from_arrays([0.5, ratio], [[[1.0]]] * 2, [[0.0], [1.0]])
+        with pytest.raises(DimensionMismatchError):
+            SSIFS.from_arrays([0.5, 0.5], [np.eye(2)] * 2, [[0.0], [1.0]])
+
+    @pytest.mark.parametrize("name", NON_DEGENERATE)
+    def test_fixed_points_equal_the_per_map_solve(self, name):
+        ifs = fixture_ifs(name)
+        fps = _fixed_points(ifs.ratios, ifs.rotations, ifs.translations)
+        assert np.array_equal(fps, [s.fixed_point() for s in ifs])
 
     def test_iterate_squares_the_alphabet(self, sierpinski):
         it = sierpinski.iterate(2)
@@ -283,12 +307,18 @@ class TestWordLevel:
         assert np.array_equal(level.rotation, c4.rotations)
         assert np.array_equal(level.translation, c4.translations)
 
-    def test_balls_match_cylinder_ball(self, sierpinski):
-        level = WordLevel.root(sierpinski).extend().extend()
-        centers, radii = level.balls([0.5, 0.3], 0.7)
+    @pytest.mark.parametrize("name", NON_DEGENERATE)
+    def test_balls_match_cylinder_ball(self, name):
+        # Bit for bit, on every depth-4 word and the attractor's root ball.
+        ifs = fixture_ifs(name)
+        level = WordLevel.root(ifs)
+        for _ in range(4):
+            level = level.extend()
+        center, radius = attractor_bounding_ball(ifs)
+        centers, radii = level.balls(center, radius)
         for k in range(len(level)):
-            c, r = cylinder_ball(sierpinski.word(level.indices(k)), [0.5, 0.3], 0.7)
-            assert np.abs(centers[k] - c).max() <= 1e-15
+            c, r = cylinder_ball(ifs.word(level.indices(k)), center, radius)
+            assert np.array_equal(centers[k], c)
             assert radii[k] == r
 
 
@@ -422,18 +452,11 @@ class TestAttractorBoundingBall:
         assert abs(c[0] - 0.5) < 1e-9
         assert r >= 0.5 - 1e-9
 
-    def test_degenerate_list_yields_point_guard(self):
-        a = Similarity(0.5, [[1.0]], [0.0])
-        b = Similarity(1.0 / 3.0, [[1.0]], [0.0])
-        c, r = attractor_bounding_ball([a, b])
-        assert np.allclose(c, [0.0])
-        assert r <= 1e-10
-
     def test_random_systems_invariant(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             maps = [random_similarity(rng, 2) for _ in range(3)]
-            c, r = attractor_bounding_ball(maps)
+            c, r = attractor_bounding_ball(SSIFS(maps))
             for s in maps:
                 assert np.linalg.norm(s(c) - c) + s.ratio * r <= r + 1e-8 * (1 + r)
 

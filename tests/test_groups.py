@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifsproj import groups
 from ifsproj.fixtures import fixture_ifs
 from ifsproj.geometry import GeometryError, WordLevel
 from ifsproj.groups import (
@@ -446,13 +447,14 @@ class TestHashedClosure:
         assert g.reason == "cap_exceeded"
         assert g.margin is None
 
-    def test_index_of_counts_every_match(self):
+    def test_index_of_counts_every_match(self, monkeypatch):
         g = group_closure([planar_rotation(math.pi / 2.0)])
         with pytest.raises(GroupClosureError, match="no group element"):
             g.index_of(planar_rotation(0.1))
         # Quarter turns lie 1 apart in max-abs norm; the eighth turn lies
         # sqrt(2)/2 from both its neighbours, inside a tolerance of 0.9.
-        loose = group_closure([planar_rotation(math.pi / 2.0)], tolerance=0.9)
+        monkeypatch.setattr(groups, "CLOSURE_TOLERANCE", 0.9)
+        loose = group_closure([planar_rotation(math.pi / 2.0)])
         assert loose.order == 4
         with pytest.raises(GroupClosureError, match="matches 2 group elements"):
             loose.index_of(planar_rotation(math.pi / 4.0))
