@@ -2,20 +2,9 @@
 
 Each command, and each mode of ``estimate``, has its own parser that
 declares only the options its handler reads; any other option exits 2.
-
-Exit codes: 0 ok, 2 bad or unreadable input document (also a non-finite
-map ratio, rotation or translation entry, or a metadata that is not a JSON
-object) or bad option (an option the command does not take, an empty,
-unparsable, non-finite or zero --direction, an empty or unparsable
---scales, an --l outside 1..d, a negative --seed, an --n outside
-1..MAX_SAMPLE_SIZE = 10**7), 3 degenerate system, 4 structural hypothesis
-violation (infinite group, not strongly connected), 5 numeric failure
-(also a --delta, --epsilon or --t of cylinders, collapse-sweep or
-ssc-approx that is not finite and positive, a --mass-target outside
-(0, 1), an --angle that is not finite, a --depth-cap below 1, a
---scales ladder with an end that overflows or underflows to zero, or a
-covering sum that overflows), 6 I/O error (an output file or directory
-cannot be written).
+``main`` loads the input document, runs the handler, which returns its
+report fields, and emits them after the one report header.  The exit codes
+are the table in the README's CLI section.
 """
 
 from __future__ import annotations
@@ -44,7 +33,6 @@ from .documents import (
     gdifs_to_document,
     ifs_from_document,
     load_document,
-    load_ifs,
     write_pgm,
     write_points_csv,
     write_scale_count_csv,
@@ -72,7 +60,10 @@ EXIT_IO = 6
 MAX_SAMPLE_SIZE = 10**7
 
 
-def _report_header(path=None, ifs=None, seed=None) -> dict:
+def _report_header(args, ifs) -> dict:
+    """The fields that open every report: the tool, version and tolerances,
+    then the input and fixture of a command that takes --input, the seed of
+    one that takes --seed and the mode of an estimate."""
     profile = tolerances.active_profile()
     header = {
         "tool": "ifsproj",
@@ -84,18 +75,13 @@ def _report_header(path=None, ifs=None, seed=None) -> dict:
             "tau_dim": profile.tau_dim,
         },
     }
-    if path is not None:
-        header["input"] = str(path)
-    if ifs is not None and ifs.name:
-        header["fixture"] = ifs.name
-    if seed is not None:
-        header["seed"] = seed
-    return header
-
-
-def _estimate_header(args, ifs, seed=None) -> dict:
-    header = _report_header(args.input, ifs, seed)
-    header["mode"] = args.mode
+    if ifs is not None:
+        header["input"] = str(args.input)
+        if ifs.name:
+            header["fixture"] = ifs.name
+    for key in ("seed", "mode"):
+        if key in args:
+            header[key] = getattr(args, key)
     return header
 
 
@@ -137,11 +123,11 @@ def _parse_scales(spec: str, diameter: float) -> list[float]:
     return [diameter * 2.0**-k for k in range(coarse, fine + 1)]
 
 
-def _projection_dim(args, d: int, default: int) -> int:
+def _projection_dim(args, largest: int, default: int) -> int:
     if args.l is None:
         return default
-    if not 1 <= args.l <= d:
-        raise SchemaError(f"--l must lie in 1..{d}")
+    if not 1 <= args.l <= largest:
+        raise SchemaError(f"--l must lie in 1..{largest}")
     return args.l
 
 
@@ -177,167 +163,137 @@ def _sample(args, ifs):
     return sample_attractor(ifs, args.n, seed=args.seed, method=method)
 
 
-def cmd_simdim(args) -> int:
-    ifs = load_ifs(args.input)
+def _out_dir(args) -> Path:
+    """The --out directory, created if it is missing."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+# Each handler takes the parsed arguments, the input system and the input
+# document's metadata (None for fixtures), and returns its report fields
+# in report order.
+
+
+def cmd_simdim(args, ifs, metadata) -> dict:
     report = sim_dim_ssifs(ifs)
-    out = _report_header(args.input, ifs)
-    out.update(
-        {
-            "similarity_dim": report.value,
-            "residual": report.residual,
-            "iterations": report.iterations,
-            "method": report.method.value,
-        }
-    )
-    _emit(args, out)
-    return EXIT_OK
+    return {
+        "similarity_dim": report.value,
+        "residual": report.residual,
+        "iterations": report.iterations,
+        "method": report.method.value,
+    }
 
 
-def cmd_project_gdifs(args) -> int:
-    ifs = load_ifs(args.input)
+def cmd_project_gdifs(args, ifs, metadata) -> dict:
     result = build_projection_gdifs(ifs, _linear_map_for(args, ifs.ambient_dim))
     g = result.gdifs
     gd_report = sim_dim_gdifs(g)
     a = g.transition_matrix(result.source_dim)
     row_sum_err = float(np.abs(a.sum(axis=1) - 1.0).max())
-    out = _report_header(args.input, ifs)
-    out.update(
-        {
-            "vertices": g.vertex_count,
-            "edges": len(g.source),
-            "strongly_connected": True,
-            "source_sim_dim": result.source_dim,
-            "gdifs_sim_dim": gd_report.value,
-            "row_sum_max_error": row_sum_err,
-        }
-    )
+    fields = {
+        "vertices": g.vertex_count,
+        "edges": len(g.source),
+        "strongly_connected": True,
+        "source_sim_dim": result.source_dim,
+        "gdifs_sim_dim": gd_report.value,
+        "row_sum_max_error": row_sum_err,
+    }
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "projection_gdifs.json"
+        path = _out_dir(args) / "projection_gdifs.json"
         path.write_text(json.dumps(gdifs_to_document(g), indent=2) + "\n")
-        out["gdifs_document"] = str(path)
-    _emit(args, out)
-    return EXIT_OK
+        fields["gdifs_document"] = str(path)
+    return fields
 
 
-def cmd_dimdrop(args) -> int:
-    ifs = load_ifs(args.input)
+def cmd_dimdrop(args, ifs, metadata) -> dict:
     d = ifs.ambient_dim
-    result = find_dimension_drop(ifs, _projection_dim(args, d, d - 1))
-    out = _report_header(args.input, ifs)
-    out.update(
-        {
-            "subspace_basis": [list(map(float, col)) for col in result.subspace.basis.T],
-            "s_original": result.s_original,
-            "s_reduced": result.s_reduced,
-            "witness_word_a": list(result.overlap_witness.word_a.indices),
-            "witness_word_b": list(result.overlap_witness.word_b.indices),
-            "closure_reason": result.group.reason,
-            "closure_size": result.group.witness_count,
-        }
-    )
-    _emit(args, out)
-    return EXIT_OK
+    result = find_dimension_drop(ifs, _projection_dim(args, d - 1, d - 1))
+    return {
+        "subspace_basis": [list(map(float, col)) for col in result.subspace.basis.T],
+        "s_original": result.s_original,
+        "s_reduced": result.s_reduced,
+        "witness_word_a": list(result.overlap_witness.word_a.indices),
+        "witness_word_b": list(result.overlap_witness.word_b.indices),
+        "closure_reason": result.group.reason,
+        "closure_size": result.group.witness_count,
+    }
 
 
-def _report_box_dim(args, counted, scales, out) -> int:
+def _box_dim_fields(args, counted, scales) -> dict:
     est = box_dim(counted, scales)
-    out.update(
-        {
-            "slope": est.slope,
-            "r_squared": est.r_squared,
-            "scales": list(est.scales),
-            "counts": list(est.counts),
-        }
-    )
+    fields = {
+        "slope": est.slope,
+        "r_squared": est.r_squared,
+        "scales": list(est.scales),
+        "counts": list(est.counts),
+    }
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(args)
         csv_path = out_dir / "scale_counts.csv"
         write_scale_count_csv(csv_path, est.scales, est.counts)
-        out["csv"] = str(csv_path)
+        fields["csv"] = str(csv_path)
         points_path = out_dir / "points.csv"
         write_points_csv(points_path, counted.points[:100000])
-        out["points_csv"] = str(points_path)
+        fields["points_csv"] = str(points_path)
         if counted.ambient_dim == 2:
             pgm_path = out_dir / "cloud.pgm"
             write_pgm(pgm_path, counted.points)
-            out["pgm"] = str(pgm_path)
-    _emit(args, out)
-    return EXIT_OK
+            fields["pgm"] = str(pgm_path)
+    return fields
 
 
-def cmd_boxdim(args) -> int:
-    ifs = load_ifs(args.input)
-    out = _estimate_header(args, ifs, args.seed)
+def cmd_boxdim(args, ifs, metadata) -> dict:
     cloud = _sample(args, ifs)
-    out["points"] = len(cloud)
-    return _report_box_dim(args, cloud, _box_scales(args, cloud, cloud), out)
+    return {"points": len(cloud), **_box_dim_fields(args, cloud, _box_scales(args, cloud, cloud))}
 
 
-def cmd_project_boxdim(args) -> int:
-    ifs = load_ifs(args.input)
-    out = _estimate_header(args, ifs, args.seed)
+def cmd_project_boxdim(args, ifs, metadata) -> dict:
     cloud = _sample(args, ifs)
     projected = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim))
     scales = _box_scales(args, cloud, projected)
     del cloud  # the projection is counted without the sample it came from
-    out["points"] = len(projected)
-    out["projected_dim"] = projected.ambient_dim
-    return _report_box_dim(args, projected, scales, out)
+    return {
+        "points": len(projected),
+        "projected_dim": projected.ambient_dim,
+        **_box_dim_fields(args, projected, scales),
+    }
 
 
-def cmd_collapse_sweep(args) -> int:
-    ifs = load_ifs(args.input)
-    out = _estimate_header(args, ifs, args.seed)
+def cmd_collapse_sweep(args, ifs, metadata) -> dict:
     cloud = _sample(args, ifs)
     projected = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim))
     t = args.t if args.t is not None else sim_dim_ssifs(ifs).value
     scales = _parse_scales(args.scales, cloud.diameter())
     del cloud  # the projection is counted without the sample it came from
     counts, sums = covering_sums(projected, t, scales)
-    out.update(
-        {
-            "exponent_t": t,
-            "scales": scales,
-            "covering_sums": sums,
-            "monotone_decreasing": all(a >= b for a, b in zip(sums, sums[1:])),
-        }
-    )
+    fields = {
+        "exponent_t": t,
+        "scales": scales,
+        "covering_sums": sums,
+        "monotone_decreasing": all(a >= b for a, b in zip(sums, sums[1:])),
+    }
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "collapse_sweep.csv"
+        path = _out_dir(args) / "collapse_sweep.csv"
         write_scale_count_csv(path, scales, counts)
-        out["csv"] = str(path)
-    _emit(args, out)
-    return EXIT_OK
+        fields["csv"] = str(path)
+    return fields
 
 
-def cmd_ssc_approx(args) -> int:
-    doc = load_document(args.input)
-    ifs = ifs_from_document(doc)
-    out = _estimate_header(args, ifs, args.seed)
-    osc = bool(document_metadata(doc).get("osc_certified"))
+def cmd_ssc_approx(args, ifs, metadata) -> dict:
+    osc = bool(metadata.get("osc_certified"))
     subsystem = ssc_subsystem(ifs, args.epsilon, t=args.t, osc_certified=osc, seed=args.seed)
-    out.update(
-        {
-            "epsilon": args.epsilon,
-            "exponent_t": subsystem.exponent,
-            "word_count": len(subsystem.words),
-            "subsystem_sim_dim": subsystem.sim_dim.value,
-            "trivial_fallback": subsystem.trivial_fallback,
-            "words": [list(w.indices) for w in subsystem.words[:50]],
-        }
-    )
-    _emit(args, out)
-    return EXIT_OK
+    return {
+        "epsilon": args.epsilon,
+        "exponent_t": subsystem.exponent,
+        "word_count": len(subsystem.words),
+        "subsystem_sim_dim": subsystem.sim_dim.value,
+        "trivial_fallback": subsystem.trivial_fallback,
+        "words": [list(w.indices) for w in subsystem.words[:50]],
+    }
 
 
-def cmd_cylinders(args) -> int:
-    ifs = load_ifs(args.input)
-    out = _estimate_header(args, ifs)
+def cmd_cylinders(args, ifs, metadata) -> dict:
     d = ifs.ambient_dim
     if args.angle is not None:
         if d != 2:
@@ -354,31 +310,23 @@ def cmd_cylinders(args) -> int:
         mass_target=args.mass_target,
         depth_cap=args.depth_cap,
     )
-    out.update(
-        {
-            "delta": selection.delta,
-            "exponent_t": selection.exponent,
-            "mass": selection.mass,
-            "word_count": len(selection.words),
-            "partial": selection.partial,
-            "dropped_words": selection.dropped_words,
-            "depth_cap": selection.depth_cap,
-            "closure_reason": selection.group.reason,
-            "closure_size": selection.group.witness_count,
-        }
-    )
-    _emit(args, out)
-    return EXIT_OK
+    return {
+        "delta": selection.delta,
+        "exponent_t": selection.exponent,
+        "mass": selection.mass,
+        "word_count": len(selection.words),
+        "partial": selection.partial,
+        "dropped_words": selection.dropped_words,
+        "depth_cap": selection.depth_cap,
+        "closure_reason": selection.group.reason,
+        "closure_size": selection.group.witness_count,
+    }
 
 
-def cmd_fixtures(args) -> int:
+def cmd_fixtures(args, ifs, metadata) -> dict:
     from .fixtures import write_all
 
-    written = write_all(args.out)
-    report = _report_header()
-    report["written"] = [str(p) for p in written]
-    _emit(args, report)
-    return EXIT_OK
+    return {"written": [str(p) for p in write_all(args.out)]}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -392,6 +340,12 @@ def _seed(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
+
+
+def _directory(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    return text
 
 
 def _sample_size(text: str) -> int:
@@ -424,7 +378,7 @@ _OPTIONS = {
     "--angle": dict(type=float, help="target rotation angle"),
     "--mass-target": dict(type=float, default=0.9, help="mass the selection should reach"),
     "--depth-cap": dict(type=int, default=12, help="longest word searched"),
-    "--out": dict(help="directory for emitted files"),
+    "--out": dict(type=_directory, help="directory for emitted files"),
     "--json": dict(action="store_true", help="machine-readable output"),
 }
 _SAMPLING = ("--n", "--seed", "--method")
@@ -490,7 +444,13 @@ def _process_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _process_parser().parse_args(argv)
     try:
-        return args.func(args)
+        ifs = metadata = None
+        if "input" in args:
+            doc = load_document(args.input)
+            ifs, metadata = ifs_from_document(doc), document_metadata(doc)
+        fields = args.func(args, ifs, metadata)
+        _emit(args, {**_report_header(args, ifs), **fields})
+        return EXIT_OK
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -306,7 +306,21 @@ class TestCliDimdrop:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "schema error: --l must lie in 1..2\n"
+        assert captured.err == "schema error: --l must lie in 1..1\n"
+
+    def test_l_of_d_exits_two(self, capsys, fixture_dir):
+        # dimdrop needs l < d; --l d once ran and failed as a numeric failure.
+        code = main(["dimdrop", "--input", str(fixture_dir / "sierpinski_half.json"), "--l", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "schema error: --l must lie in 1..1\n"
+
+    def test_one_dimensional_system_without_l_exits_five(self, capsys, fixture_dir):
+        code = main(["dimdrop", "--input", str(fixture_dir / "cantor_third.json")])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.err.startswith("numeric failure:")
 
 
 class TestCliEstimate:
@@ -709,6 +723,25 @@ class TestCliOptions:
         assert captured.out == ""
         assert captured.err == f"ifsproj: error: unrecognized arguments: {option} {value}\n"
 
+    @pytest.mark.parametrize(
+        "command", [c for c, flags in COMMAND_OPTIONS.items() if "--out" in flags]
+    )
+    def test_an_empty_out_exits_two(self, capsys, fixture_dir, tmp_path, monkeypatch, command):
+        # "--out=" once meant the working directory (fixtures) or no files.
+        monkeypatch.chdir(tmp_path)
+        argv = command.split()
+        if "--input" in COMMAND_OPTIONS[command]:
+            argv += ["--input", str(fixture_dir / "c4_rotation.json")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out="])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"ifsproj {command}: error: argument --out: must name a directory, got ''\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[1:3]))
     def test_readme_command_parses(self, argv):
         assert argv[0] == "ifsproj"
@@ -721,6 +754,90 @@ class TestCliOptions:
             for name, flags in rows
         }
         assert listed == {command: flags - {"--json"} for command, flags in COMMAND_OPTIONS.items()}
+
+    def test_readme_lists_each_exit_code(self):
+        table = README_CLI.split("Exit codes:", 1)[1]
+        listed = [line.split("|")[1].strip() for line in table.splitlines() if line.startswith("| ")]
+        codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+        assert codes == {0, 2, 3, 4, 5, 6}
+        assert listed == ["Code", *map(str, sorted(codes))]
+
+
+HEADER_KEYS = ["tool", "version", "tolerances", "input", "fixture"]
+BOX_DIM_KEYS = ["slope", "r_squared", "scales", "counts"]
+
+# Each command (the README's form, with small samples) on one fixture, and
+# the ordered top-level keys of its report.  "OUT" stands for a directory.
+REPORT_KEYS = [
+    (["simdim"], "sierpinski_half",
+     [*HEADER_KEYS, "similarity_dim", "residual", "iterations", "method"]),
+    (["project-gdifs", "--direction", "1,0"], "c4_rotation",
+     [*HEADER_KEYS, "vertices", "edges", "strongly_connected", "source_sim_dim",
+      "gdifs_sim_dim", "row_sum_max_error"]),
+    (["project-gdifs", "--direction", "1,0", "--out", "OUT"], "c4_rotation",
+     [*HEADER_KEYS, "vertices", "edges", "strongly_connected", "source_sim_dim",
+      "gdifs_sim_dim", "row_sum_max_error", "gdifs_document"]),
+    (["dimdrop", "--l", "1"], "sierpinski_half",
+     [*HEADER_KEYS, "subspace_basis", "s_original", "s_reduced", "witness_word_a",
+      "witness_word_b", "closure_reason", "closure_size"]),
+    (["estimate", "boxdim", "--n", "1000"], "sierpinski_half",
+     [*HEADER_KEYS, "seed", "mode", "points", *BOX_DIM_KEYS]),
+    (["estimate", "boxdim", "--n", "1000", "--out", "OUT"], "sierpinski_half",
+     [*HEADER_KEYS, "seed", "mode", "points", *BOX_DIM_KEYS, "csv", "points_csv", "pgm"]),
+    (["estimate", "project-boxdim", "--direction", "1,0", "--n", "1000"],
+     "irrational_rotation_planar",
+     [*HEADER_KEYS, "seed", "mode", "points", "projected_dim", *BOX_DIM_KEYS]),
+    (["estimate", "project-boxdim", "--direction", "1,0", "--n", "1000", "--out", "OUT"],
+     "irrational_rotation_planar",
+     [*HEADER_KEYS, "seed", "mode", "points", "projected_dim", *BOX_DIM_KEYS, "csv",
+      "points_csv"]),
+    (["estimate", "collapse-sweep", "--t", "0.8", "--scales", "4..10", "--n", "1000"],
+     "irrational_rotation_planar",
+     [*HEADER_KEYS, "seed", "mode", "exponent_t", "scales", "covering_sums",
+      "monotone_decreasing"]),
+    (["estimate", "collapse-sweep", "--t", "0.8", "--n", "1000", "--out", "OUT"],
+     "irrational_rotation_planar",
+     [*HEADER_KEYS, "seed", "mode", "exponent_t", "scales", "covering_sums",
+      "monotone_decreasing", "csv"]),
+    (["estimate", "ssc-approx", "--epsilon", "0.3"], "sierpinski_half",
+     [*HEADER_KEYS, "seed", "mode", "epsilon", "exponent_t", "word_count",
+      "subsystem_sim_dim", "trivial_fallback", "words"]),
+    (["estimate", "cylinders", "--angle", "0.5", "--t", "0.8", "--depth-cap", "6"],
+     "irrational_rotation_planar",
+     [*HEADER_KEYS, "mode", "delta", "exponent_t", "mass", "word_count", "partial",
+      "dropped_words", "depth_cap", "closure_reason", "closure_size"]),
+    (["fixtures", "--out", "OUT"], None, ["tool", "version", "tolerances", "written"]),
+]
+
+
+def command_name(argv):
+    """The command of an argument list: its words before the first option."""
+    return " ".join(word for word in argv[:2] if not word.startswith("-"))
+
+
+class TestReportKeys:
+    """The ordered top-level keys of each report, in --json and in text mode."""
+
+    def test_every_command_and_each_out_form_is_pinned(self):
+        assert {command_name(argv[1:]) for argv in readme_commands()} == set(COMMAND_OPTIONS)
+        pinned = {(command_name(argv), "--out" in argv) for argv, _, _ in REPORT_KEYS}
+        assert pinned == {(c, False) for c in COMMAND_OPTIONS if c != "fixtures"} | {
+            (c, True) for c, flags in COMMAND_OPTIONS.items() if "--out" in flags
+        }
+
+    @pytest.mark.parametrize(
+        "argv, fixture, keys", REPORT_KEYS, ids=[" ".join(argv) for argv, _, _ in REPORT_KEYS]
+    )
+    def test_json_and_text_keys(self, capsys, fixture_dir, tmp_path, argv, fixture, keys):
+        argv = [str(tmp_path / "out") if word == "OUT" else word for word in argv]
+        if fixture is not None:
+            argv += ["--input", str(fixture_dir / f"{fixture}.json")]
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        assert list(out) == keys
+        assert main(argv) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert [line.split(":", 1)[0] for line in text if not line.startswith(" ")] == keys
 
 
 class TestReadmeLibrarySnippet:
