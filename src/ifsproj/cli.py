@@ -60,11 +60,10 @@ EXIT_IO = 6
 MAX_SAMPLE_SIZE = 10**7
 
 
-def _report_header(args, ifs) -> dict:
+def _report_header(args, ifs, profile: tolerances.ToleranceProfile) -> dict:
     """The fields that open every report: the tool, version and tolerances,
     then the input and fixture of a command that takes --input, the seed of
     one that takes --seed and the mode of an estimate."""
-    profile = tolerances.active_profile()
     header = {
         "tool": "ifsproj",
         "version": __version__,
@@ -133,6 +132,8 @@ def _projection_dim(args, largest: int, default: int) -> int:
 
 def _linear_map_for(args, d: int) -> LinearMap:
     if args.direction is not None:
+        if args.l is not None:
+            raise SchemaError("--direction and --l exclude each other")
         try:
             vec = np.array([float(x) for x in args.direction.split(",")])
         except ValueError:
@@ -249,8 +250,9 @@ def cmd_boxdim(args, ifs, metadata) -> dict:
 
 
 def cmd_project_boxdim(args, ifs, metadata) -> dict:
+    linear_map = _linear_map_for(args, ifs.ambient_dim)
     cloud = _sample(args, ifs)
-    projected = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim))
+    projected = project_cloud(cloud, linear_map)
     scales = _box_scales(args, cloud, projected)
     del cloud  # the projection is counted without the sample it came from
     return {
@@ -261,8 +263,9 @@ def cmd_project_boxdim(args, ifs, metadata) -> dict:
 
 
 def cmd_collapse_sweep(args, ifs, metadata) -> dict:
+    linear_map = _linear_map_for(args, ifs.ambient_dim)
     cloud = _sample(args, ifs)
-    projected = project_cloud(cloud, _linear_map_for(args, ifs.ambient_dim))
+    projected = project_cloud(cloud, linear_map)
     t = args.t if args.t is not None else sim_dim_ssifs(ifs).value
     scales = _parse_scales(args.scales, cloud.diameter())
     del cloud  # the projection is counted without the sample it came from
@@ -444,12 +447,17 @@ def _process_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _process_parser().parse_args(argv)
     try:
+        profile = tolerances.active_profile()
+    except ValueError as exc:
+        print(f"ifsproj: error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    try:
         ifs = metadata = None
         if "input" in args:
             doc = load_document(args.input)
             ifs, metadata = ifs_from_document(doc), document_metadata(doc)
         fields = args.func(args, ifs, metadata)
-        _emit(args, {**_report_header(args, ifs), **fields})
+        _emit(args, {**_report_header(args, ifs, profile), **fields})
         return EXIT_OK
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -38,7 +38,8 @@ from .geometry import (
 )
 from .groups import (
     TransformationGroup,
-    _rotation_walk,
+    _RotationTable,
+    _store_new,
     group_closure,
     kronecker_power,
     rotation_distance,
@@ -49,8 +50,8 @@ _CORRECTOR_LENGTH_CAP = 200
 _CORRECTOR_STATE_CAP = 4096
 # Most powers tried to separate the seed (or fallback) cylinder balls.
 _MAX_POWER_ROUNDS = 12
-# ssc_subsystem packs no level of more words than this.
-_PACK_WORD_BUDGET = 300000
+# No level search (dimension drop, packing, cylinders) builds more words than this.
+_WORD_BUDGET = 300000
 # Most powers of a lead generator tried to move a fixed point apart.
 _FIXED_POINT_POWER_CAP = 64
 
@@ -152,7 +153,7 @@ def _identity_equal_ratio_pair(level: WordLevel, tau: float) -> tuple[int, int] 
     return int(words[a]), int(words[partners[partners > a][0]])
 
 
-def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = 300000) -> DimensionDropResult:
+def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = _WORD_BUDGET) -> DimensionDropResult:
     """A projection subspace M with dim(Pi_M(K)) strictly below the similarity dim.
 
     Searches increasing word depths for the first pair of words with identity
@@ -372,7 +373,7 @@ def ssc_subsystem(
 
     # Greedy lexicographic packing at increasing depth, always keeping seeds.
     level = WordLevel.root(ifs)
-    while len(level) * m <= _PACK_WORD_BUDGET:
+    while len(level) * m <= _WORD_BUDGET:
         level = level.extend()
         packed = _greedy_pack(level, seeds, center, radius, separation)
         if len(packed) >= 2:
@@ -399,17 +400,29 @@ class CylinderSelection:
 
 
 def _rotation_word_search(ifs: SSIFS, start: np.ndarray, target: np.ndarray, tol: float):
-    """Shortlex first word w with ||start T_w - target|| < tol.
+    """Shortlex first word w with ||start T_w - target|| < tol, or None.
 
-    A walk over the rotation Cayley graph with tolerance deduplication of
-    visited rotations; returns None when exhausted.
+    Walks the rotation Cayley graph one word length at a time: a product
+    within tol / 4 of a stored rotation, or met once the search stores
+    ``_CORRECTOR_STATE_CAP`` rotations, is tested but not extended.
     """
-    visited_tol = max(tol / 4.0, 1e-12)
-    for rot, word in _rotation_walk(start, ifs.rotations, visited_tol, _CORRECTOR_STATE_CAP):
-        if word.length > _CORRECTOR_LENGTH_CAP:
-            break
-        if rotation_distance(rot, target) < tol:
-            return word.letters()
+    gens = ifs.rotations
+    m, d = gens.shape[:2]
+    table = _RotationTable(d, max(tol / 4.0, 1e-12))
+    table.add_if_new(start)
+    # The stored rotations of the last length, and their words as letter rows.
+    rotations, rows = start[None], np.empty((1, 0), dtype=np.int64)
+    for _ in range(_CORRECTOR_LENGTH_CAP):
+        products = (rotations[:, None] @ gens[None]).reshape(-1, d, d)
+        hit = np.flatnonzero(np.linalg.norm(products - target, 2, axis=(1, 2)) < tol)
+        if hit.size:
+            k = int(hit[0])
+            return (*rows[k // m].tolist(), k % m + 1)
+        stored = np.flatnonzero(_store_new(table, products, _CORRECTOR_STATE_CAP))
+        if not stored.size:
+            return None
+        rotations = products[stored]
+        rows = np.column_stack([rows[stored // m], stored % m + 1])
     return None
 
 
@@ -452,7 +465,7 @@ def select_disjoint_cylinders(
         raise GeometryError("mass_target must lie in (0, 1)")
     if depth_cap < 1:
         raise GeometryError("depth_cap must be at least 1")
-    d = ifs.ambient_dim
+    d, m = ifs.ambient_dim, len(ifs)
     group = group_closure(ifs.rotations)
     exact_tol = 10.0 * tolerances.tau_orth() if group.is_finite else None
 
@@ -489,8 +502,13 @@ def select_disjoint_cylinders(
 
     accepted: list[tuple[int, ...]] = []
     mass = 0.0
-    level = WordLevel.root(ifs).extend()
+    level = WordLevel.root(ifs)
     while len(level):
+        if len(level) * m > _WORD_BUDGET:
+            raise NumericFailureError(
+                f"cylinder search exceeded the word budget at depth {level.depth + 1}"
+            )
+        level = level.extend()
         hit = matches(level.rotation)
         # (row, words, index) of every word this level accepts, in row order.
         found = [(k, level, k) for k in np.flatnonzero(hit)]
@@ -507,7 +525,7 @@ def select_disjoint_cylinders(
         mass = float(sums[stop])
         if reached.size or level.depth == depth_cap:
             break
-        level = level[~hit].extend()
+        level = level[~hit]
 
     words = [ifs.word(w) for w in accepted]
     dropped = verify_pairwise_disjoint(words, center, radius, separation)

@@ -18,6 +18,10 @@ Otherwise the semigroup closure is computed up to the cap, with every
 hashed lookup (``_RotationTable``).  An infinite verdict from the cap is a
 certificate of exceeding the cap, not a proof of infinitude; the
 ``reason`` field of the result says which of the two paths decided.
+
+The closure and the corrector search of ``constructions`` walk the Cayley
+graph of rotation products one word length at a time, and both store a
+level's products through one step, ``_store_new``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -131,44 +134,16 @@ class _RotationTable:
         return counts, match
 
 
-class _LinkedWord(NamedTuple):
-    """A word as a link to the word before it, its last letter and its
-    length, so extending a word copies nothing; the empty word has length 0
-    and no prefix."""
-
-    prefix: "_LinkedWord | None"
-    letter: int
-    length: int
-
-    def letters(self) -> tuple[int, ...]:
-        out, node = [], self
-        while node.length:
-            out.append(node.letter)
-            node = node.prefix
-        return tuple(reversed(out))
-
-
-def _rotation_walk(start: np.ndarray, generators, tol: float, state_cap: int):
-    """Yield (start T_w, w) for the nonempty words w over the generators
-    (letters 1..m) in shortlex order: by length, then letter by letter.
-
-    A breadth-first walk of the Cayley graph: a product within tol of a
-    stored one (start included), or met once ``state_cap`` products are
-    stored, is yielded but not extended.
-    """
-    stored = _RotationTable(start.shape[0], tol)
-    stored.add_if_new(start)
-    # The word of each stored product; a list read in order while it grows
-    # is a first-in first-out queue.
-    words = [_LinkedWord(None, 0, 0)]
-    for i, word in enumerate(words):
-        rot = stored.elements[i]
-        for n, g in enumerate(generators, start=1):
-            nxt = rot @ g
-            child = _LinkedWord(word, n, word.length + 1)
-            yield nxt, child
-            if stored.size < state_cap and stored.add_if_new(nxt):
-                words.append(child)
+def _store_new(table: _RotationTable, products: np.ndarray, cap: int) -> np.ndarray:
+    """Store, in order, each product that no stored matrix matches, until
+    the table holds ``cap`` matrices; the mask of the stored products."""
+    counts, _ = table.lookup(products)
+    stored = np.zeros(len(products), dtype=bool)
+    for i in np.flatnonzero(counts == 0).tolist():
+        if table.size >= cap:
+            break
+        stored[i] = table.add_if_new(products[i])
+    return stored
 
 
 @dataclass(frozen=True)
@@ -305,12 +280,9 @@ def group_closure(generators, closure_cap: int = 5000) -> TransformationGroup:
     frontier = table.elements.copy()
     while len(frontier):
         candidates = (multipliers[None] @ frontier[:, None]).reshape(-1, d, d)
-        counts, _ = table.lookup(candidates)
-        start = table.size
-        for c in candidates[counts == 0]:
-            if table.add_if_new(c) and table.size > closure_cap:
-                return TransformationGroup(gens, None, table.size, tolerance, "cap_exceeded")
-        frontier = table.elements[start:].copy()
+        frontier = candidates[_store_new(table, candidates, closure_cap + 1)]
+        if table.size > closure_cap:
+            return TransformationGroup(gens, None, table.size, tolerance, "cap_exceeded")
     elements = table.elements[_canonical_order(table.elements)]
     elements.setflags(write=False)
     return TransformationGroup(

@@ -34,7 +34,7 @@ def active_profile() -> ToleranceProfile:
         return PROFILES[name]
     except KeyError:
         raise ValueError(
-            f"unknown tolerance profile {name!r}; expected one of {sorted(PROFILES)}"
+            f"unknown {ENV_VAR} {name!r}; expected one of {sorted(PROFILES)}"
         ) from None
 
 

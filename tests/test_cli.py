@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import ifsproj
-from ifsproj import cli
+from ifsproj import cli, constructions
 from ifsproj.cli import MAX_SAMPLE_SIZE, build_parser, main
 from ifsproj.dimension import sim_dim_gdifs, single_vertex_gdifs
 from ifsproj.documents import (
@@ -259,6 +260,21 @@ class TestCliProjectGdifs:
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["project-gdifs"], ["estimate", "project-boxdim", "--n", "1000"],
+         ["estimate", "collapse-sweep", "--n", "1000"]],
+        ids=["project-gdifs", "project-boxdim", "collapse-sweep"],
+    )
+    @pytest.mark.parametrize("l", ["0", "1", "7"])
+    def test_direction_with_l_exits_two(self, capsys, fixture_dir, command, l):
+        argv = [*command, "--input", str(fixture_dir / "c4_rotation.json")]
+        code = main([*argv, "--direction", "1,0", "--l", l])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "schema error: --direction and --l exclude each other\n"
+
     def test_unwritable_out_exits_six(self, capsys, fixture_dir, tmp_path):
         regular = tmp_path / "regular"
         regular.write_text("")
@@ -420,6 +436,24 @@ class TestCliEstimate:
         assert out["mass"] <= 1.0 + 1e-9
         assert out["closure_reason"] == "closed"
         assert out["closure_size"] == 4
+
+    def test_cylinders_stop_at_the_word_budget(self, capsys, fixture_dir, monkeypatch):
+        # At delta 0.01 the unmatched words of the irrational system number
+        # 3, 9, 24, 66, ... by depth, so extending depth 4 would build 198 > 100.
+        monkeypatch.setattr(constructions, "_WORD_BUDGET", 100)
+        code = main(
+            [
+                "estimate", "cylinders",
+                "--input", str(fixture_dir / "irrational_rotation_planar.json"),
+                "--angle", "2.0", "--delta", "0.01", "--depth-cap", "20",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: cylinder search exceeded the word budget at depth 5\n"
+        )
 
     def test_cylinders_reports_certified_infinite_closure(self, capsys, fixture_dir):
         code, out = run_json(
@@ -884,3 +918,24 @@ class TestToleranceProfiles:
         assert code == 0
         assert out["tolerances"]["profile"] == "strict"
         assert out["tolerances"]["tau_dim"] == 1e-12
+
+    @pytest.mark.parametrize("command", [["simdim", "--input"], ["fixtures", "--out"]])
+    def test_unknown_profile_exits_two_with_one_line(self, fixture_dir, tmp_path, command):
+        # In a fresh interpreter, as a user runs it, so that an uncaught
+        # error would show as a traceback.
+        target = fixture_dir / "sierpinski_half.json" if "--input" in command else tmp_path / "out"
+        src = str(Path(ifsproj.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "ifsproj.cli", *command, str(target)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "IFSPROJ_TOLERANCE_PROFILE": "bogus"},
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            "ifsproj: error: unknown IFSPROJ_TOLERANCE_PROFILE 'bogus'; "
+            "expected one of ['default', 'strict']\n"
+        )
+        assert "Traceback" not in done.stderr
+        assert list(tmp_path.iterdir()) == []

@@ -424,6 +424,33 @@ def planar_systems(draw):
     return ifs, target, draw(st.sampled_from([0.2, 0.4]))
 
 
+@st.composite
+def spatial_systems(draw):
+    """(system, target rotation, delta) for a random 3-D system whose
+    rotations are generic (QR of a Gaussian matrix, so they generate a free
+    semigroup) or signed permutations (a finite group)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        rotations = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(m)]
+    else:
+        rotations = [np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], 3) for _ in range(m)]
+    ifs = SSIFS([Similarity(0.5, o, rng.normal(size=3)) for o in rotations])
+    target = np.eye(3)
+    for i in rng.integers(0, m, size=draw(st.integers(1, 3))):
+        target = target @ ifs.rotations[i]
+    # Coarse enough that a generic search meets the target well before the
+    # state cap.
+    return ifs, target, draw(st.sampled_from([0.8, 1.0]))
+
+
+def embedded_rotation(angle, d):
+    """The planar rotation by angle on the first two of d coordinates."""
+    rotation = np.eye(d)
+    rotation[:2, :2] = planar_rotation(angle)
+    return rotation
+
+
 class TestSelectionAgainstQueue:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -560,13 +587,18 @@ def queue_word_search(ifs, start, target, tol, state_cap=_CORRECTOR_STATE_CAP):
 
 class TestRotationWalkAgainstQueues:
     @settings(max_examples=60, deadline=None)
-    @given(system=planar_systems(), angle=st.floats(-math.pi, math.pi), reachable=st.booleans())
+    @given(
+        system=st.one_of(planar_systems(), spatial_systems()),
+        angle=st.floats(-math.pi, math.pi),
+        reachable=st.booleans(),
+    )
     def test_word_search_matches_the_queue(self, system, angle, reachable):
         ifs, target, delta = system
-        start = planar_rotation(angle)
+        d = ifs.ambient_dim
+        start = embedded_rotation(angle, d)
         if not reachable:
             # Off the orbit of a finite group; the search then exhausts it.
-            target = planar_rotation(0.1 + angle)
+            target = embedded_rotation(0.1 + angle, d)
         tol = delta / 2.0
         assert _rotation_word_search(ifs, start, target, tol) == queue_word_search(
             ifs, start, target, tol
