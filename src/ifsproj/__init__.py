@@ -27,7 +27,6 @@ from .dimension import (
     GDIFS,
     GdifsStructureError,
     is_strongly_connected,
-    perron_eigenpair,
     sim_dim_gdifs,
     sim_dim_ssifs,
     sim_dim_words,

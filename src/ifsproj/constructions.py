@@ -22,7 +22,6 @@ from .dimension import (
     is_strongly_connected,
     sim_dim_gdifs,
     sim_dim_ssifs,
-    sim_dim_words,
 )
 from .geometry import (
     GeometryError,
@@ -64,7 +63,8 @@ class HypothesisViolationError(GeometryError):
 class ProjectionGdifsResult:
     gdifs: GDIFS
     group: TransformationGroup
-    source_dim: float
+    # None for a word level, whose similarity dimension nothing reads.
+    source_dim: float | None
 
 
 def build_projection_gdifs(ifs: SSIFS | WordLevel, linear_map: LinearMap) -> ProjectionGdifsResult:
@@ -74,7 +74,8 @@ def build_projection_gdifs(ifs: SSIFS | WordLevel, linear_map: LinearMap) -> Pro
     edge from i to j for every map index n with O_i T_n = O_j, carrying the
     homothety x -> r_n x + L(O_i(v_n)).  Edges are emitted in (vertex, map)
     order.  A word level stands for its depth-iterated system; its words
-    are read as they are, with no second check of the system.
+    are read as they are, with no second check of the system and no
+    similarity dimension.
     """
     if isinstance(ifs, WordLevel):
         ratios, rotations, translations = ifs.ratio, ifs.rotation, ifs.translation
@@ -108,7 +109,7 @@ def build_projection_gdifs(ifs: SSIFS | WordLevel, linear_map: LinearMap) -> Pro
     )
     if not is_strongly_connected(gdifs):
         raise NumericFailureError("projection graph is unexpectedly not strongly connected")
-    source_dim = _moran_report(ratios).value
+    source_dim = None if isinstance(ifs, WordLevel) else _moran_report(ratios).value
     return ProjectionGdifsResult(gdifs, group, source_dim)
 
 
@@ -126,6 +127,14 @@ class DimensionDropResult:
     s_reduced: float
     overlap_witness: OverlapWitness
     group: TransformationGroup
+
+
+def _extended(level: WordLevel, error: str) -> WordLevel:
+    """The next level, or NumericFailureError(error with {depth} filled in)
+    if it would hold more than _WORD_BUDGET words."""
+    if len(level) * len(level.ifs) > _WORD_BUDGET:
+        raise NumericFailureError(error.format(depth=level.depth + 1))
+    return level.extend()
 
 
 def _identity_equal_ratio_pair(level: WordLevel, tau: float) -> tuple[int, int] | None:
@@ -153,7 +162,7 @@ def _identity_equal_ratio_pair(level: WordLevel, tau: float) -> tuple[int, int] 
     return int(words[a]), int(words[partners[partners > a][0]])
 
 
-def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = _WORD_BUDGET) -> DimensionDropResult:
+def find_dimension_drop(ifs: SSIFS, l: int) -> DimensionDropResult:
     """A projection subspace M with dim(Pi_M(K)) strictly below the similarity dim.
 
     Searches increasing word depths for the first pair of words with identity
@@ -170,18 +179,13 @@ def find_dimension_drop(ifs: SSIFS, l: int, word_budget: int = _WORD_BUDGET) -> 
     if not group.is_finite:
         raise HypothesisViolationError("dimension-drop construction needs a finite group")
     q = group.order
-    m = len(ifs)
     tau = tolerances.tau_num()
     eye = np.eye(d)
 
     pair = None
     level = WordLevel.root(ifs)
     while pair is None and level.depth < 2 * q:
-        if len(level) * m > word_budget:
-            raise NumericFailureError(
-                f"word search exceeded the budget at depth {level.depth + 1}"
-            )
-        level = level.extend()
+        level = _extended(level, "word search exceeded the budget at depth {depth}")
         pair = _identity_equal_ratio_pair(level, tau)
     if pair is None:
         raise NumericFailureError(
@@ -259,11 +263,9 @@ def _fixed_point_change_words(ifs: SSIFS, root_radius: float) -> list[Word]:
     return chosen
 
 
-def _word_balls(words, center, radius) -> tuple[np.ndarray, np.ndarray]:
-    """Centers (N, d) and radii (N,) of the cylinder balls of the words."""
-    if not words:
-        return np.empty((0, np.size(center))), np.empty(0)
-    return WordLevel.of_words(words[0].ifs, [w.indices for w in words]).balls(center, radius)
+def _word_tuple(level: WordLevel) -> tuple[Word, ...]:
+    """The level's words as Word objects, in row order."""
+    return tuple(level.ifs.word(level.indices(k)) for k in range(len(level)))
 
 
 def _kept_in_order(centers, radii, separation, pinned: int = 0) -> np.ndarray:
@@ -284,19 +286,13 @@ def _kept_in_order(centers, radii, separation, pinned: int = 0) -> np.ndarray:
     return kept
 
 
-def _greedy_pack(level: WordLevel, seeds, center, radius, separation) -> list[Word]:
-    """The seeds, then each word of the level in order whose cylinder ball
-    keeps the separation from every ball kept before it."""
-    seed_centers, seed_radii = _word_balls(seeds, center, radius)
-    centers, radii = level.balls(center, radius)
-    kept = _kept_in_order(
-        np.concatenate([seed_centers, centers]),
-        np.concatenate([seed_radii, radii]),
-        separation,
-        pinned=len(seeds),
-    )
-    words = [level.ifs.word(level.indices(k)) for k in np.flatnonzero(kept[len(seeds) :])]
-    return list(seeds) + words
+def _greedy_pack(level: WordLevel, seed_balls, center, radius, separation) -> np.ndarray:
+    """Keep-mask of the level's words, taken in order after the seeds' balls:
+    a word is kept iff its cylinder ball keeps the separation from every
+    ball kept before it."""
+    n = len(seed_balls[1])
+    centers, radii = map(np.concatenate, zip(seed_balls, level.balls(center, radius)))
+    return _kept_in_order(centers, radii, separation, pinned=n)[n:]
 
 
 def ssc_subsystem(
@@ -330,33 +326,27 @@ def ssc_subsystem(
             estimated = True
     center, radius = attractor_bounding_ball(ifs)
     separation = tolerances.TAU_SEP_FACTOR * 2.0 * radius
-    m = len(ifs)
 
-    def disjoint(words: list[Word]) -> bool:
-        return bool(_kept_in_order(*_word_balls(words, center, radius), separation).all())
-
-    def pack(words: list[Word], target: float) -> Subsystem | None:
-        if not disjoint(words):
+    def pack(words: WordLevel, target: float) -> Subsystem | None:
+        if not _kept_in_order(*words.balls(center, radius), separation).all():
             return None
-        report = sim_dim_words(ifs, words)
+        report = _moran_report(words.ratio)
         if report.value < target:
             return None
-        return Subsystem(tuple(words), report, t)
+        return Subsystem(_word_tuple(words), report, t)
 
     target = t - epsilon
     if target <= 0:
         # Trivial two-word fallback with a warning flag.
         base = _fixed_point_change_words(ifs, radius)[:2]
         for n in range(1, _MAX_POWER_ROUNDS + 1):
-            words = [ifs.word(w.indices * (2**n)) for w in base]
-            result = pack(words, 0.0)
+            result = pack(WordLevel.of_words(ifs, [w.indices * (2**n) for w in base]), 0.0)
             if result is not None:
                 return Subsystem(result.words, result.sim_dim, t, True)
         raise NumericFailureError("failed to build even the trivial fallback subsystem")
 
     # The identity subsystem may already be certified.
-    identity_words = [ifs.word((i + 1,)) for i in range(m)]
-    result = pack(identity_words, target)
+    result = pack(WordLevel.root(ifs).extend(), target)
     if result is not None:
         return result
 
@@ -365,25 +355,24 @@ def ssc_subsystem(
     base_rotations = WordLevel.of_words(ifs, [w.indices for w in base]).rotation
     for n in range(1, _MAX_POWER_ROUNDS + 1):
         k = max(kronecker_power(rotation, n) for rotation in base_rotations)
-        seeds = [ifs.word(w.indices * k) for w in base]
-        if disjoint(seeds):
+        seeds = WordLevel.of_words(ifs, [w.indices * k for w in base])
+        seed_balls = seeds.balls(center, radius)
+        if _kept_in_order(*seed_balls, separation).all():
             break
     else:
         raise NumericFailureError("failed to separate the seed cylinder balls")
 
     # Greedy lexicographic packing at increasing depth, always keeping seeds.
-    level = WordLevel.root(ifs)
-    while len(level) * m <= _WORD_BUDGET:
-        level = level.extend()
-        packed = _greedy_pack(level, seeds, center, radius, separation)
-        if len(packed) >= 2:
-            report = sim_dim_words(ifs, packed)
-            if report.value >= target:
-                return Subsystem(tuple(packed), report, t)
-    raise NumericFailureError(
-        "packing depth cap reached before the dimension target; "
-        + ("note: t is a box-count estimate" if estimated else "tolerances may be too strict")
+    error = "packing depth cap reached before the dimension target; " + (
+        "note: t is a box-count estimate" if estimated else "tolerances may be too strict"
     )
+    level = WordLevel.root(ifs)
+    while True:
+        level = _extended(level, error)
+        kept = _greedy_pack(level, seed_balls, center, radius, separation)
+        report = _moran_report(np.concatenate([seeds.ratio, level.ratio[kept]]))
+        if report.value >= target:
+            return Subsystem(_word_tuple(seeds) + _word_tuple(level[kept]), report, t)
 
 
 @dataclass(frozen=True)
@@ -436,7 +425,10 @@ def verify_pairwise_disjoint(words, center, radius, separation: float):
     word extending another lies inside its ancestor's ball (cylinder balls
     nest), so either always meets the earlier ball.
     """
-    kept = _kept_in_order(*_word_balls(words, center, radius), separation)
+    if not words:
+        return set()
+    level = WordLevel.of_words(words[0].ifs, [w.indices for w in words])
+    kept = _kept_in_order(*level.balls(center, radius), separation)
     return set(np.flatnonzero(~kept).tolist())
 
 
@@ -457,6 +449,7 @@ def select_disjoint_cylinders(
     to land near the target.  The walk stops at the first kept word that
     brings the mass to the target.  Kept cylinders are certified pairwise
     disjoint via their bounding balls; conflicting later words are dropped.
+    The kept words stay level rows until the result is built.
     """
     o = np.asarray(rotation_target, dtype=float)
     if not (math.isfinite(delta) and delta > 0 and math.isfinite(t) and t > 0):
@@ -465,7 +458,7 @@ def select_disjoint_cylinders(
         raise GeometryError("mass_target must lie in (0, 1)")
     if depth_cap < 1:
         raise GeometryError("depth_cap must be at least 1")
-    d, m = ifs.ambient_dim, len(ifs)
+    d = ifs.ambient_dim
     group = group_closure(ifs.rotations)
     exact_tol = 10.0 * tolerances.tau_orth() if group.is_finite else None
 
@@ -488,55 +481,57 @@ def select_disjoint_cylinders(
             return dist <= exact_tol
         return dist < delta
 
-    def corrected(level: WordLevel, rows: np.ndarray) -> tuple[np.ndarray, WordLevel]:
-        """The rows with a corrector word, and their words followed by it.  Rows
+    def corrected(level: WordLevel, hit: np.ndarray) -> WordLevel:
+        """The words in row order, each followed by its corrector word (the
+        empty word if it matches); a word with no corrector is dropped.  Rows
         whose rotations round alike on a delta / 4 grid share the first one's."""
+        rows = np.flatnonzero(~hit)
         keys = np.round(level.rotation[rows] / (delta / 4.0)).astype(int).reshape(len(rows), d * d)
         _, first, key = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         starts = level.rotation[rows[first]]
         tails = [_rotation_word_search(ifs, start, o, delta / 2.0) for start in starts]
-        has_tail = np.array([tail is not None for tail in tails], dtype=bool)[key]
-        tail_letters = WordLevel.of_words(ifs, [tail or () for tail in tails]).letters[key]
-        letters = np.concatenate([level.letters[rows], tail_letters], axis=1)
-        return rows[has_tail], WordLevel.fold(ifs, letters[has_tail])
+        has_tail = hit.copy()
+        has_tail[rows] = np.array([tail is not None for tail in tails], dtype=bool)[key]
+        tail_letters = WordLevel.of_words(ifs, [tail or () for tail in tails]).letters
+        letters = np.full((len(level), tail_letters.shape[1]), len(ifs), dtype=level.letters.dtype)
+        letters[rows] = tail_letters[key]
+        letters = np.concatenate([level.letters, letters], axis=1)
+        return WordLevel.fold(ifs, letters[has_tail])
 
-    accepted: list[tuple[int, ...]] = []
+    # The accepted words of each depth, in order.
+    accepted: list[WordLevel] = []
     mass = 0.0
     level = WordLevel.root(ifs)
     while len(level):
-        if len(level) * m > _WORD_BUDGET:
-            raise NumericFailureError(
-                f"cylinder search exceeded the word budget at depth {level.depth + 1}"
-            )
-        level = level.extend()
+        level = _extended(level, "cylinder search exceeded the word budget at depth {depth}")
         hit = matches(level.rotation)
-        # (row, words, index) of every word this level accepts, in row order.
-        found = [(k, level, k) for k in np.flatnonzero(hit)]
-        if level.depth == depth_cap:
+        at_cap = level.depth == depth_cap
+        if at_cap:
             # Depth cap: append a corrector word as the final refinement.
-            rows, fixed = corrected(level, np.flatnonzero(~hit))
-            found += [(rows[j], fixed, j) for j in np.flatnonzero(matches(fixed.rotation))]
-            found.sort(key=lambda row: row[0])
+            level = corrected(level, hit)
+            hit = matches(level.rotation)
         # Running mass after each accepted word; stop at the first reaching the target.
-        sums = np.cumsum([mass] + [float(words.ratio[j]) ** t for _, words, j in found])
+        hits = level[hit]
+        sums = np.cumsum([mass] + [r**t for r in hits.ratio.tolist()])
         reached = np.flatnonzero(sums[1:] >= mass_target)
-        stop = int(reached[0]) + 1 if reached.size else len(found)
-        accepted += [words.indices(j) for _, words, j in found[:stop]]
+        stop = int(reached[0]) + 1 if reached.size else len(hits)
+        accepted.append(hits[:stop])
         mass = float(sums[stop])
-        if reached.size or level.depth == depth_cap:
+        if reached.size or at_cap:
             break
         level = level[~hit]
 
-    words = [ifs.word(w) for w in accepted]
-    dropped = verify_pairwise_disjoint(words, center, radius, separation)
+    centers, radii = map(np.concatenate, zip(*(words.balls(center, radius) for words in accepted)))
+    kept = _kept_in_order(centers, radii, separation)
+    starts = np.cumsum([len(words) for words in accepted])[:-1]
+    accepted = [words[keep] for words, keep in zip(accepted, np.split(kept, starts))]
+    dropped = int(np.count_nonzero(~kept))
     if dropped:
-        words = [w for i, w in enumerate(words) if i not in dropped]
-        mass = math.fsum(w.ratio**t for w in words)
+        mass = math.fsum(r**t for words in accepted for r in words.ratio.tolist())
     partial = mass < mass_target
     if mass > 1.0 + tolerances.tau_num():
         raise NumericFailureError(
             f"selected mass {mass} exceeds 1; the exponent t is likely wrong"
         )
-    return CylinderSelection(
-        tuple(words), delta, t, mass, depth_cap, partial, group, len(dropped)
-    )
+    words = sum(map(_word_tuple, accepted), ())
+    return CylinderSelection(words, delta, t, mass, depth_cap, partial, group, dropped)

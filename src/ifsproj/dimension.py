@@ -11,7 +11,7 @@ search; the derivative is phi'(s) = u^T A'(s) v / (rho u^T v) for the left
 and right Perron vectors u, v.
 
 One routine, ``_perron`` (the eig pair of largest real part), gives the Perron
-root and vector to the solver, ``spectral_radius`` and ``perron_eigenpair``.
+root and vector to the solver and to ``spectral_radius``.
 """
 
 from __future__ import annotations
@@ -193,17 +193,6 @@ def spectral_radius(a) -> float:
         raise GeometryError("matrix must be entrywise nonnegative")
     comps = strongly_connected_components(a.shape[0], zip(*np.nonzero(a)))
     return max((_perron(a[np.ix_(comp, comp)])[0] for comp in comps), default=0.0)
-
-
-def perron_eigenpair(a):
-    """(rho, y) with A y = rho y, y > 0 and sum(y) = 1; requires an
-    irreducible matrix."""
-    a = np.asarray(a, dtype=float)
-    comps = strongly_connected_components(a.shape[0], zip(*np.nonzero(a)))
-    if len(comps) != 1:
-        raise GeometryError("matrix is reducible; no Perron eigenpair")
-    rho, y = _perron(a)
-    return rho, y / y.sum()
 
 
 class DimensionMethod(enum.Enum):

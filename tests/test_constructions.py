@@ -213,10 +213,11 @@ class TestDimensionDropRegression:
         assert len(g.source) == 65535
         assert gdifs_equal(g, gdifs_from_document(gdifs_to_document(g)))
 
-    def test_word_budget_stops_before_the_next_depth(self):
+    def test_word_budget_stops_before_the_next_depth(self, monkeypatch):
         # 4^5 = 1024 words would exceed the budget, so depth 5 is never built.
+        monkeypatch.setattr(constructions, "_WORD_BUDGET", 1000)
         with pytest.raises(NumericFailureError, match="at depth 5"):
-            find_dimension_drop(fixture_ifs("example_7_5_plane"), 1, word_budget=1000)
+            find_dimension_drop(fixture_ifs("example_7_5_plane"), 1)
 
 
 def separated(ball_a, ball_b, separation):
@@ -249,7 +250,9 @@ class TestGreedyPack:
         level = WordLevel.root(ifs)
         for _ in range(depth):
             level = level.extend()
-        packed = _greedy_pack(level, seeds, center, radius, separation)
+        seed_balls = WordLevel.of_words(ifs, [w.indices for w in seeds]).balls(center, radius)
+        kept = _greedy_pack(level, seed_balls, center, radius, separation)
+        packed = seeds + [ifs.word(level.indices(k)) for k in np.flatnonzero(kept)]
         expected = word_by_word_pack(ifs, depth, seeds, center, radius, separation)
         assert [w.indices for w in packed] == [w.indices for w in expected]
 
@@ -543,7 +546,9 @@ PINNED_SELECTIONS = json.loads(
 class TestSelectionPin:
     """The selections of perfbench's cylinders workload and the ssc-approx
     commands of its finite-words workload, as the prefix-tree certificate
-    and the all-pairs loops chose them."""
+    and the all-pairs loops chose them, and two selections that reach the
+    depth cap: irrational (hits and corrected words interleaved in row
+    order) and c4 (dropped words, so the mass is summed again)."""
 
     @pytest.mark.parametrize(
         "case", PINNED_SELECTIONS, ids=lambda c: f"{c['command']} {c['fixture']}"
@@ -554,10 +559,11 @@ class TestSelectionPin:
             t = case["t"] if case["t"] is not None else sim_dim_ssifs(ifs).value
             sel = select_disjoint_cylinders(
                 ifs, planar_rotation(case["angle"]), case["delta"], t,
-                mass_target=case["mass_target"],
+                mass_target=case["mass_target"], depth_cap=case.get("depth_cap", 12),
             )
             assert abs(sel.mass - case["mass"]) <= 1e-12
             assert sel.partial == case["partial"]
+            assert sel.dropped_words == case["dropped_words"]
             words = sel.words
         else:
             osc = bool(fixture_document(case["fixture"])["metadata"].get("osc_certified"))

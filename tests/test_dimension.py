@@ -11,7 +11,6 @@ from ifsproj.dimension import (
     GDIFS,
     GdifsStructureError,
     is_strongly_connected,
-    perron_eigenpair,
     sim_dim_gdifs,
     sim_dim_ssifs,
     sim_dim_words,
@@ -107,18 +106,6 @@ class TestSpectralRadius:
     def test_rejects_negative_entries(self):
         with pytest.raises(GeometryError):
             spectral_radius([[1.0, -0.5], [0.0, 1.0]])
-
-    def test_perron_vector_positive(self):
-        rng = np.random.default_rng(15)
-        for _ in range(20):
-            a = rng.uniform(0.1, 1.0, size=(5, 5))
-            rho, y = perron_eigenpair(a)
-            assert (y > 0).all()
-            assert np.abs(a @ y - rho * y).max() < 1e-8
-
-    def test_perron_rejects_reducible(self):
-        with pytest.raises(GeometryError):
-            perron_eigenpair(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestStronglyConnected:

@@ -277,6 +277,29 @@ class TestWordLevel:
         assert np.abs(folded.rotation - level.rotation).max() <= 1e-15
         assert np.abs(folded.translation - level.translation).max() <= 1e-15
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        m=st.integers(2, 4),
+        depth=st.integers(1, 5),
+        padding=st.integers(1, 4),
+    )
+    def test_identity_padding_keeps_the_bits(self, seed, d, m, depth, padding):
+        # The cylinder search's depth-cap step folds a matching word again,
+        # followed by identity letters, and must keep it as it was.
+        ifs = random_ssifs(np.random.default_rng(seed), d=d, m=m)
+        level = WordLevel.root(ifs)
+        for _ in range(depth):
+            level = level.extend()
+        pad = np.full((len(level), padding), m, dtype=level.letters.dtype)
+        padded = WordLevel.fold(ifs, np.concatenate([level.letters, pad], axis=1))
+        assert [padded.indices(k) for k in range(len(level))] == [
+            level.indices(k) for k in range(len(level))
+        ]
+        for name in ("ratio", "rotation", "translation"):
+            assert getattr(padded, name).tobytes() == getattr(level, name).tobytes()
+
     def test_fold_rejects_out_of_range_letters(self, c4):
         for words in ([(1, 4)], [(0,)]):
             with pytest.raises(GeometryError):
