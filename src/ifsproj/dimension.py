@@ -11,7 +11,9 @@ search; the derivative is phi'(s) = u^T A'(s) v / (rho u^T v) for the left
 and right Perron vectors u, v.
 
 One routine, ``_perron`` (the eig pair of largest real part), gives the Perron
-root and vector to the solver and to ``spectral_radius``.
+root and vector to the solver and to ``spectral_radius``.  One reachability
+product, ``_reach`` (the q x q arc pattern plus I, squared until it stops
+changing), decides strong connectivity and gives the components.
 """
 
 from __future__ import annotations
@@ -111,64 +113,44 @@ class GDIFS:
         return GDIFS(self.vertex_count, *(a[keep] for a in arrays), name=self.name)
 
 
+def _reach(pattern: np.ndarray) -> np.ndarray:
+    """Reachability of a q x q boolean arc pattern, each vertex reaching itself.
+
+    Squares pattern | I until the product stops changing; each entry of the
+    0/1 float64 product counts at most q paths, which float64 holds exactly.
+    """
+    reach = pattern | np.eye(len(pattern), dtype=bool)
+    while True:
+        paths = reach.astype(float)
+        squared = paths @ paths > 0
+        if np.array_equal(squared, reach):
+            return reach
+        reach = squared
+
+
+def _components(pattern: np.ndarray) -> list[list[int]]:
+    """The distinct rows of reach & reach^T, each listing one component's
+    vertices in increasing order; components come in order of least vertex."""
+    reach = _reach(pattern)
+    mutual = reach & reach.T
+    first = np.unique(mutual, axis=0, return_index=True)[1]
+    return [np.flatnonzero(mutual[v]).tolist() for v in np.sort(first)]
+
+
 def strongly_connected_components(vertex_count: int, arcs) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; arcs is an iterable of (source, target)."""
-    adj: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in arcs:
-        adj[u].append(v)
-    index_of = [-1] * vertex_count
-    lowlink = [0] * vertex_count
-    on_stack = [False] * vertex_count
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(vertex_count):
-        if index_of[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index_of[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return components
+    """Strongly connected components; arcs is an iterable of (source, target)."""
+    ends = np.array(list(arcs), dtype=np.intp).reshape(-1, 2)
+    pattern = np.zeros((vertex_count, vertex_count), dtype=bool)
+    pattern[ends[:, 0], ends[:, 1]] = True
+    return _components(pattern)
 
 
 def is_strongly_connected(g: GDIFS) -> bool:
-    """Tarjan's algorithm on the distinct arcs (at most q^2) of the edge list."""
-    sources, targets = np.divmod(np.unique(g._cell), g.vertex_count)
-    comps = strongly_connected_components(
-        g.vertex_count, zip(sources.tolist(), targets.tolist())
-    )
-    return len(comps) == 1
+    """Every vertex reaches every other along the edges."""
+    q = g.vertex_count
+    pattern = np.zeros(q * q, dtype=bool)
+    pattern[g._cell] = True
+    return bool(_reach(pattern.reshape(q, q)).all())
 
 
 def _perron(a: np.ndarray) -> tuple[float, np.ndarray]:
@@ -191,7 +173,7 @@ def spectral_radius(a) -> float:
         raise GeometryError("matrix must be square")
     if (a < 0).any():
         raise GeometryError("matrix must be entrywise nonnegative")
-    comps = strongly_connected_components(a.shape[0], zip(*np.nonzero(a)))
+    comps = _components(a != 0)
     return max((_perron(a[np.ix_(comp, comp)])[0] for comp in comps), default=0.0)
 
 

@@ -151,16 +151,17 @@ class TransformationGroup:
     """Result of the closure computation over the generators, a read-only
     (N, d, d) stack.
 
-    ``elements`` is a canonically ordered tuple when the closure is finite and
-    None otherwise; ``witness_count`` then records how many distinct elements
-    the closure must hold (one more than the cap).  ``reason`` is
-    ``"closed"`` (finite), ``"cap_exceeded"`` (the closure passed the cap) or
-    ``"cyclic_orbit_exceeds_cap"`` (certified from one generator's powers);
-    for the last, ``margin`` is (smallest power distance, threshold).
+    ``elements`` is a canonically ordered, read-only (N, d, d) stack when the
+    closure is finite and None otherwise; ``witness_count`` then records how
+    many distinct elements the closure must hold (one more than the cap).
+    ``reason`` is ``"closed"`` (finite), ``"cap_exceeded"`` (the closure
+    passed the cap) or ``"cyclic_orbit_exceeds_cap"`` (certified from one
+    generator's powers); for the last, ``margin`` is (smallest power
+    distance, threshold).
     """
 
     generators: np.ndarray
-    elements: tuple[np.ndarray, ...] | None
+    elements: np.ndarray | None
     witness_count: int
     tolerance: float
     reason: str
@@ -287,7 +288,7 @@ def group_closure(generators, closure_cap: int = 5000) -> TransformationGroup:
     elements.setflags(write=False)
     return TransformationGroup(
         gens,
-        tuple(elements),
+        elements,
         len(elements),
         tolerance,
         "closed",
@@ -420,11 +421,10 @@ def power_witness(t: np.ndarray, k: int, z_cap: int = 10**5):
                 finite_orders.append(order)
     k0 = math.lcm(*finite_orders) if finite_orders else 1
     # z must satisfy k z = 1 (mod k0) for the finite blocks to reproduce T.
-    if math.gcd(k % k0 if k0 > 1 else 0, k0) != 1 and k0 > 1:
+    if math.gcd(k, k0) != 1:
         raise NumericFailureError("k is not invertible modulo the finite block order")
     zs = np.arange(1, z_cap + 1)
-    if k0 > 1:
-        zs = zs[(k * zs) % k0 == 1]
+    zs = zs[(k * zs - 1) % k0 == 0]
     if zs.size == 0:
         raise NumericFailureError("no admissible witness exponent below the cap")
     if not irrational:

@@ -146,6 +146,49 @@ class TestStronglyConnectedArrays:
             )
 
 
+def reach_components(q, arcs):
+    """Oracle: a DFS reach set per vertex; two vertices share a component
+    when each reaches the other."""
+    out = [[] for _ in range(q)]
+    for u, v in arcs:
+        out[u].append(v)
+    reach = []
+    for root in range(q):
+        seen, stack = {root}, [root]
+        while stack:
+            for w in out[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    return {frozenset(w for w in range(q) if w in reach[v] and v in reach[w]) for v in range(q)}
+
+
+class TestComponentsAgainstReachOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.integers(1, 8), data=st.data())
+    def test_components_match_the_reach_oracle(self, q, data):
+        # Random arcs: self-loops, parallel arcs and vertices with no arcs.
+        vertex = st.integers(0, q - 1)
+        arcs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=4 * q))
+        comps = strongly_connected_components(q, arcs)
+        expected = reach_components(q, arcs)
+        assert sorted(v for comp in comps for v in comp) == list(range(q))
+        assert {frozenset(comp) for comp in comps} == expected
+        if {u for u, _ in arcs} == set(range(q)):
+            # Every vertex has an outgoing arc, so GDIFS accepts the graph.
+            g = graph(q, [loop(0.5, 0.1 * i, a, b) for i, (a, b) in enumerate(arcs)])
+            assert is_strongly_connected(g) == (len(expected) == 1)
+
+    def test_long_cycle_and_the_path_left_without_one_arc(self):
+        # The cycle's diameter, 299, takes 9 squarings of the pattern.
+        q = 300
+        arcs = [(v, (v + 1) % q) for v in range(q)]
+        assert is_strongly_connected(graph(q, [loop(0.5, 0.0, a, b) for a, b in arcs]))
+        assert [sorted(c) for c in strongly_connected_components(q, arcs)] == [list(range(q))]
+        assert len(strongly_connected_components(q, arcs[1:])) == q
+
+
 class TestGdifs:
     def test_edges_view_matches_the_arrays(self):
         g = graph(2, [loop(0.5, 0.1, 0, 1), loop(0.25, 0.2, 1, 0), loop(0.5, 0.3, 1, 1)])

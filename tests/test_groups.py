@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ifsproj import groups
 from ifsproj.fixtures import fixture_ifs
-from ifsproj.geometry import GeometryError, WordLevel
+from ifsproj.geometry import GeometryError, NumericFailureError, WordLevel
 from ifsproj.groups import (
     BlockKind,
     GroupClosureError,
@@ -260,6 +260,12 @@ class TestKroneckerPower:
         assert z <= 10**5
         assert residual < 0.05
         assert np.abs(np.linalg.matrix_power(t, k * z) - t).max() < 0.05
+
+    def test_power_witness_rejects_k_not_invertible(self):
+        # k = 2 shares a factor with the finite orders 4 (quarter turn) and 2 (-1).
+        for t in (planar_rotation(math.pi / 2.0), np.array([[-1.0]])):
+            with pytest.raises(NumericFailureError, match="k is not invertible"):
+                power_witness(t, 2)
 
     def test_result_at_least_n(self):
         rng = np.random.default_rng(11)
