@@ -53,6 +53,9 @@ _MAX_POWER_ROUNDS = 12
 _WORD_BUDGET = 300000
 # Most powers of a lead generator tried to move a fixed point apart.
 _FIXED_POINT_POWER_CAP = 64
+# Most candidate ball pairs the disjointness sweep tests at once; each pair's
+# temporaries take about 100 bytes, so a block stays near 0.4 MB.
+_PAIR_CHUNK = 1 << 12
 
 
 class HypothesisViolationError(GeometryError):
@@ -263,24 +266,56 @@ def _fixed_point_change_words(ifs: SSIFS, root_radius: float) -> list[Word]:
 
 def _word_tuple(level: WordLevel) -> tuple[Word, ...]:
     """The level's words as Word objects, in row order."""
-    return tuple(level.ifs.word(level.indices(k)) for k in range(len(level)))
+    ifs, m = level.ifs, len(level.ifs)
+    return tuple(ifs.word([i + 1 for i in row if i < m]) for row in level.letters.tolist())
 
 
 def _kept_in_order(centers, radii, separation, pinned: int = 0) -> np.ndarray:
     """Keep-mask of balls taken in index order: ball k is kept iff
     ||c_k - c_j|| >= r_k + r_j + separation for every earlier kept ball j.
-    The first `pinned` balls are kept unchecked."""
-    kept = np.zeros(len(radii), dtype=bool)
-    # The first n rows hold the balls kept so far.
-    kept_centers, kept_radii = np.empty_like(centers), np.empty_like(radii)
-    n = 0
-    for k in range(len(radii)):
-        c, r = centers[k], radii[k]
-        distance = np.linalg.norm(kept_centers[:n] - c, axis=1)
-        if k < pinned or (distance >= r + kept_radii[:n] + separation).all():
-            kept[k] = True
-            kept_centers[n], kept_radii[n] = c, r
-            n += 1
+    The first `pinned` balls are kept unchecked.
+
+    Only balls whose x-intervals [x - r - separation/2, x + r + separation/2]
+    overlap can conflict, so one sort-and-sweep over those intervals finds the
+    candidate pairs.  Each interval is widened by a few ulps of its bounds, so
+    a pair the sweep skips would pass that predicate in floating point too.
+    The candidates are tested with the predicate, a block of at most
+    `_PAIR_CHUNK` pairs (or one ball's pairs) at a time, so memory stays
+    bounded when many balls share an x-range.  The conflicts are then
+    resolved in order of the later ball: it is dropped iff an earlier kept
+    ball conflicts with it.
+    """
+    n = len(radii)
+    x, half = centers[:, 0], radii + separation / 2.0
+    pad = 8.0 * np.finfo(float).eps * (np.abs(x) + half)
+    lo, hi = x - half - pad, x + half + pad
+    order = np.argsort(lo)
+    lo, hi = lo[order], hi[order]
+    # Sorted interval i overlaps the next count[i] intervals; its pairs have
+    # the numbers first[i] .. first[i] + count[i] - 1 in one flat range.
+    count = np.searchsorted(lo, hi, side="right") - np.arange(n) - 1
+    ends = np.cumsum(count)
+    first = ends - count
+    conflicts = [np.empty((2, 0), dtype=np.intp)]
+    start = 0
+    while start < n:
+        # Sorted rows start .. stop - 1: at most _PAIR_CHUNK pairs, or one row.
+        stop = max(start + 1, int(np.searchsorted(ends, first[start] + _PAIR_CHUNK, side="right")))
+        i = np.repeat(np.arange(start, stop), count[start:stop])
+        a, b = order[i], order[i + 1 + first[start] + np.arange(len(i)) - first[i]]
+        j, k = np.minimum(a, b), np.maximum(a, b)
+        distance = np.linalg.norm(centers.take(j, axis=0) - centers.take(k, axis=0), axis=1)
+        conflict = (k >= pinned) & ~(distance >= radii[k] + radii[j] + separation)
+        conflicts.append(np.stack([j[conflict], k[conflict]]))
+        start = stop
+    earlier, later = np.concatenate(conflicts, axis=1)
+    by_later = np.lexsort((earlier, later))
+    dropped = set()
+    for j, k in zip(earlier[by_later].tolist(), later[by_later].tolist()):
+        if j not in dropped:
+            dropped.add(k)
+    kept = np.ones(n, dtype=bool)
+    kept[list(dropped)] = False
     return kept
 
 
@@ -421,7 +456,9 @@ def verify_pairwise_disjoint(words, center, radius, separation: float):
     kept, so the kept words have pairwise separated balls.  Containment needs
     no special case: a repeated word has the same ball, and the ball of a
     word extending another lies inside its ancestor's ball (cylinder balls
-    nest), so either always meets the earlier ball.
+    nest), so either always meets the earlier ball.  The balls go through
+    the in-order kernel `_kept_in_order`, which tests only the pairs whose
+    x-intervals overlap, so a family of well-spread words costs about a sort.
     """
     if not words:
         return set()

@@ -1,9 +1,11 @@
 import functools
+import hashlib
 import itertools
 import json
 import math
 from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ifsproj.constructions import (
     HypothesisViolationError,
     _greedy_pack,
     _identity_equal_ratio_pair,
+    _kept_in_order,
     _rotation_word_search,
     build_projection_gdifs,
     find_dimension_drop,
@@ -39,7 +42,7 @@ from ifsproj.geometry import (
 )
 from ifsproj.groups import _RotationTable, group_closure, planar_rotation, rotation_distance
 
-from conftest import compose, composed_by_oracle, random_ssifs
+from conftest import compose, composed_by_oracle, kept_in_order_by_loop, random_ssifs
 
 LOG3_LOG2 = math.log(3.0) / math.log(2.0)
 X_AXIS = LinearMap(np.array([[1.0, 0.0]]))
@@ -538,6 +541,91 @@ class TestVerifyPairwiseDisjoint:
             assert long[: len(short)] != short
 
 
+@st.composite
+def ball_layouts(draw):
+    """(centers, radii, separation, pinned) for the in-order ball kernel."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(0, 60)), draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["spread", "ties", "nested", "one x"]))
+    if kind == "ties":
+        # Integer centres, half-integer radii and a power-of-two scale: the
+        # distances of 3-4-5 (and 2-3-6-7) offsets and the sums
+        # r_j + r_k + separation are exact floats, so pairs sit on the threshold.
+        scale = 2.0 ** int(rng.integers(-20, 21))
+        centers = scale * rng.integers(0, 8, size=(n, d))
+        radii = scale * rng.integers(1, 6, size=n) / 2.0
+        separation = scale * int(rng.integers(0, 2))
+    else:
+        centers = rng.normal(size=(n, d))
+        # Radii spanning 10^6.
+        radii = 10.0 ** rng.uniform(-6.0, 0.0, size=n)
+        separation = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.1]))
+    if kind == "nested" and n:
+        # Duplicate centres: the same ball again, or a ball inside it.
+        copies = rng.integers(0, n, size=n // 2)
+        centers[rng.integers(0, n, size=n // 2)] = centers[copies]
+        radii[copies] *= rng.choice([1.0, 0.5], size=len(copies))
+    if kind == "one x":
+        # Every x-interval overlaps every other: the sweep tests all pairs.
+        centers[:, 0] = 0.25
+        radii *= 1e-3
+    return centers, radii, separation, draw(st.integers(0, n))
+
+
+class TestKeptInOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(layout=ball_layouts(), chunk=st.sampled_from([1, 7, 64, constructions._PAIR_CHUNK]))
+    def test_matches_the_loop(self, layout, chunk):
+        centers, radii, separation, pinned = layout
+        with mock.patch.object(constructions, "_PAIR_CHUNK", chunk):
+            kept = _kept_in_order(centers, radii, separation, pinned)
+        assert kept.dtype == bool
+        np.testing.assert_array_equal(
+            kept, kept_in_order_by_loop(centers, radii, separation, pinned)
+        )
+
+    def test_exact_tie_keeps_both_balls(self):
+        centers = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0 + 2.0**-40]])
+        # ||c_1 - c_0|| = 5 = 2 + 2 + 1 exactly; ball 2 is nearer ball 1.
+        kept = _kept_in_order(centers, np.array([2.0, 2.0, 0.0]), 1.0)
+        assert kept.tolist() == [True, True, False]
+
+    def test_pair_one_ulp_inside_the_sum_is_a_candidate(self):
+        # ||c_1 - c_0|| is one ulp below r_0 + r_1 + separation, but the
+        # unwidened x-intervals, rounded, do not overlap.
+        x0, x1 = 0.08542588342028234, 1.1894189607460022
+        r0, r1 = 0.03333351216070635, 0.9706595651650135
+        assert x1 - (r1 + 0.05) > x0 + (r0 + 0.05)
+        centers, radii = np.array([[x0, 0.0], [x1, 0.0]]), np.array([r0, r1])
+        assert _kept_in_order(centers, radii, 0.1).tolist() == [True, False]
+
+    def test_overlapping_pinned_balls_are_all_kept(self):
+        centers = np.zeros((4, 2))
+        assert _kept_in_order(centers, np.ones(4), 0.0, pinned=3).tolist() == [
+            True, True, True, False,
+        ]
+
+    def test_shared_x_crosses_the_pair_chunk(self):
+        # 300 balls on one vertical line: all 44 850 pairs are candidates,
+        # several blocks of _PAIR_CHUNK pairs.
+        rng = np.random.default_rng(7)
+        centers = np.column_stack([np.full(300, 0.25), rng.uniform(0.0, 1.0, 300)])
+        radii = 10.0 ** rng.uniform(-6.0, -2.0, 300)
+        assert 300 * 299 // 2 > 4 * constructions._PAIR_CHUNK
+        np.testing.assert_array_equal(
+            _kept_in_order(centers, radii, 1e-3, pinned=5),
+            kept_in_order_by_loop(centers, radii, 1e-3, pinned=5),
+        )
+
+    def test_chain_of_200000_balls(self):
+        # Each ball meets only the next one, so every other ball is kept.
+        # The balls run right to left, so the sweep sorts them in reverse.
+        n = 200_000
+        centers = np.column_stack([-np.arange(n, dtype=float), np.zeros(n)])
+        kept = _kept_in_order(centers, np.full(n, 0.6), 0.0)
+        np.testing.assert_array_equal(kept, np.arange(n) % 2 == 0)
+
+
 PINNED_SELECTIONS = json.loads(
     (Path(__file__).parent / "data" / "cylinders_reports.json").read_text()
 )
@@ -546,9 +634,11 @@ PINNED_SELECTIONS = json.loads(
 class TestSelectionPin:
     """The selections of perfbench's cylinders workload and the ssc-approx
     commands of its finite-words workload, as the prefix-tree certificate
-    and the all-pairs loops chose them, and two selections that reach the
+    and the all-pairs loops chose them, and three selections that reach the
     depth cap: irrational (hits and corrected words interleaved in row
-    order) and c4 (dropped words, so the mass is summed again)."""
+    order), c4 (dropped words, so the mass is summed again) and the
+    identity target on irrational at depth cap 9 (13 123 words, as the
+    in-order loop chose them; its word list is pinned by its sha256)."""
 
     @pytest.mark.parametrize(
         "case", PINNED_SELECTIONS, ids=lambda c: f"{c['command']} {c['fixture']}"
@@ -569,7 +659,11 @@ class TestSelectionPin:
             osc = bool(fixture_document(case["fixture"])["metadata"].get("osc_certified"))
             words = ssc_subsystem(ifs, case["epsilon"], t=case["t"], osc_certified=osc).words
         assert len(words) == case["word_count"]
-        assert [list(w.indices) for w in words] == case["words"]
+        words = [list(w.indices) for w in words]
+        if "words_sha256" in case:
+            assert hashlib.sha256(json.dumps(words).encode()).hexdigest() == case["words_sha256"]
+        else:
+            assert words == case["words"]
 
 
 def queue_word_search(ifs, start, target, tol, state_cap=_CORRECTOR_STATE_CAP):
