@@ -36,7 +36,9 @@ from .geometry import (
     attractor_bounding_ball,
 )
 from .groups import (
+    CLOSURE_TOLERANCE,
     TransformationGroup,
+    _distinct,
     _RotationTable,
     _store_new,
     group_closure,
@@ -79,6 +81,15 @@ def build_projection_gdifs(ifs: SSIFS | WordLevel, linear_map: LinearMap) -> Pro
     order.  A word level stands for its depth-iterated system; its words
     are read as they are, with no second check of the system and no
     similarity dimension.
+
+    The rotations are already checked (by the SSIFS constructor or by the
+    fold that built the level), and a deep level repeats a few of them many
+    times.  So the group is closed over the distinct rotations, the q
+    targets of each distinct one are looked up once, and each map takes
+    those of the distinct rotation it matched.  ``group_closure`` keeps the
+    same rotations from the full stack, so the elements and the graph do
+    not change; only the returned group's ``generators`` differ, holding
+    the distinct rotations.
     """
     if isinstance(ifs, WordLevel):
         ratios, rotations, translations = ifs.ratio, ifs.rotation, ifs.translation
@@ -91,14 +102,16 @@ def build_projection_gdifs(ifs: SSIFS | WordLevel, linear_map: LinearMap) -> Pro
         raise GeometryError("linear map must be nonzero")
     if linear_map.domain_dim != d:
         raise GeometryError("linear map domain does not match the system dimension")
-    group = group_closure(rotations)
+    distinct, classes = _distinct(rotations, CLOSURE_TOLERANCE)
+    group = group_closure(distinct)
     if not group.is_finite:
         raise HypothesisViolationError(
             "rotation group closure exceeded the cap; the projection "
             "graph-directed construction needs a finite group"
         )
     d2, q = linear_map.codomain_dim, group.order
-    targets = group.indices_of((group.elements[:, None] @ rotations[None]).reshape(-1, d, d))
+    targets = group.indices_of((group.elements[:, None] @ distinct[None]).reshape(-1, d, d))
+    targets = targets.reshape(q, len(distinct))[:, classes].ravel()
     translation = np.einsum("lj,ijk,nk->inl", linear_map.matrix, group.elements, translations)
     gdifs = GDIFS(
         q,

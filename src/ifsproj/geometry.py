@@ -84,10 +84,27 @@ def _row_max_abs(x: np.ndarray) -> np.ndarray:
 
 
 def _orthogonality_defects(rotation: np.ndarray) -> np.ndarray:
-    """orthogonality_defect of every matrix of an (N, d, d) stack."""
-    gram = _matmul(rotation.transpose(0, 2, 1), rotation)
-    gram -= np.eye(rotation.shape[1])
-    return _row_max_abs(gram)
+    """orthogonality_defect of every matrix of an (N, d, d) stack.
+
+    The Gram matrix R^T R is built one upper-triangle entry at a time, each
+    a pass over the whole stack summed over j in ``_matmul``'s order, so the
+    defects are bitwise those of ``_row_max_abs(_matmul(R^T, R) - I)``: the
+    Gram matrix is bitwise symmetric, max is exact, and ``_matmul``'s
+    ``+= 0.0`` changes only the sign of a zero, which abs drops.  Entry-major
+    keeps the temporaries at N values and wins on large stacks; a one-row
+    stack pays a few more calls.  NaN entries give a NaN defect.
+    """
+    d = rotation.shape[1]
+    out = np.zeros(len(rotation))
+    for i in range(d):
+        for k in range(i, d):
+            entry = rotation[:, 0, i] * rotation[:, 0, k]
+            for j in range(1, d):
+                entry += rotation[:, j, i] * rotation[:, j, k]
+            if i == k:
+                entry -= 1.0
+            np.maximum(out, np.abs(entry, out=entry), out=out)
+    return out
 
 
 def checked_maps(ratio: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:

@@ -199,19 +199,28 @@ class TransformationGroup:
         return match
 
 
-def _distinct(gens: np.ndarray, tol: float) -> np.ndarray:
-    """The generators that lie farther than tol from every earlier kept one.
+def _distinct(gens: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, inverse): the generators that lie farther than tol from
+    every earlier kept one, and for each generator n the index
+    ``inverse[n]`` of the kept one it matched (its own, when it is kept).
 
     Equivalent to a first-come greedy scan; each round keeps the first
-    remaining generator and drops everything within tol of the kept ones.
+    remaining generator and drops everything within tol of the kept ones,
+    so a kept row is the first of its class.
     """
     table = _RotationTable(gens.shape[1], tol)
-    remaining = gens
+    # The narrowest index type: the indices sit beside the lookup
+    # temporaries of stacks as deep as 4^8 rows.
+    inverse = np.empty(len(gens), dtype=np.min_scalar_type(len(gens)))
+    remaining, rows = gens, np.arange(len(gens), dtype=inverse.dtype)
     while len(remaining):
+        inverse[rows[0]] = table.size
         table.add_if_new(remaining[0])
-        counts, _ = table.lookup(remaining[1:])
-        remaining = remaining[1:][counts == 0]
-    return table.elements.copy()
+        counts, match = table.lookup(remaining[1:])
+        new = counts == 0
+        inverse[rows[1:][~new]] = match[~new]
+        remaining, rows = remaining[1:][new], rows[1:][new]
+    return table.elements.copy(), inverse
 
 
 def _cyclic_certificate(gens: np.ndarray, tol: float, cap: int) -> tuple[float, float] | None:
@@ -263,11 +272,12 @@ def group_closure(generators, closure_cap: int = 5000) -> TransformationGroup:
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
         raise GroupClosureError("generators must share their dimension")
     d = gens.shape[1]
-    if (_orthogonality_defects(gens) > tolerances.tau_orth()).any():
-        raise GroupClosureError("generator is not orthogonal")
+    tau = tolerances.tau_orth()
+    if not np.isfinite(gens).all() or (_orthogonality_defects(gens) > tau).any():
+        raise GroupClosureError("generator is not a finite orthogonal matrix")
     gens.setflags(write=False)
     tolerance = CLOSURE_TOLERANCE
-    distinct = _distinct(gens, tolerance)
+    distinct, _ = _distinct(gens, tolerance)
 
     certificate = _cyclic_certificate(distinct, tolerance, closure_cap)
     if certificate is not None:

@@ -9,9 +9,12 @@ from ifsproj.geometry import (
     SSIFS,
     DimensionMismatchError,
     Similarity,
+    _matmul,
+    _row_max_abs,
     orthogonality_defect,
     reorthonormalize,
 )
+from ifsproj.groups import group_closure
 
 
 @pytest.fixture
@@ -102,3 +105,29 @@ EINSUM_VECTOR_PRODUCTS = {
     "extend translation": lambda a, v: np.einsum("aij,bj->abi", a, v),
     "balls": lambda a, v: np.einsum("nij,j->ni", a, v[0]),
 }
+
+
+def orthogonality_defects_by_gram(rotation: np.ndarray) -> np.ndarray:
+    """max |R^T R - I| of every matrix of an (N, d, d) stack from the whole
+    Gram stack, one row-major product: the oracle that the entry-major
+    geometry._orthogonality_defects is checked against."""
+    gram = _matmul(rotation.transpose(0, 2, 1), rotation)
+    gram -= np.eye(rotation.shape[1])
+    return _row_max_abs(gram)
+
+
+def projection_graph_by_rows(ratios, rotations, translations, matrix):
+    """(source, target, ratio, translation) of the projection graph-directed
+    system with the group closed over every map's rotation and each map's
+    targets looked up on its own: the oracle that
+    constructions.build_projection_gdifs is checked against."""
+    group = group_closure(rotations)
+    q, m, d = group.order, len(ratios), rotations.shape[1]
+    targets = group.indices_of((group.elements[:, None] @ rotations[None]).reshape(-1, d, d))
+    translation = np.einsum("lj,ijk,nk->inl", matrix, group.elements, translations)
+    return (
+        np.repeat(np.arange(q), m),
+        targets,
+        np.tile(ratios, q),
+        translation.reshape(q * m, len(matrix)),
+    )

@@ -42,7 +42,13 @@ from ifsproj.geometry import (
 )
 from ifsproj.groups import _RotationTable, group_closure, planar_rotation, rotation_distance
 
-from conftest import compose, composed_by_oracle, kept_in_order_by_loop, random_ssifs
+from conftest import (
+    compose,
+    composed_by_oracle,
+    kept_in_order_by_loop,
+    projection_graph_by_rows,
+    random_ssifs,
+)
 
 LOG3_LOG2 = math.log(3.0) / math.log(2.0)
 X_AXIS = LinearMap(np.array([[1.0, 0.0]]))
@@ -105,6 +111,68 @@ class TestBuildProjectionGdifs:
     def test_rejects_zero_map(self, sierpinski):
         with pytest.raises(GeometryError):
             build_projection_gdifs(sierpinski, LinearMap(np.zeros((1, 2))))
+
+
+def level_of(ifs, depth):
+    level = WordLevel.root(ifs)
+    for _ in range(depth):
+        level = level.extend()
+    return level
+
+
+def assert_graph_matches_rows(source, linear_map):
+    """build_projection_gdifs equals projection_graph_by_rows bit for bit."""
+    if isinstance(source, WordLevel):
+        arrays = source.ratio, source.rotation, source.translation
+    else:
+        arrays = source.ratios, source.rotations, source.translations
+    g = build_projection_gdifs(source, linear_map).gdifs
+    want = projection_graph_by_rows(*arrays, linear_map.matrix)
+    for got, expected in zip((g.source, g.target, g.ratio, g.translation), want):
+        expected = np.asarray(expected, dtype=got.dtype)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+DIHEDRAL_FIVE = SSIFS(
+    [
+        Similarity(0.3, planar_rotation(2.0 * math.pi / 5.0), [0.0, 0.0]),
+        Similarity(0.4, np.diag([1.0, -1.0]), [1.0, 0.0]),
+        Similarity(0.25, planar_rotation(4.0 * math.pi / 5.0) @ np.diag([1.0, -1.0]), [0.0, 1.0]),
+    ]
+)
+
+
+@st.composite
+def finite_cyclic_systems(draw):
+    """(system, depth) for 2..4 planar maps whose rotations are powers of
+    one rotation of order 2..8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    rotations = [planar_rotation(2.0 * math.pi * k / n) for k in rng.integers(0, n, size=m)]
+    ratios, translations = rng.uniform(0.2, 0.6, m), rng.normal(size=(m, 2))
+    ifs = SSIFS([Similarity(r, o, v) for r, o, v in zip(ratios, rotations, translations)])
+    return ifs, draw(st.integers(0, 3))
+
+
+class TestProjectionGraphAgainstRows:
+    @pytest.mark.parametrize(
+        "name, depth",
+        [("c4_rotation", k) for k in range(1, 6)]
+        + [("example_7_5_plane", k) for k in range(1, 9)],
+    )
+    def test_fixture_levels_match(self, name, depth):
+        assert_graph_matches_rows(level_of(fixture_ifs(name), depth), X_AXIS)
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_dihedral_system_matches(self, depth):
+        source = DIHEDRAL_FIVE if depth == 0 else level_of(DIHEDRAL_FIVE, depth)
+        assert_graph_matches_rows(source, LinearMap(np.array([[0.6, 0.8]])))
+
+    @settings(max_examples=25, deadline=None)
+    @given(finite_cyclic_systems())
+    def test_cyclic_systems_match(self, drawn):
+        ifs, depth = drawn
+        assert_graph_matches_rows(ifs if depth == 0 else level_of(ifs, depth), X_AXIS)
 
 
 class TestFindDimensionDrop:

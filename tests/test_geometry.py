@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifsproj import tolerances
 from ifsproj.fixtures import BUILDERS, fixture_ifs
 from ifsproj.geometry import (
     DegenerateSystemError,
@@ -19,6 +20,7 @@ from ifsproj.geometry import (
     WordLevel,
     _fixed_points,
     _matmul,
+    _orthogonality_defects,
     _row_max_abs,
     attractor_bounding_ball,
     checked_maps,
@@ -31,6 +33,7 @@ from conftest import (
     EINSUM_VECTOR_PRODUCTS,
     compose,
     composed_by_oracle,
+    orthogonality_defects_by_gram,
     random_similarity,
     random_ssifs,
 )
@@ -412,6 +415,47 @@ class TestMatmulKernel:
         if n:
             a[n // 2, d - 1, 0] = np.nan
         assert same_bits(_row_max_abs(a), np.abs(a).max(axis=(1, 2)))
+
+
+def rotation_stack(rng, kind, n, d):
+    """An (n, d, d) stack of signed permutations and QR factors, moved by
+    up to 1e-12..1e-6 when perturbed, or of arbitrary matrices; about half
+    its zero entries are -0.0."""
+    if kind == "general":
+        a = stack(rng, n, d)
+    else:
+        perms = np.array([np.eye(d)[rng.permutation(d)] for _ in range(n)]).reshape(n, d, d)
+        perms *= rng.choice([-1.0, 1.0], size=(n, 1, d))
+        qr = np.linalg.qr(rng.normal(size=(n, d, d)))[0]
+        a = np.where(rng.random(n)[:, None, None] < 0.5, perms, qr)
+        if kind == "perturbed":
+            a += rng.uniform(-1.0, 1.0, a.shape) * 10.0 ** rng.uniform(-12, -6, (n, 1, 1))
+    return np.where((a == 0.0) & (rng.random(a.shape) < 0.5), -0.0, a)
+
+
+class TestOrthogonalityDefects:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["orthogonal", "perturbed", "general"]),
+        d=st.integers(1, 4),
+        n=st.sampled_from([0, 1]) | st.integers(2, 300),
+    )
+    def test_equal_the_gram_stack_bitwise(self, seed, kind, d, n):
+        a = rotation_stack(np.random.default_rng(seed), kind, n, d)
+        assert same_bits(_orthogonality_defects(a), orthogonality_defects_by_gram(a))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), n=st.integers(1, 300))
+    def test_nan_entries_give_the_gram_stack_verdict(self, seed, d, n):
+        rng = np.random.default_rng(seed)
+        a = rotation_stack(rng, "perturbed", n, d)
+        a[rng.random(a.shape) < 0.05] = np.nan
+        got, want = _orthogonality_defects(a), orthogonality_defects_by_gram(a)
+        tau = tolerances.tau_orth()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got <= tau, want <= tau)
+        assert np.array_equal(got[~np.isnan(got)], want[~np.isnan(want)])
 
 
 class TestWord:

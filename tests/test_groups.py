@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from ifsproj import groups
 from ifsproj.fixtures import fixture_ifs
-from ifsproj.geometry import GeometryError, NumericFailureError, WordLevel
+from ifsproj.geometry import GeometryError, NumericFailureError, WordLevel, _row_max_abs
 from ifsproj.groups import (
     BlockKind,
     GroupClosureError,
@@ -96,6 +97,15 @@ class TestGroupClosure:
         with pytest.raises(GroupClosureError):
             group_closure([np.array([[1.0, 1.0], [0.0, 1.0]])])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_generator(self, value):
+        # NaN > tau is False, so a defect test alone would let NaN through.
+        generators = [planar_rotation(1.0), np.array([[value, 0.0], [0.0, 1.0]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GroupClosureError, match="finite orthogonal"):
+                group_closure(generators)
+
 
 REFLECTION = np.array([[1.0, 0.0], [0.0, -1.0]])
 # (generators, closure_cap): a dihedral group, a cyclic one given more than
@@ -151,8 +161,9 @@ class TestGroupClosureInput:
     def test_a_stack_is_closed_without_an_object_per_row(self):
         # The depth-8 rotations of example_7_5_plane: 65 536 rows.  A tuple
         # of row views (about 112 bytes each, against 32 of data) kept
-        # 5.25 x nbytes alive and peaked at 9.5 x; one stack peaks at 5.5 x
-        # (the copy, and the Gram and lookup temporaries) and keeps its copy.
+        # 5.25 x nbytes alive and peaked at 9.5 x; one stack peaks at 5.75 x
+        # (the copy, the lookup temporaries and the narrow indices of
+        # groups._distinct) and keeps its copy.
         level = WordLevel.root(fixture_ifs("example_7_5_plane"))
         for _ in range(8):
             level = level.extend()
@@ -464,6 +475,30 @@ class TestHashedClosure:
         assert loose.order == 4
         with pytest.raises(GroupClosureError, match="matches 2 group elements"):
             loose.index_of(planar_rotation(math.pi / 4.0))
+
+
+class TestDistinct:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, n=st.integers(0, 60), d=st.integers(1, 4), tol_exp=st.integers(-12, -3))
+    def test_inverse_points_at_the_first_row_of_each_class(self, seed, n, d, tol_exp):
+        # Rows repeat a few base matrices, exactly or moved by up to 2 tol.
+        tol = 10.0**tol_exp
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-1.0, 1.0, size=(max(n // 4, 1), d, d))
+        gens = base[rng.integers(0, len(base), size=n)]
+        moved = rng.random(n) < 0.5
+        gens[moved] += rng.uniform(-2.0, 2.0, size=gens[moved].shape) * tol
+        distinct, inverse = groups._distinct(gens, tol)
+        # Oracle: the first-come greedy scan.
+        kept: list[int] = []
+        for i in range(n):
+            if all(np.abs(gens[i] - gens[k]).max() > tol for k in kept):
+                kept.append(i)
+        assert np.array_equal(distinct, gens[kept])
+        assert inverse.shape == (n,)
+        assert (_row_max_abs(gens - distinct[inverse]) <= tol).all()
+        first = np.array([int(np.flatnonzero(inverse == k)[0]) for k in range(len(kept))])
+        assert np.array_equal(first, kept)
 
 
 class TestRotationTable:
