@@ -40,7 +40,6 @@ from .groups import (
     TransformationGroup,
     _distinct,
     _RotationTable,
-    _store_new,
     group_closure,
     kronecker_power,
     rotation_distance,
@@ -444,7 +443,7 @@ def _rotation_word_search(ifs: SSIFS, start: np.ndarray, target: np.ndarray, tol
     gens = ifs.rotations
     m, d = gens.shape[:2]
     table = _RotationTable(d, max(tol / 4.0, 1e-12))
-    table.add_if_new(start)
+    table.insert(start[None])
     # The stored rotations of the last length, and their words as letter rows.
     rotations, rows = start[None], np.empty((1, 0), dtype=np.int64)
     for _ in range(_CORRECTOR_LENGTH_CAP):
@@ -453,7 +452,7 @@ def _rotation_word_search(ifs: SSIFS, start: np.ndarray, target: np.ndarray, tol
         if hit.size:
             k = int(hit[0])
             return (*rows[k // m].tolist(), k % m + 1)
-        stored = np.flatnonzero(_store_new(table, products, _CORRECTOR_STATE_CAP))
+        stored = table.insert(products, _CORRECTOR_STATE_CAP)[0]
         if not stored.size:
             return None
         rotations = products[stored]

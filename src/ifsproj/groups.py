@@ -20,8 +20,11 @@ certificate of exceeding the cap, not a proof of infinitude; the
 ``reason`` field of the result says which of the two paths decided.
 
 The closure and the corrector search of ``constructions`` walk the Cayley
-graph of rotation products one word length at a time, and both store a
-level's products through one step, ``_store_new``.
+graph of rotation products one word length at a time.  Both store a
+level's products, and ``_distinct`` its generators, through one in-order
+batch insert, ``_RotationTable.insert``: a row is stored iff no matrix
+stored before it, from earlier batches or earlier in its own, lies within
+tol, and the table holds fewer than its cap.
 """
 
 from __future__ import annotations
@@ -60,9 +63,9 @@ class _RotationTable:
     A matrix is keyed by floor(<W, M> / width), with W a fixed matrix of
     positive weights summing to 1, so matrices within tol of each other have
     keys at most 1 apart; width exceeds tol by a bound on the rounding of the
-    inner product for entries of size at most 1.  A lookup probes the
-    buckets k - 1, k and k + 1 and then checks the max-abs distance, which is
-    the same predicate as a scan over every stored matrix.
+    inner product for entries of size at most 1.  A lookup probes the keys
+    k - 1, k and k + 1 in the sorted stored keys and then checks the max-abs
+    distance, which is the same predicate as a scan over every stored matrix.
     """
 
     def __init__(self, d: int, tol: float):
@@ -72,43 +75,17 @@ class _RotationTable:
         # permutations, say) do not share one inner product.
         raw = 1.0 + (np.arange(1, d * d + 1) * 0.6180339887498949) % 1.0
         self._weights = (raw / raw.sum()).reshape(d, d)
-        self._stack = np.empty((16, d, d))
-        self._keys = np.empty(16, dtype=np.int64)
-        self._buckets: dict[int, list[int]] = {}
-        self.size = 0
-
-    @classmethod
-    def of(cls, stack: np.ndarray, tol: float) -> "_RotationTable":
-        """A table holding the rows of an (N, d, d) stack, in order."""
-        table = cls(stack.shape[1], tol)
-        table._stack = np.array(stack, dtype=float)
-        table._keys = table._key(table._stack)
-        table.size = len(stack)
-        for i, k in enumerate(table._keys.tolist()):
-            table._buckets.setdefault(k, []).append(i)
-        return table
+        self.elements = np.empty((0, d, d))
+        # The stored keys, their stable sort order and the sorted keys.
+        self._keys = self._order = self._sorted_keys = np.empty(0, dtype=np.int64)
 
     @property
-    def elements(self) -> np.ndarray:
-        return self._stack[: self.size]
+    def size(self) -> int:
+        return len(self._keys)
 
     def _key(self, mats: np.ndarray) -> np.ndarray:
         dots = np.einsum("nij,ij->n", mats, self._weights)
         return np.floor(dots / self._width).astype(np.int64)
-
-    def add_if_new(self, m: np.ndarray) -> bool:
-        """Store m unless a stored matrix lies within tol; True if stored."""
-        k = int(self._key(m[None])[0])
-        near = [i for j in (k - 1, k, k + 1) for i in self._buckets.get(j, ())]
-        if near and (_row_max_abs(self._stack[near] - m) <= self.tol).any():
-            return False
-        if self.size == len(self._stack):
-            self._stack = np.concatenate([self._stack, np.empty_like(self._stack)])
-            self._keys = np.concatenate([self._keys, np.empty_like(self._keys)])
-        self._stack[self.size], self._keys[self.size] = m, k
-        self._buckets.setdefault(k, []).append(self.size)
-        self.size += 1
-        return True
 
     def lookup(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each matrix of an (N, d, d) stack: how many stored matrices lie
@@ -119,31 +96,60 @@ class _RotationTable:
         if self.size == 0 or n == 0:
             return counts, match
         keys = self._key(mats)
-        order = np.argsort(self._keys[: self.size], kind="stable")
-        sorted_keys = self._keys[order]
-        lo = np.searchsorted(sorted_keys, keys - 1, side="left")
-        hi = np.searchsorted(sorted_keys, keys + 1, side="right")
+        lo = np.searchsorted(self._sorted_keys, keys - 1, side="left")
+        hi = np.searchsorted(self._sorted_keys, keys + 1, side="right")
         lens = hi - lo
         query = np.repeat(np.arange(n), lens)
         offset = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
-        stored = order[np.repeat(lo, lens) + offset]
-        dist = _row_max_abs(self._stack[stored] - mats[query])
+        stored = self._order[np.repeat(lo, lens) + offset]
+        dist = _row_max_abs(self.elements[stored] - mats[query])
         hit = dist <= self.tol
         counts += np.bincount(query[hit], minlength=n)
         match[query[hit]] = stored[hit]
         return counts, match
 
-
-def _store_new(table: _RotationTable, products: np.ndarray, cap: int) -> np.ndarray:
-    """Store, in order, each product that no stored matrix matches, until
-    the table holds ``cap`` matrices; the mask of the stored products."""
-    counts, _ = table.lookup(products)
-    stored = np.zeros(len(products), dtype=bool)
-    for i in np.flatnonzero(counts == 0).tolist():
-        if table.size >= cap:
-            break
-        stored[i] = table.add_if_new(products[i])
-    return stored
+    def insert(self, mats: np.ndarray, cap: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+        """Store, in order, each row of an (N, d, d) stack that lies farther
+        than tol from every stored matrix, while the table holds fewer than
+        ``cap`` matrices.  Returns (stored_rows, match): the indices of the
+        stored rows, and for each row the table index of a stored matrix
+        within tol (its own for a stored row, the first one stored from this
+        batch when an earlier row of it matched), or -1 for a row that
+        matched nothing once the table was full.
+        """
+        match = self.lookup(mats)[1]
+        rows = np.flatnonzero(match < 0)
+        keys = self._key(mats)[rows]
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        # Positions in ``rows`` that no stored matrix matches yet.
+        unmatched = np.ones(len(rows), dtype=bool)
+        kept: list[int] = []
+        pos = 0
+        while pos < len(rows) and self.size + len(kept) < cap:
+            pos += int(unmatched[pos:].argmax())
+            if not unmatched[pos]:
+                break
+            row, unmatched[pos] = rows[pos], False
+            match[row] = self.size + len(kept)
+            kept.append(pos)
+            # Only unmatched rows with keys in [k - 1, k + 1] can lie within tol.
+            lo, hi = sorted_keys.searchsorted([keys[pos] - 1, keys[pos] + 2])
+            near = order[lo:hi]
+            near = near[unmatched[near]]
+            if near.size:
+                diff = mats[rows[near]]
+                diff -= mats[row]
+                near = near[_row_max_abs(diff) <= self.tol]
+                unmatched[near] = False
+                match[rows[near]] = match[row]
+        stored_rows = rows[kept]
+        if kept:
+            self.elements = np.concatenate([self.elements, mats[stored_rows]])
+            self._keys = np.concatenate([self._keys, keys[kept]])
+            self._order = np.argsort(self._keys, kind="stable")
+            self._sorted_keys = self._keys[self._order]
+        return stored_rows, match
 
 
 @dataclass(frozen=True)
@@ -201,26 +207,13 @@ class TransformationGroup:
 
 def _distinct(gens: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, inverse): the generators that lie farther than tol from
-    every earlier kept one, and for each generator n the index
-    ``inverse[n]`` of the kept one it matched (its own, when it is kept).
-
-    Equivalent to a first-come greedy scan; each round keeps the first
-    remaining generator and drops everything within tol of the kept ones,
-    so a kept row is the first of its class.
+    every earlier kept one, in order, and for each generator n the index
+    ``inverse[n]`` of the first kept one within tol (its own, when it is
+    kept).  This is one ``_RotationTable.insert`` into an empty table.
     """
     table = _RotationTable(gens.shape[1], tol)
-    # The narrowest index type: the indices sit beside the lookup
-    # temporaries of stacks as deep as 4^8 rows.
-    inverse = np.empty(len(gens), dtype=np.min_scalar_type(len(gens)))
-    remaining, rows = gens, np.arange(len(gens), dtype=inverse.dtype)
-    while len(remaining):
-        inverse[rows[0]] = table.size
-        table.add_if_new(remaining[0])
-        counts, match = table.lookup(remaining[1:])
-        new = counts == 0
-        inverse[rows[1:][~new]] = match[~new]
-        remaining, rows = remaining[1:][new], rows[1:][new]
-    return table.elements.copy(), inverse
+    inverse = table.insert(gens)[1]
+    return table.elements, inverse
 
 
 def _cyclic_certificate(gens: np.ndarray, tol: float, cap: int) -> tuple[float, float] | None:
@@ -287,23 +280,19 @@ def group_closure(generators, closure_cap: int = 5000) -> TransformationGroup:
 
     multipliers = np.concatenate([distinct, distinct.transpose(0, 2, 1)])
     table = _RotationTable(d, tolerance)
-    table.add_if_new(np.eye(d))
-    frontier = table.elements.copy()
+    frontier = np.eye(d)[None]
+    table.insert(frontier)
     while len(frontier):
         candidates = (multipliers[None] @ frontier[:, None]).reshape(-1, d, d)
-        frontier = candidates[_store_new(table, candidates, closure_cap + 1)]
+        frontier = candidates[table.insert(candidates, closure_cap + 1)[0]]
         if table.size > closure_cap:
             return TransformationGroup(gens, None, table.size, tolerance, "cap_exceeded")
     elements = table.elements[_canonical_order(table.elements)]
     elements.setflags(write=False)
-    return TransformationGroup(
-        gens,
-        elements,
-        len(elements),
-        tolerance,
-        "closed",
-        _table=_RotationTable.of(elements, tolerance),
-    )
+    # The elements lie pairwise farther than tol apart, so all are stored.
+    table = _RotationTable(d, tolerance)
+    table.insert(elements)
+    return TransformationGroup(gens, elements, len(elements), tolerance, "closed", _table=table)
 
 
 class BlockKind(enum.Enum):

@@ -131,3 +131,19 @@ def projection_graph_by_rows(ratios, rotations, translations, matrix):
         np.tile(ratios, q),
         translation.reshape(q * m, len(matrix)),
     )
+
+
+def store_new_by_scan(stored, mats, tol, cap) -> list[int]:
+    """The rows of an (N, d, d) stack that a first-come scan stores after the
+    matrices ``stored``: a row is kept iff no kept matrix lies within tol in
+    max-abs norm and fewer than ``cap`` are kept.  The oracle that
+    groups._RotationTable.insert is checked against."""
+    kept = list(stored)
+    rows = []
+    for i, m in enumerate(mats):
+        if len(kept) >= cap:
+            break
+        if all(np.abs(m - k).max() > tol for k in kept):
+            kept.append(m)
+            rows.append(i)
+    return rows

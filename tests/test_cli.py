@@ -1,7 +1,9 @@
 import argparse
+import importlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -795,6 +797,16 @@ class TestCliOptions:
         codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
         assert codes == {0, 2, 3, 4, 5, 6}
         assert listed == ["Code", *map(str, sorted(codes))]
+
+    def test_readme_private_names_resolve(self):
+        # A private name goes stale with any refactor that renames or
+        # inlines it, and no import would notice.
+        names = re.findall(r"`(\w+)\.(_\w+(?:\.\w+)*)`", README_LIBRARY)
+        assert names
+        for module, path in names:
+            obj = importlib.import_module(f"ifsproj.{module}")
+            for part in path.split("."):
+                obj = getattr(obj, part)
 
 
 HEADER_KEYS = ["tool", "version", "tolerances", "input", "fixture"]

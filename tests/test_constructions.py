@@ -40,7 +40,7 @@ from ifsproj.geometry import (
     attractor_bounding_ball,
     cylinder_ball,
 )
-from ifsproj.groups import _RotationTable, group_closure, planar_rotation, rotation_distance
+from ifsproj.groups import group_closure, planar_rotation, rotation_distance
 
 from conftest import (
     compose,
@@ -736,9 +736,10 @@ class TestSelectionPin:
 
 def queue_word_search(ifs, start, target, tol, state_cap=_CORRECTOR_STATE_CAP):
     """The corrector search as a breadth-first queue of (rotation, word)
-    pairs, each word copied from its parent's."""
-    visited = _RotationTable(start.shape[0], max(tol / 4.0, 1e-12))
-    visited.add_if_new(start)
+    pairs, each word copied from its parent's, with a full max-abs scan of
+    the visited rotations in place of the rotation table."""
+    visited = np.empty((state_cap, *start.shape))
+    visited[0], size = start, 1
     queue = deque([(start, ())])
     while queue:
         rot, word = queue.popleft()
@@ -748,7 +749,9 @@ def queue_word_search(ifs, start, target, tol, state_cap=_CORRECTOR_STATE_CAP):
             nxt = rot @ rotation
             if rotation_distance(nxt, target) < tol:
                 return word + (n,)
-            if visited.size < state_cap and visited.add_if_new(nxt):
+            near = np.abs(visited[:size] - nxt).max(axis=(1, 2)) <= max(tol / 4.0, 1e-12)
+            if size < state_cap and not near.any():
+                visited[size], size = nxt, size + 1
                 queue.append((nxt, word + (n,)))
     return None
 

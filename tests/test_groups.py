@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ifsproj import groups
 from ifsproj.fixtures import fixture_ifs
-from ifsproj.geometry import GeometryError, NumericFailureError, WordLevel, _row_max_abs
+from ifsproj.geometry import GeometryError, NumericFailureError, WordLevel
 from ifsproj.groups import (
     BlockKind,
     GroupClosureError,
@@ -25,6 +25,8 @@ from ifsproj.groups import (
     power_witness,
     rotation_distance,
 )
+
+from conftest import store_new_by_scan
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,8 +163,9 @@ class TestGroupClosureInput:
     def test_a_stack_is_closed_without_an_object_per_row(self):
         # The depth-8 rotations of example_7_5_plane: 65 536 rows.  A tuple
         # of row views (about 112 bytes each, against 32 of data) kept
-        # 5.25 x nbytes alive and peaked at 9.5 x; one stack peaks at 5.75 x
-        # (the copy, the lookup temporaries and the narrow indices of
+        # 5.25 x nbytes alive and peaked at 9.5 x; one stack peaks at 4.78 x
+        # (the copy, and the keys, the index arrays and the max-abs compare
+        # of the first row against the other 65 535 in the one insert of
         # groups._distinct) and keeps its copy.
         level = WordLevel.root(fixture_ifs("example_7_5_plane"))
         for _ in range(8):
@@ -489,16 +492,20 @@ class TestDistinct:
         moved = rng.random(n) < 0.5
         gens[moved] += rng.uniform(-2.0, 2.0, size=gens[moved].shape) * tol
         distinct, inverse = groups._distinct(gens, tol)
-        # Oracle: the first-come greedy scan.
-        kept: list[int] = []
-        for i in range(n):
-            if all(np.abs(gens[i] - gens[k]).max() > tol for k in kept):
-                kept.append(i)
+        kept = store_new_by_scan(np.empty((0, d, d)), gens, tol, math.inf)
         assert np.array_equal(distinct, gens[kept])
         assert inverse.shape == (n,)
-        assert (_row_max_abs(gens - distinct[inverse]) <= tol).all()
-        first = np.array([int(np.flatnonzero(inverse == k)[0]) for k in range(len(kept))])
-        assert np.array_equal(first, kept)
+        near = np.abs(gens[:, None] - distinct[None]).max(axis=(2, 3)) <= tol
+        assert near.any(axis=1).all()
+        assert inverse.tolist() == [int(np.flatnonzero(row)[0]) for row in near]
+
+
+def bucket_edge_rows(table, base):
+    """The matrices of a stack shifted along the all-ones matrix J, which
+    moves <W, M> one for one, onto the lower edge of their key bucket."""
+    dots = np.einsum("nij,ij->n", base, table._weights)
+    edges = np.floor(dots / table._width) * table._width
+    return base + (edges - dots)[:, None, None]
 
 
 class TestRotationTable:
@@ -506,36 +513,93 @@ class TestRotationTable:
     @given(seed=seeds, n=st.integers(1, 40), d=st.integers(1, 4), tol_exp=st.integers(-12, -3))
     def test_lookup_equals_full_scan(self, seed, n, d, tol_exp):
         # Queries sit within [0, 2 tol] of stored matrices, so many straddle
-        # both the tolerance and the bucket edges.
+        # both the tolerance and the bucket edges; the midpoints of pairs of
+        # stored matrices up to 2 tol apart match both.
         tol = 10.0**tol_exp
         rng = np.random.default_rng(seed)
-        stored = rng.uniform(-1.0, 1.0, size=(n, d, d))
-        stored[n // 2 :] = stored[: n - n // 2] + rng.uniform(-2, 2, size=(n - n // 2, d, d)) * tol
-        base = stored[rng.integers(0, n, size=3 * n)]
-        queries = base + rng.uniform(-2.0, 2.0, size=base.shape) * tol
-        table = _RotationTable.of(stored, tol)
+        rows = rng.uniform(-1.0, 1.0, size=(n, d, d))
+        rows[n // 2 :] = rows[: n - n // 2] + rng.uniform(-2, 2, size=(n - n // 2, d, d)) * tol
+        table = _RotationTable(d, tol)
+        table.insert(rows)
+        stored = table.elements
+        base = stored[rng.integers(0, len(stored), size=3 * n)]
+        pairs = rng.integers(0, len(stored), size=(n, 2))
+        queries = np.concatenate(
+            [
+                base + rng.uniform(-2.0, 2.0, size=base.shape) * tol,
+                (stored[pairs[:, 0]] + stored[pairs[:, 1]]) / 2.0,
+            ]
+        )
         counts, match = table.lookup(queries)
         dist = np.abs(queries[:, None] - stored[None]).max(axis=(2, 3))
         assert (counts == (dist <= tol).sum(axis=1)).all()
         hit = counts > 0
         assert (dist[np.flatnonzero(hit), match[hit]] <= tol).all()
         assert (match[~hit] == -1).all()
-        for q, c in zip(queries, counts):
-            assert _RotationTable.of(stored, tol).add_if_new(q) == (c == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=seeds,
+        prefix=st.integers(0, 20),
+        n=st.integers(0, 40),
+        d=st.integers(1, 4),
+        tol_exp=st.integers(-12, -3),
+        room=st.one_of(st.none(), st.integers(0, 12)),
+    )
+    def test_insert_keeps_the_rows_of_a_scan(self, seed, prefix, n, d, tol_exp, room):
+        # Rows repeat a few base matrices, half of them on a bucket edge,
+        # exactly or moved by up to 2 tol; the first ``prefix`` rows go in
+        # first, then the rest with room for ``room`` more matrices.
+        tol = 10.0**tol_exp
+        rng = np.random.default_rng(seed)
+        table = _RotationTable(d, tol)
+        base = rng.uniform(-1.0, 1.0, size=(max((prefix + n) // 4, 1), d, d))
+        edge = rng.random(len(base)) < 0.5
+        base[edge] = bucket_edge_rows(table, base[edge])
+        rows = base[rng.integers(0, len(base), size=prefix + n)]
+        moved = rng.random(len(rows)) < 0.5
+        rows[moved] += rng.uniform(-2.0, 2.0, size=rows[moved].shape) * tol
+        first, _ = table.insert(rows[:prefix])
+        assert first.tolist() == store_new_by_scan(np.empty((0, d, d)), rows[:prefix], tol, math.inf)
+        stored, mats = table.elements, rows[prefix:]
+        cap = math.inf if room is None else len(stored) + room
+        kept, match = table.insert(mats, cap)
+        assert kept.tolist() == store_new_by_scan(stored, mats, tol, cap)
+        assert np.array_equal(table.elements, np.concatenate([stored, mats[kept]]))
+        assert np.array_equal(match[kept], np.arange(len(stored), table.size))
+        near = np.abs(mats[:, None] - table.elements[None]).max(axis=(2, 3)) <= tol
+        hit = match >= 0
+        assert np.array_equal(hit, near.any(axis=1))
+        assert near[np.flatnonzero(hit), match[hit]].all()
+        # A row that matches only rows of its own batch points at the first.
+        own = hit & ~near[:, : len(stored)].any(axis=1)
+        assert match[own].tolist() == [int(np.flatnonzero(row)[0]) for row in near[own]]
+        # A row that matches nothing comes after the table filled up.
+        for i in np.flatnonzero(~hit):
+            assert len(stored) + int((kept < i).sum()) == cap
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("entry, tol", [(0.0, 1e-6), (0.5, 2.0**-20)])
+    def test_a_row_exactly_tol_away_is_matched(self, d, entry, tol):
+        # (entry + tol) - entry is exactly tol here.
+        rows = np.full((3, d, d), entry)
+        rows[1, -1, -1] += tol
+        rows[2, -1, -1] += 2.0 * tol
+        table = _RotationTable(d, tol)
+        kept, match = table.insert(rows)
+        assert kept.tolist() == [0, 2] and match.tolist() == [0, 0, 1]
+        counts, match = table.lookup(rows[1:2])
+        assert counts.tolist() == [2] and match[0] in (0, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds, d=st.integers(1, 4), tol_exp=st.integers(-12, -3))
     def test_finds_matrices_stored_on_bucket_boundaries(self, seed, d, tol_exp):
         tol = 10.0**tol_exp
         rng = np.random.default_rng(seed)
-        probe = _RotationTable(d, tol)
+        table = _RotationTable(d, tol)
         base = 4.0 * tol * np.arange(8)[:, None, None] + rng.uniform(-1, 1, size=(d, d))
-        # Shift along the all-ones matrix J, which moves <W, M> one for one,
-        # so every stored matrix lies on the lower edge of its bucket.
-        dots = np.einsum("nij,ij->n", base, probe._weights)
-        edges = np.floor(dots / probe._width) * probe._width
-        stored = base + (edges - dots)[:, None, None]
-        table = _RotationTable.of(stored, tol)
+        stored = bucket_edge_rows(table, base)
+        assert table.insert(stored)[0].tolist() == list(range(len(stored)))
         signs = rng.choice([-1.0, 1.0], size=stored.shape)
         for direction in (signs, -signs, np.ones_like(signs), -np.ones_like(signs)):
             counts, match = table.lookup(stored + 0.999 * tol * direction)
