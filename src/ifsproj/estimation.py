@@ -26,6 +26,7 @@ from .geometry import (
 
 _BOUNDS_BLOCK = 1024  # rows per block of column_bounds' contiguous reductions
 _CHAOS_BLOCK = 16  # chaos-game steps whose map choices are drawn at once
+_TREE_BLOCK_BYTES = 2**19  # bytes of one block of word-tree images
 
 
 class SamplingMethod(enum.Enum):
@@ -90,11 +91,18 @@ def sample_attractor(
     """Sample the attractor.
 
     Deterministic mode enumerates the depth-k images of the first map's fixed
-    point, for the smallest k with m^k >= n.  The word tree lives in one
-    C-ordered (m^k, d) buffer: level j occupies its last m^j rows, and map i
-    writes level j + 1's i-th block of m^j rows in place.  The last block
-    covers level j itself, so it reads a copy of it; the copy (1/m of the
-    output) is the only other buffer.
+    point, for the smallest k with m^k >= n: row i m^(k-1) + r of the
+    C-ordered (m^k, d) output is map i's image of point r of level k - 1.
+    Levels 0 .. k - 1 hold one point per column of a single (d, m^(k-1))
+    buffer (1/m of the output): level j is its last m^j columns, and level
+    j + 1 is written over the last m^(j+1).  Each level is read in blocks of
+    w columns, and one matmul of the stacked rotations (m d, d) with a block
+    gives every map's image of it at once, m d rows of w values in one
+    buffer of at most ``_TREE_BLOCK_BYTES``.  Each row is scaled and shifted
+    in place and copied to its map's columns of the next level, or to one
+    coordinate of the output's rows on the last level.  Map m - 1's images of
+    a block land on the block's own columns, which the matmul has already
+    read, so no level is copied.
 
     The chaos game iterates uniformly chosen maps from the fixed point (the
     start lies on the attractor, so a burn-in of 100 steps is kept only for
@@ -104,12 +112,16 @@ def sample_attractor(
 
     Both modes run, per coordinate, the IEEE operations of
     ``Similarity.__call__`` in its order: the matmul, then ``* ratio``, then
-    ``+ translation``.  BLAS gives each row of a product of several rows the
-    same rounding whatever the row count, but a one-row product runs another
-    kernel; the tree keeps each level's row count, and in the chaos game a map
-    that one chain alone draws is applied to that row alone.  So the points
-    are bitwise those of applying the maps one by one, as the per-map oracles
-    in the tests check.
+    ``+ translation``.  BLAS gives each entry of a product the same rounding
+    whatever the number of rows or columns, but a product with a single row
+    or column runs another kernel.  So the tree's block width w is a power
+    of m and at least m: it divides every level past the root, and only the
+    root's one point is multiplied alone, as ``Similarity.__call__`` would
+    multiply it.  In the chaos game a map that one chain alone draws is
+    applied to that row alone.  The output stays C-ordered, since
+    ``LinearMap.__call__`` projects a column-major cloud to other bits.  So
+    the points are bitwise those of applying the maps one by one, as the
+    per-map oracles in the tests check.
     """
     if n < 1:
         raise GeometryError("need n >= 1")
@@ -122,17 +134,35 @@ def sample_attractor(
         while m**depth < n:
             depth += 1
         points = np.empty((m**depth, d))
-        points[-1] = x0
+        if depth == 0:
+            points[0] = x0
+            return PointCloud(points, seed, method, digest, depth)
+        levels = np.empty((d, m ** (depth - 1)))
+        levels[:, -1] = x0
+        width = m  # the widest power of m, from m on, whose images fit the block bytes
+        while 8 * m * d * m * width <= _TREE_BLOCK_BYTES:
+            width *= m
+        stacked = rotations.reshape(m * d, d)
+        scale = np.repeat(ifs.ratios, d)[:, None]
+        shift = translations.reshape(m * d, 1)
+        images = np.empty(m * d * min(width, levels.shape[1]))
         for k in range(depth):
             size = m**k
-            prev = points[-size:]
-            start = points.shape[0] - m * size
-            for i in range(m):
-                block = points[start + i * size : start + (i + 1) * size]
-                np.matmul(prev.copy() if i == m - 1 else prev, rotations[i].T, out=block)
-                block *= ratios[i]
-                for j in range(d):
-                    block[:, j] += translations[i, j]
+            w = min(width, size)
+            block = images[: m * d * w].reshape(m * d, w)
+            source = levels[:, -size:]
+            # Point r of map i's image goes to target[i, r], an (m, size, d) view.
+            if k == depth - 1:
+                target = points.reshape(m, size, d)
+            else:
+                target = levels[:, -m * size :].reshape(d, m, size).transpose(1, 2, 0)
+            for c in range(0, size, w):
+                np.matmul(stacked, source[:, c : c + w], out=block)
+                block *= scale
+                block += shift
+                for i in range(m):
+                    for j in range(d):
+                        target[i, c : c + w, j] = block[i * d + j]
         return PointCloud(points, seed, method, digest, depth)
 
     rng = np.random.default_rng(seed)
@@ -172,12 +202,18 @@ def _chaos_choices(rng: np.random.Generator, m: int, steps: int, chains: int):
     """Per step, the map each chain draws and the maps one chain alone draws
     (whose image takes the one-row product, as ``Similarity.__call__`` would).
     Drawn ``_CHAOS_BLOCK`` steps at a time, which continues the stream of
-    doubles one ``rng.choice(m, size=(steps, chains))`` call would read."""
-    # Explicit uniform p: rng.choice draws a different stream without it.
-    weights = np.full(m, 1.0 / m)
+    doubles one ``rng.choice(m, size=(steps, chains), p=weights)`` call would
+    read for uniform weights.  That call builds the cdf below and picks, for
+    each double, the number of cdf entries at or below it (a right-sided
+    ``searchsorted``); counting the m - 1 inner edges gives the same maps."""
+    cdf = np.full(m, 1.0 / m).cumsum()
+    cdf /= cdf[-1]
     offsets = np.arange(0, _CHAOS_BLOCK * m, m)[:, None]
     for first in range(0, steps, _CHAOS_BLOCK):
-        choices = rng.choice(m, size=(min(_CHAOS_BLOCK, steps - first), chains), p=weights)
+        uniform = rng.random((min(_CHAOS_BLOCK, steps - first), chains))
+        choices = np.zeros(uniform.shape, dtype=np.int64)
+        for edge in cdf[:-1]:
+            choices += uniform >= edge
         draws = np.bincount((choices + offsets[: len(choices)]).ravel(), minlength=len(choices) * m)
         lone = draws.reshape(-1, m) == 1
         for row, lone_maps, any_lone in zip(choices, lone, lone.any(axis=1).tolist()):
@@ -232,11 +268,14 @@ def _distinct_cells(column, d: int) -> np.ndarray:
     """Distinct rows, as an (m, d) int64 array, of the cells whose j-th column
     ``column(j)`` returns as a fresh int64 array, with its min and max.
 
-    One mixed-radix key per row, sorted in place; only the key and one
-    column are alive at a time.  When the product of the column spans is
-    below 2^31, so that every key and radix fits int32, the int64 key is
+    One mixed-radix key per row; only the key and one column are alive at a
+    time.  When the key's radix (the product of the column spans) is at most
+    the number of rows, each key marks its entry of a one-byte occupancy mask
+    and the marked entries are read back in order.  Otherwise the key is
+    sorted in place and compared with its neighbour; when the radix is below
+    2^31, so that every key and radix fits int32, the int64 key is first
     narrowed to int32 in place, which halves the bytes the sort moves.  When
-    the product would overflow int64 the rows are sorted with ``np.lexsort``
+    the radix would overflow int64 the rows are sorted with ``np.lexsort``
     instead.
     """
     key = None
@@ -256,13 +295,18 @@ def _distinct_cells(column, d: int) -> np.ndarray:
         radices.append(radix)
         radix *= hi - lo + 1
         del cells  # freed before the next column is floored
-    if radix < 2**31:
-        key = _narrowed(key)
-    key.sort()
-    keep = np.empty(key.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(key[1:], key[:-1], out=keep[1:])
-    key = key[keep]
+    if radix <= key.size:
+        occupied = np.zeros(radix, dtype=bool)
+        occupied[key] = True
+        key = np.flatnonzero(occupied)
+    else:
+        if radix < 2**31:
+            key = _narrowed(key)
+        key.sort()
+        keep = np.empty(key.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
     out = np.empty((key.size, d), dtype=np.int64)
     for j in range(d - 1, -1, -1):
         out[:, j], key = np.divmod(key, radices[j])

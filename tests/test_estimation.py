@@ -128,6 +128,12 @@ def dyadic_ladders(draw):
 other_scales = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4)
 
 
+@pytest.fixture
+def sixteen_maps():
+    # The chaos game's map choices count the cdf edges in m - 1 passes.
+    return random_ssifs(np.random.default_rng(16), d=2, m=16)
+
+
 class TestSampleAttractor:
     def test_single_point_is_first_fixed_point(self, sierpinski):
         cloud = sample_attractor(sierpinski, 1)
@@ -169,7 +175,9 @@ class TestSampleAttractor:
             assert (dist <= radius * (1.0 + 1e-9) + 1e-9).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("name, n", [("sierpinski", 5000), ("irrational", 3000)])
+    @pytest.mark.parametrize(
+        "name, n", [("sierpinski", 5000), ("irrational", 3000), ("sixteen_maps", 3000)]
+    )
     def test_chaos_game_matches_appending_loop(self, request, name, n, seed):
         ifs = request.getfixturevalue(name)
         cloud = sample_attractor(ifs, n, seed=seed, method=SamplingMethod.CHAOS_GAME)
@@ -184,6 +192,34 @@ class TestSampleAttractor:
         points, depth = deterministic_by_concatenation(ifs, n)
         assert np.array_equal(cloud.points, points)
         assert cloud.depth == depth
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_narrow_blocks_match_concatenation(self, data):
+        # Blocks of m or m^2 columns: every level past the root splits into
+        # several full blocks.
+        ifs = data.draw(random_systems((1, 2, 3, 4)))
+        m, d = len(ifs), ifs.ambient_dim
+        width = m ** data.draw(st.integers(1, 2))
+        k = data.draw(st.integers(0, 12).filter(lambda k: m**k < 3 * 10**4))
+        n = m**k + data.draw(st.integers(0, 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "_TREE_BLOCK_BYTES", 8 * m * d * width)
+            cloud = sample_attractor(ifs, n)
+        points, depth = deterministic_by_concatenation(ifs, n)
+        assert np.array_equal(cloud.points, points)
+        assert cloud.points.flags.c_contiguous
+        assert cloud.depth == depth
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 16])
+    @pytest.mark.parametrize("steps, chains", [(7, 3), (40, 64), (17, 256), (33, 1024)])
+    def test_chaos_choices_are_those_of_rng_choice(self, m, steps, chains):
+        for seed in range(3):
+            expected, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+            choices = expected.choice(m, size=(steps, chains), p=np.full(m, 1.0 / m))
+            rows = [row for row, _ in estimation._chaos_choices(drawn, m, steps, chains)]
+            assert np.array_equal(np.array(rows), choices)
+            assert drawn.bit_generator.state == expected.bit_generator.state
 
     @settings(max_examples=35, deadline=None)
     @given(
@@ -200,8 +236,9 @@ class TestSampleAttractor:
         assert np.array_equal(cloud.points, chaos_game_by_appending(ifs, n, seed))
 
     def test_deterministic_peak_memory_is_output_plus_one_level(self, irrational):
-        # One (m^k, d) buffer plus a copy of level k - 1 for the block that
-        # overwrites it: (1 + 1/m) times the output.
+        # The (m^k, d) output, levels 0 .. k - 1 as columns of one
+        # (d, m^(k-1)) buffer (1/m of the output) and one block of images of
+        # at most _TREE_BLOCK_BYTES: (1 + 1/m) times the output plus a block.
         tracemalloc.start()
         try:
             cloud = sample_attractor(irrational, 10**6)
@@ -346,9 +383,25 @@ SPANS = [
 ]
 
 
+@pytest.fixture
+def narrowed(monkeypatch):
+    """The sizes of the keys that _distinct_cells narrows to int32, which it
+    does on its sort path only."""
+    sizes = []
+    real = estimation._narrowed
+
+    def spy(key):
+        sizes.append(key.size)
+        return real(key)
+
+    monkeypatch.setattr(estimation, "_narrowed", spy)
+    return sizes
+
+
 class TestCellKeyWidth:
-    """The mixed-radix cell key is int32 for a product of spans below 2^31
-    and int64 from there on."""
+    """On the sort path (a product of spans above the number of rows), the
+    mixed-radix cell key is narrowed to int32 for a product below 2^31 and
+    stays int64 from there on."""
 
     @pytest.mark.parametrize("shift", [0, -(2**31) - 5], ids=["nonnegative", "negative"])
     @pytest.mark.parametrize("spans", SPANS, ids=str)
@@ -360,15 +413,7 @@ class TestCellKeyWidth:
         assert box_counts(points, scales) == [per_scale_count(points, s) for s in scales]
 
     @pytest.mark.parametrize("spans", SPANS, ids=str)
-    def test_narrows_the_key_only_below_2_to_the_31(self, monkeypatch, spans):
-        narrowed = []
-        real = estimation._narrowed
-
-        def spy(key):
-            narrowed.append(key.size)
-            return real(key)
-
-        monkeypatch.setattr(estimation, "_narrowed", spy)
+    def test_narrows_the_key_only_below_2_to_the_31(self, narrowed, spans):
         points = points_with_spans(spans, 0)
         assert box_counts(points, [1.0]) == [per_scale_count(points, 1.0)]
         assert bool(narrowed) == (math.prod(spans) < 2**31)
@@ -386,6 +431,33 @@ class TestCellKeyWidth:
         finally:
             tracemalloc.stop()
         assert peak <= 1.135 * column.nbytes
+
+
+class TestOccupancyMask:
+    """Distinct cells come from a one-byte occupancy mask when the key's
+    radix (the product of the column spans) is at most the number of rows,
+    and from sorting the key otherwise."""
+
+    @pytest.mark.parametrize("shift", [0, -(2**31) - 5], ids=["nonnegative", "negative"])
+    @pytest.mark.parametrize(
+        "spans, masked",
+        [((222,), True), ((223,), False), ((2, 111), True), ((223, 1), False), ((3, 2, 37), True)],
+        ids=str,
+    )
+    def test_both_paths_match_the_oracle(self, narrowed, spans, masked, shift):
+        # points_with_spans gives 222 rows: radix == rows, or one more.
+        points = points_with_spans(spans, shift)
+        assert len(points) == 222
+        assert box_counts(points, [1.0]) == [per_scale_count(points, 1.0)]
+        assert bool(narrowed) != masked
+        scales = [2.0**k for k in range(8, -1, -1)]
+        assert box_counts(points, scales) == [per_scale_count(points, s) for s in scales]
+
+    def test_dense_column_takes_the_mask(self, narrowed):
+        column = np.random.default_rng(4).uniform(-1.0, 1.0, size=(10**4, 1))
+        scales = [2.0**-k for k in range(1, 9)]
+        assert box_counts(column, scales) == [per_scale_count(column, s) for s in scales]
+        assert not narrowed
 
 
 class TestBoxDim:
