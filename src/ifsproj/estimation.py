@@ -3,6 +3,22 @@
 Box dimension is a valid numerical proxy for the Hausdorff dimension of a
 self-similar set, which justifies all estimators here as desk-scale checks
 of the exact dimension statements.
+
+The three full-length passes over a sample, ``column_bounds``,
+``project_cloud`` and the finest quantisation of ``box_counts``, are split
+into contiguous parts of rows, one per worker thread (``_in_parts``): up to
+``_WORKERS`` parts, each of at least ``_PART_ROWS`` rows, cut at multiples
+of ``_PART_ALIGN`` rows.  Their numpy calls release the GIL, so the parts
+run on separate cores.  No result depends on the number of parts: min and
+max are exact and are folded over the parts; the projection writes each
+part's rows with the product the whole array would use, on the same
+``_PART_ALIGN``-aligned rows; and each part floors its rows with the same
+per-column cell bounds and key radix, found from the exact column bounds
+before any part starts.  No option, parameter or environment variable sets
+the number of workers: it is the smaller of ``_WORKERS_CAP`` and the CPUs
+this process may run on.  The word tree and the chaos game stay serial:
+their per-block calls take 10-30 us, about what a GIL handoff between two
+threads costs.
 """
 
 from __future__ import annotations
@@ -10,7 +26,9 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from dataclasses import dataclass, replace
+import os
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +45,55 @@ from .geometry import (
 _BOUNDS_BLOCK = 1024  # rows per block of column_bounds' contiguous reductions
 _CHAOS_BLOCK = 16  # chaos-game steps whose map choices are drawn at once
 _TREE_BLOCK_BYTES = 2**19  # bytes of one block of word-tree images
+_WORKERS_CAP = 4  # each part holds its own chunk temporaries and occupancy mask
+_WORKERS = min(
+    _WORKERS_CAP,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+)
+# The fewest rows a part is started for, and the rows of one chunk of a
+# part's quantisation loop (its temporaries then stay in cache).  It is far
+# above (_WORKERS_CAP - 1) * _PART_ALIGN, so the last part is never short.
+_PART_ROWS = 2**17
+_PART_ALIGN = 4096  # parts start at multiples of this many rows
+
+
+def _in_parts(fn, n: int) -> list:
+    """``[fn(a, b), ...]`` over contiguous row ranges [a, b) that cover
+    range(n) in order, one part per worker thread.  The calling thread runs
+    part 0; a worker's exception is raised here once every part is done."""
+    parts = max(1, min(_WORKERS, n // _PART_ROWS))
+    if parts == 1:
+        return [fn(0, n)]
+    step = -(-n // parts)
+    step += -step % _PART_ALIGN
+    cuts = [*range(0, n, step), n]
+    results = [None] * (len(cuts) - 1)
+    errors = [None] * len(results)
+
+    def run(i):
+        try:
+            results[i] = fn(cuts[i], cuts[i + 1])
+        except BaseException as exc:  # re-raised in the caller below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(results))]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = fn(cuts[0], cuts[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def _chunks(a: int, b: int):
+    """Rows a..b as ranges of at most ``_PART_ROWS`` rows."""
+    for c in range(a, b, _PART_ROWS):
+        yield c, min(c + _PART_ROWS, b)
 
 
 class SamplingMethod(enum.Enum):
@@ -41,6 +108,9 @@ class PointCloud:
     method: SamplingMethod
     source_hash: str
     depth: int | None = None
+    # Each column's (min, max), when the sampler recorded them.  Not an
+    # __init__ argument, so ``replace`` never carries them to other points.
+    _bounds: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -55,7 +125,7 @@ class PointCloud:
         return self.points.shape[0]
 
     def diameter(self) -> float:
-        lo, hi = column_bounds(self.points)
+        lo, hi = self._bounds or column_bounds(self.points)
         return float(np.linalg.norm(hi - lo))
 
 
@@ -64,7 +134,17 @@ def column_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reduces a tall array along axis 0 a few values at a time.  A C-ordered
     array with d > 1 is reduced as rows of ``_BOUNDS_BLOCK * d`` contiguous
     values whose columns are folded afterwards (min and max are exact, so the
-    order does not matter); any other array one column at a time."""
+    order does not matter); any other array one column at a time.  Each
+    part of rows (``_in_parts``) is reduced so, and the parts are folded.
+    A zero bound is returned as 0.0: which sign of zero a reduction keeps
+    depends on the order it met them in."""
+    parts = _in_parts(lambda a, b: _part_bounds(points[a:b]), len(points))
+    lo = np.min([lo for lo, _ in parts], axis=0)
+    hi = np.max([hi for _, hi in parts], axis=0)
+    return lo + 0.0, hi + 0.0
+
+
+def _part_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, d = points.shape
     k = n - n % _BOUNDS_BLOCK
     if d == 1 or k == 0 or not points.flags.c_contiguous:
@@ -102,7 +182,9 @@ def sample_attractor(
     in place and copied to its map's columns of the next level, or to one
     coordinate of the output's rows on the last level.  Map m - 1's images of
     a block land on the block's own columns, which the matmul has already
-    read, so no level is copied.
+    read, so no level is copied.  On the last level each block's row minima
+    and maxima are taken too, and their fold is recorded as the cloud's
+    column bounds, which ``PointCloud.diameter`` reads.
 
     The chaos game iterates uniformly chosen maps from the fixed point (the
     start lies on the attractor, so a burn-in of 100 steps is kept only for
@@ -136,7 +218,7 @@ def sample_attractor(
         points = np.empty((m**depth, d))
         if depth == 0:
             points[0] = x0
-            return PointCloud(points, seed, method, digest, depth)
+            return _with_bounds(PointCloud(points, seed, method, digest, depth), x0, x0)
         levels = np.empty((d, m ** (depth - 1)))
         levels[:, -1] = x0
         width = m  # the widest power of m, from m on, whose images fit the block bytes
@@ -152,18 +234,25 @@ def sample_attractor(
             block = images[: m * d * w].reshape(m * d, w)
             source = levels[:, -size:]
             # Point r of map i's image goes to target[i, r], an (m, size, d) view.
-            if k == depth - 1:
+            last = k == depth - 1
+            if last:
                 target = points.reshape(m, size, d)
+                lows, highs = np.empty((2, size // w, m * d))
             else:
                 target = levels[:, -m * size :].reshape(d, m, size).transpose(1, 2, 0)
             for c in range(0, size, w):
                 np.matmul(stacked, source[:, c : c + w], out=block)
                 block *= scale
                 block += shift
+                if last:  # the output's bounds, folded while the block is in cache
+                    block.min(axis=1, out=lows[c // w])
+                    block.max(axis=1, out=highs[c // w])
                 for i in range(m):
                     for j in range(d):
                         target[i, c : c + w, j] = block[i * d + j]
-        return PointCloud(points, seed, method, digest, depth)
+        lo = lows.min(axis=0).reshape(m, d).min(axis=0)
+        hi = highs.max(axis=0).reshape(m, d).max(axis=0)
+        return _with_bounds(PointCloud(points, seed, method, digest, depth), lo, hi)
 
     rng = np.random.default_rng(seed)
     burn_in = 100
@@ -196,6 +285,13 @@ def sample_attractor(
         np.take(flat_images, base + row, axis=0, out=x, mode="clip")
     points = collected.reshape(-1, d)[:n]
     return PointCloud(points, seed, SamplingMethod.CHAOS_GAME, digest)
+
+
+def _with_bounds(cloud: PointCloud, lo: np.ndarray, hi: np.ndarray) -> PointCloud:
+    """The cloud with its column bounds recorded, zeros as 0.0 (as
+    ``column_bounds`` returns them)."""
+    object.__setattr__(cloud, "_bounds", (lo + 0.0, hi + 0.0))
+    return cloud
 
 
 def _chaos_choices(rng: np.random.Generator, m: int, steps: int, chains: int):
@@ -233,85 +329,119 @@ _TINY = np.finfo(float).tiny
 _INT64_LIMIT = 2.0**63
 
 
-def _floor_cells(column: np.ndarray, scale: float, guard: float = 0.0):
-    """floor(column / scale) as int64 cells, their min and max as ints, and
-    whether every negative quotient is at most -guard."""
+def _floor_cells(column: np.ndarray, scale: float, negative: bool, guard: float):
+    """floor(column / scale) as a fresh int64 array, in one buffer, and
+    whether a quotient lies in (-guard, 0).  With ``negative`` false every
+    quotient is >= 0 (or -0.0), which the truncating cast already floors,
+    and none lies there."""
+    q = np.divide(column, scale)
+    close = False
+    if negative:
+        close = bool(guard) and bool(np.any((q > -guard) & (q < 0)))
+        np.floor(q, out=q)
+    cells = q.view(np.int64)
+    cells[...] = q  # element-wise in-place cast: no second buffer
+    return cells, close
+
+
+def _quantised(points: np.ndarray, scale: float, lows, highs, guard: float = 0.0):
+    """Distinct rows of floor(points / scale), given each column's min and
+    max (``lows``, ``highs``), and whether some quotient lies in (-guard, 0).
+    Division by scale > 0 and floor are both monotone, so floor(min / scale)
+    is the lowest cell of a column, exactly, before any row is floored.  The
+    guard is checked on each chunk of quotients while it is in cache, and
+    only in a column whose bounds leave room for such a quotient."""
     with np.errstate(over="ignore"):
-        q = np.divide(column, scale)
-    lo, hi = np.floor(q.min()), np.floor(q.max())  # floor is monotone
-    if not (-_INT64_LIMIT <= lo and hi < _INT64_LIMIT):
+        q_lo, q_hi = lows / scale, highs / scale
+    lo, hi = np.floor(q_lo), np.floor(q_hi)
+    if not (np.all(-_INT64_LIMIT <= lo) and np.all(hi < _INT64_LIMIT)):
         raise GeometryError(
             f"box counting needs finite points with |x|/scale < 2^63 (scale {scale:g})"
         )
-    # A quotient in (-guard, 0) is one above -guard that is not >= 0.
-    clear = not guard or lo >= 0 or np.count_nonzero(q > -guard) == np.count_nonzero(q >= 0)
-    np.floor(q, out=q)
-    cells = q.view(np.int64)
-    cells[...] = q  # element-wise in-place cast: no second n-length buffer
-    return cells, int(lo), int(hi), clear
+    negative = (q_lo < 0).tolist()
+    guards = [guard if neg and q > -guard else 0.0 for neg, q in zip(negative, q_hi.tolist())]
+    close = []  # the columns with a quotient in (-guard, 0), from any part
+
+    def column(j, a, b):
+        cells, near = _floor_cells(points[a:b, j], scale, negative[j], guards[j])
+        if near:
+            close.append(j)
+        return cells
+
+    bounds = [(int(l), int(h)) for l, h in zip(lo, hi)]
+    return _distinct_cells(column, len(points), bounds), bool(close)
 
 
-def _narrowed(key: np.ndarray) -> np.ndarray:
-    """The int64 ``key`` as int32 over the front of its own buffer.  Chunk
-    [a, 2a) fills the bytes of int64 values [a/2, a), already read, so only
-    the first chunk overlaps its source (numpy buffers that small copy)."""
-    out = key.view(np.int32)[: key.size]
-    done = 0
-    while done < key.size:
-        end = min(max(2 * done, 4096), key.size)
-        out[done:end] = key[done:end]
-        done = end
-    return out
+def _distinct_cells(column, n: int, bounds) -> np.ndarray:
+    """Distinct rows, as an (m, d) int64 array, of the n rows of cells whose
+    rows a..b of column j ``column(j, a, b)`` returns as a fresh int64
+    array, where ``bounds[j]`` is column j's (min, max).
 
-
-def _distinct_cells(column, d: int) -> np.ndarray:
-    """Distinct rows, as an (m, d) int64 array, of the cells whose j-th column
-    ``column(j)`` returns as a fresh int64 array, with its min and max.
-
-    One mixed-radix key per row; only the key and one column are alive at a
-    time.  When the key's radix (the product of the column spans) is at most
-    the number of rows, each key marks its entry of a one-byte occupancy mask
-    and the marked entries are read back in order.  Otherwise the key is
-    sorted in place and compared with its neighbour; when the radix is below
-    2^31, so that every key and radix fits int32, the int64 key is first
-    narrowed to int32 in place, which halves the bytes the sort moves.  When
-    the radix would overflow int64 the rows are sorted with ``np.lexsort``
-    instead.
+    One mixed-radix key per row, built by ``_in_parts`` a chunk of
+    ``_PART_ROWS`` rows at a time, so only a chunk's cells are alive.  When
+    the key's radix (the product of the column spans) is at most n, each
+    part marks its keys in its own one-byte occupancy mask (one mask shared
+    by two cores runs several times slower), and the marked entries of the
+    masks' union are read back in order.  Otherwise the parts write their
+    keys into one buffer, int32 when the radix is below 2^31 and int64
+    otherwise, which is sorted once and compared with its neighbour: two
+    sorted halves merged by a stable sort took twice as long as one sort.
+    When the radix would overflow int64 the rows are sorted with
+    ``np.lexsort`` instead.
     """
-    key = None
-    los, radices = [], []
-    radix = 1
-    for j in range(d):
-        cells, lo, hi = column(j)
-        if radix * (hi - lo + 1) >= 2**63:
-            return _distinct_rows_lexsort(np.stack([column(i)[0] for i in range(d)], axis=1))
-        cells -= lo
-        if key is None:
-            key = cells
-        else:
-            cells *= radix
-            key += cells
-        los.append(lo)
+    d = len(bounds)
+    radices, radix = [], 1
+    for lo, hi in bounds:
         radices.append(radix)
         radix *= hi - lo + 1
-        del cells  # freed before the next column is floored
-    if radix <= key.size:
-        occupied = np.zeros(radix, dtype=bool)
-        occupied[key] = True
+    if radix >= 2**63:
+        return _distinct_rows_lexsort(np.stack([column(j, 0, n) for j in range(d)], axis=1))
+
+    def keys(a, b):
+        key = column(0, a, b)
+        key -= bounds[0][0]
+        for j in range(1, d):
+            cells = column(j, a, b)
+            cells -= bounds[j][0]
+            cells *= radices[j]
+            key += cells
+        return key
+
+    if radix <= n:
+
+        def mark(a, b):
+            occupied = np.zeros(radix, dtype=bool)
+            for c, e in _chunks(a, b):
+                occupied[keys(c, e)] = True
+            return occupied
+
+        occupied, *others = _in_parts(mark, n)
+        for other in others:
+            occupied |= other
         key = np.flatnonzero(occupied)
     else:
-        if radix < 2**31:
-            key = _narrowed(key)
-        key.sort()
-        keep = np.empty(key.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(key[1:], key[:-1], out=keep[1:])
-        key = key[keep]
+        key = np.empty(n, dtype=np.int32 if radix < 2**31 else np.int64)
+
+        def fill(a, b):
+            for c, e in _chunks(a, b):
+                key[c:e] = keys(c, e)
+
+        _in_parts(fill, n)
+        key = _sorted_distinct(key)
     out = np.empty((key.size, d), dtype=np.int64)
     for j in range(d - 1, -1, -1):
         out[:, j], key = np.divmod(key, radices[j])
-        out[:, j] += los[j]
+        out[:, j] += bounds[j][0]
     return out
+
+
+def _sorted_distinct(key: np.ndarray) -> np.ndarray:
+    """The distinct values of ``key`` in order; sorts ``key`` in place."""
+    key.sort()
+    keep = np.empty(key.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    return key[keep]
 
 
 def _distinct_rows_lexsort(cells: np.ndarray) -> np.ndarray:
@@ -335,6 +465,7 @@ def box_counts(points: np.ndarray, scales) -> list[int]:
     some negative point's quotient at the finest scale is small enough that
     a halving could underflow (e.g. x = -5e-324), or the scales do not halve,
     every scale is quantised and counted on its own by the same kernel.
+    The column bounds are found once, for every scale.
 
     Raises GeometryError for a non-positive or non-finite scale, and for
     points that are not finite or whose |x| / scale reaches 2^63.
@@ -346,30 +477,27 @@ def box_counts(points: np.ndarray, scales) -> list[int]:
     n, d = points.shape
     if n == 0:
         return [0] * len(scales)
+    lows, highs = column_bounds(points)
     order = sorted(range(len(scales)), key=lambda i: -scales[i])
     counts = [0] * len(scales)
     ladder = [scales[i] for i in order]
     halving = len(ladder) > 1 and all(a == 2.0 * b for a, b in zip(ladder, ladder[1:]))
     if halving:
-        guard = 2.0 * _TINY * (ladder[0] / ladder[-1])  # tiny 2^len, inf on overflow
-        clear, bounds = [True] * d, [None] * d
-
-        def finest(j):
-            cells, lo, hi, clear[j] = _floor_cells(points[:, j], ladder[-1], guard)
-            bounds[j] = (lo, hi)
-            return cells, lo, hi
-
-        cells = _distinct_cells(finest, d)
-        if all(clear):
+        finest = ladder[-1]
+        guard = 2.0 * _TINY * (ladder[0] / finest)  # tiny 2^len, inf on overflow
+        cells, close = _quantised(points, finest, lows, highs, guard)
+        if not close:
             counts[order[-1]] = len(cells)
+            # The cells' min and max: each column's lowest and highest cell.
+            bounds = [(int(c.min()), int(c.max())) for c in cells.T]
             for i in reversed(order[:-1]):
                 # c >> 1 is monotone: it shifts each column's min and max.
                 bounds = [(lo >> 1, hi >> 1) for lo, hi in bounds]
-                cells = _distinct_cells(lambda j: (cells[:, j] >> 1, *bounds[j]), d)
+                cells = _distinct_cells(lambda j, a, b: cells[a:b, j] >> 1, len(cells), bounds)
                 counts[i] = len(cells)
             return counts
     for i, s in enumerate(scales):
-        counts[i] = len(_distinct_cells(lambda j: _floor_cells(points[:, j], s)[:3], d))
+        counts[i] = len(_quantised(points, s, lows, highs)[0])
     return counts
 
 
@@ -424,7 +552,12 @@ def project_cloud(cloud: PointCloud, linear_map: LinearMap) -> PointCloud:
         raise DimensionMismatchError(
             f"cannot apply a map on R^{linear_map.domain_dim} to a cloud in R^{cloud.ambient_dim}"
         )
-    return replace(cloud, points=linear_map(cloud.points))
+    # linear_map(points) in parts, each into its rows of one output.  Parts
+    # start on _PART_ALIGN-aligned rows, so BLAS tiles them as the whole.
+    points, matrix = cloud.points, linear_map.matrix
+    out = np.empty((len(points), linear_map.codomain_dim))
+    _in_parts(lambda a, b: np.matmul(points[a:b], matrix.T, out=out[a:b]), len(points))
+    return replace(cloud, points=out)
 
 
 def covering_sums(cloud: PointCloud, t: float, scales) -> tuple[list[int], list[float]]:

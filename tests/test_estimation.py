@@ -1,4 +1,7 @@
+import contextlib
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -99,39 +102,58 @@ def tree_sizes(draw, m, cap=3 * 10**4):
 
 
 TINY = np.finfo(float).tiny
-coordinates = st.one_of(
-    st.floats(-1e3, 1e3),
-    # Subnormal and smallest-normal magnitudes, kept on purpose.
-    st.floats(-4 * TINY, 4 * TINY),
-    st.integers(-8, 8).map(lambda k: k * 5e-324),
-    st.sampled_from([0.0, -0.0, -TINY, 1.0, -1.0]),
-)
+# Kept on purpose besides uniform and subnormal values: signed zeros, the
+# smallest normal magnitude, and values on cell edges of dyadic scales.
+SPECIAL = np.array([0.0, -0.0, -TINY, TINY, 1.0, -1.0, 1e3, -1e3, 0.5, -0.5])
 
 
 @st.composite
 def clouds(draw):
+    """1..6 rows of d = 1..3 coordinates plus up to three repeated rows.
+    Each coordinate is uniform in [-1e3, 1e3] or in [-4 tiny, 4 tiny], a
+    multiple of 5e-324, a multiple of 1/8, or one of SPECIAL; numpy draws
+    them from a drawn seed, which keeps the draws per example few."""
     d = draw(st.integers(1, 3))
-    rows = draw(st.lists(st.lists(coordinates, min_size=d, max_size=d), min_size=1, max_size=6))
-    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
-    return np.array(rows + [rows[i] for i in repeats], dtype=float).reshape(-1, d)
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rows, d)
+    kinds = [
+        rng.uniform(-1e3, 1e3, shape),
+        rng.uniform(-4 * TINY, 4 * TINY, shape),
+        rng.integers(-8, 9, shape) * 5e-324,
+        rng.integers(-64, 65, shape) / 8.0,
+        rng.choice(SPECIAL, shape),
+    ]
+    values = np.choose(rng.integers(0, len(kinds), shape), kinds)
+    return np.concatenate([values, values[rng.integers(0, rows, size=rng.integers(0, 4))]])
 
 
 @st.composite
-def dyadic_ladders(draw):
-    base = draw(st.floats(0.1, 10.0))
-    top = draw(st.one_of(st.integers(-2, 4), st.integers(-20, 10)))
-    levels = draw(st.integers(2, 7))
-    ladder = [math.ldexp(base, top - i) for i in range(levels)]
-    return draw(st.permutations(ladder))
-
-
-other_scales = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4)
+def ladders(draw):
+    """A shuffled dyadic ladder base 2^top .. base 2^(top - levels + 1), or
+    1..4 scales in [1e-3, 1e3], drawn by numpy from a drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.uniform(1e-3, 1e3, rng.integers(1, 5)).tolist()
+    top = int(rng.integers(-2, 5) if rng.random() < 0.5 else rng.integers(-20, 11))
+    base = float(rng.choice([0.1, 1.0, 10.0, rng.uniform(0.1, 10.0)]))
+    ladder = [math.ldexp(base, top - i) for i in range(rng.integers(2, 8))]
+    return [ladder[i] for i in rng.permutation(len(ladder))]
 
 
 @pytest.fixture
 def sixteen_maps():
     # The chaos game's map choices count the cdf edges in m - 1 passes.
     return random_ssifs(np.random.default_rng(16), d=2, m=16)
+
+
+def assert_recorded_bounds(cloud):
+    """The sampler's recorded bounds are, bit for bit, column_bounds'."""
+    lo, hi = cloud._bounds
+    expected_lo, expected_hi = column_bounds(cloud.points)
+    assert lo.tobytes() == expected_lo.tobytes() and hi.tobytes() == expected_hi.tobytes()
+    assert np.array_equal(lo, cloud.points.min(axis=0))
+    assert np.array_equal(hi, cloud.points.max(axis=0))
 
 
 class TestSampleAttractor:
@@ -192,6 +214,7 @@ class TestSampleAttractor:
         points, depth = deterministic_by_concatenation(ifs, n)
         assert np.array_equal(cloud.points, points)
         assert cloud.depth == depth
+        assert_recorded_bounds(cloud)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -210,6 +233,26 @@ class TestSampleAttractor:
         assert np.array_equal(cloud.points, points)
         assert cloud.points.flags.c_contiguous
         assert cloud.depth == depth
+        assert_recorded_bounds(cloud)
+
+    def test_diameter_reads_the_recorded_bounds(self, monkeypatch, irrational):
+        cloud = sample_attractor(irrational, 10**4)
+        expected = float(np.linalg.norm(cloud.points.max(axis=0) - cloud.points.min(axis=0)))
+
+        def unread(points):
+            raise AssertionError("the tree's bounds are recorded")
+
+        monkeypatch.setattr(estimation, "column_bounds", unread)
+        assert cloud.diameter() == expected
+
+    def test_projections_and_chaos_clouds_record_no_bounds(self, irrational):
+        cloud = sample_attractor(irrational, 10**4)
+        projected = project_cloud(cloud, LinearMap(np.array([[0.6, 0.8]])))
+        chaos = sample_attractor(irrational, 10**4, seed=1, method=SamplingMethod.CHAOS_GAME)
+        for other in (projected, chaos):
+            assert other._bounds is None
+            lo, hi = other.points.min(axis=0), other.points.max(axis=0)
+            assert other.diameter() == float(np.linalg.norm(hi - lo))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 16])
     @pytest.mark.parametrize("steps, chains", [(7, 3), (40, 64), (17, 256), (33, 1024)])
@@ -288,7 +331,7 @@ class TestBoxCount:
 
 class TestBoxCounts:
     @settings(max_examples=200, deadline=None)
-    @given(clouds(), st.one_of(dyadic_ladders(), other_scales))
+    @given(clouds(), ladders())
     def test_matches_per_scale_oracle(self, points, scales):
         expected = [per_scale_count(points, s) for s in scales]
         assert box_counts(points, scales) == expected
@@ -304,6 +347,45 @@ class TestBoxCounts:
         points = np.array([[-(2.0**-60)], [0.5]])
         scales = [2.0**k for k in range(1023, -64, -1)]
         assert box_counts(points, scales) == [per_scale_count(points, s) for s in scales]
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[-5e-324], [1.0]],
+            [[-0.0], [-0.0], [0.0]],
+            [[-0.0, -5e-324], [-0.0, 0.75], [-0.0, -0.0]],
+            [[-5e-324, -0.0], [-1.5, -0.0], [2.0, 0.25]],
+            [[-5e-324], [-1.5]],
+        ],
+        ids=[
+            "subnormal",
+            "zeros",
+            "zero column and subnormal",
+            "subnormal and zero column",
+            "subnormal max",
+        ],
+    )
+    def test_signed_zeros_and_subnormals(self, points):
+        # A column of -0.0 has lowest quotient -0.0 >= 0: it is not floored,
+        # and the cast takes -0.0 to cell 0.  -5e-324 lies in cell -1, whose
+        # halvings can underflow, so such a ladder is counted per scale.
+        points = np.array(points)
+        for scales in ([2.0, 1.0], [4.0, 2.0, 1.0, 0.5], [1.0], [0.3, 0.2]):
+            assert box_counts(points, scales) == [per_scale_count(points, s) for s in scales]
+
+    def test_guard_is_checked_only_where_a_quotient_can_lie_below_zero(self, monkeypatch):
+        calls = []
+        real = estimation._floor_cells
+
+        def spy(column, scale, negative, guard):
+            calls.append((negative, guard > 0))
+            return real(column, scale, negative, guard)
+
+        monkeypatch.setattr(estimation, "_floor_cells", spy)
+        # Quotients >= 0; all at most -guard; some in (-guard, 0] possible.
+        points = np.array([[0.0, -3.0, -0.5], [1.0, -2.0, 0.5]])
+        assert box_counts(points, [2.0, 1.0]) == [2, 2]
+        assert calls == [(False, False), (True, False), (True, True)]
 
     def test_counts_follow_the_given_scale_order(self):
         points = np.array([[i + 0.5, j + 0.5] for i in range(4) for j in range(4)])
@@ -384,24 +466,24 @@ SPANS = [
 
 
 @pytest.fixture
-def narrowed(monkeypatch):
-    """The sizes of the keys that _distinct_cells narrows to int32, which it
-    does on its sort path only."""
-    sizes = []
-    real = estimation._narrowed
+def sorted_keys(monkeypatch):
+    """The dtypes of the keys that _distinct_cells sorts, which it does on
+    its sort path only."""
+    dtypes = []
+    real = estimation._sorted_distinct
 
     def spy(key):
-        sizes.append(key.size)
+        dtypes.append(key.dtype)
         return real(key)
 
-    monkeypatch.setattr(estimation, "_narrowed", spy)
-    return sizes
+    monkeypatch.setattr(estimation, "_sorted_distinct", spy)
+    return dtypes
 
 
 class TestCellKeyWidth:
     """On the sort path (a product of spans above the number of rows), the
-    mixed-radix cell key is narrowed to int32 for a product below 2^31 and
-    stays int64 from there on."""
+    mixed-radix cell key is int32 for a product below 2^31 and int64 from
+    there on."""
 
     @pytest.mark.parametrize("shift", [0, -(2**31) - 5], ids=["nonnegative", "negative"])
     @pytest.mark.parametrize("spans", SPANS, ids=str)
@@ -413,16 +495,17 @@ class TestCellKeyWidth:
         assert box_counts(points, scales) == [per_scale_count(points, s) for s in scales]
 
     @pytest.mark.parametrize("spans", SPANS, ids=str)
-    def test_narrows_the_key_only_below_2_to_the_31(self, narrowed, spans):
+    def test_narrows_the_key_only_below_2_to_the_31(self, sorted_keys, spans):
         points = points_with_spans(spans, 0)
         assert box_counts(points, [1.0]) == [per_scale_count(points, 1.0)]
-        assert bool(narrowed) == (math.prod(spans) < 2**31)
+        assert sorted_keys == [np.int32 if math.prod(spans) < 2**31 else np.int64]
 
     def test_peak_memory_is_one_quotient_and_a_mask(self):
-        # One float quotient, floored, cast and narrowed in place, a one-byte
-        # mask per point and the 2^14 distinct int32 keys: 1.1335 x the
-        # column's bytes.  The int64 key took 1.1417 x (its distinct keys
-        # are twice as wide); a separate int32 key would take over 1.5 x.
+        # Each part floors one chunk of _PART_ROWS quotients at a time, in
+        # place, and marks a 2^14-byte mask of its own: 0.33-0.37 x the
+        # column's bytes with two parts.  One float quotient for the whole
+        # column, floored, cast and narrowed in place, with a one-byte guard
+        # mask per point, took 1.1335 x; a separate int32 key over 1.5 x.
         column = np.random.default_rng(9).uniform(-1.0, 1.0, size=(10**6, 1))
         tracemalloc.start()
         try:
@@ -444,20 +527,20 @@ class TestOccupancyMask:
         [((222,), True), ((223,), False), ((2, 111), True), ((223, 1), False), ((3, 2, 37), True)],
         ids=str,
     )
-    def test_both_paths_match_the_oracle(self, narrowed, spans, masked, shift):
+    def test_both_paths_match_the_oracle(self, sorted_keys, spans, masked, shift):
         # points_with_spans gives 222 rows: radix == rows, or one more.
         points = points_with_spans(spans, shift)
         assert len(points) == 222
         assert box_counts(points, [1.0]) == [per_scale_count(points, 1.0)]
-        assert bool(narrowed) != masked
+        assert bool(sorted_keys) != masked
         scales = [2.0**k for k in range(8, -1, -1)]
         assert box_counts(points, scales) == [per_scale_count(points, s) for s in scales]
 
-    def test_dense_column_takes_the_mask(self, narrowed):
+    def test_dense_column_takes_the_mask(self, sorted_keys):
         column = np.random.default_rng(4).uniform(-1.0, 1.0, size=(10**4, 1))
         scales = [2.0**-k for k in range(1, 9)]
         assert box_counts(column, scales) == [per_scale_count(column, s) for s in scales]
-        assert not narrowed
+        assert not sorted_keys
 
 
 class TestBoxDim:
@@ -522,6 +605,18 @@ class TestColumnBounds:
         assert_axis_bounds(points)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_bounds_are_positive_zero(self, d):
+        # min and max keep whichever zero they meet first; a split into
+        # parts meets them in another order.
+        zeros = np.zeros((3 * BLOCK + 5, d))
+        zeros[: BLOCK + 3] = -0.0
+        for points in (zeros, zeros[::-1], np.asfortranarray(zeros)):
+            for count in (1, 2, 3):
+                with workers(count):
+                    lo, hi = column_bounds(points)
+                assert not np.signbit(lo).any() and not np.signbit(hi).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_any_layout(self, d):
         points = np.random.default_rng(5).normal(size=(3 * BLOCK + 5, d))
         assert_axis_bounds(np.asfortranarray(points))
@@ -530,6 +625,120 @@ class TestColumnBounds:
         wide = np.random.default_rng(6).normal(size=(2 * BLOCK + 3, 2 * d))
         assert_axis_bounds(wide[:, ::2])
         assert_axis_bounds(wide[:, :d])
+
+
+@contextlib.contextmanager
+def workers(count):
+    """``_WORKERS`` patched to count, with parts (and quantisation chunks)
+    of at least 16 rows cut at multiples of 4 rows, so that small clouds
+    split into parts.  No part is then a single row, which BLAS would
+    multiply with another kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "_WORKERS", count)
+        patch.setattr(estimation, "_PART_ROWS", 16)
+        patch.setattr(estimation, "_PART_ALIGN", 4)
+        yield
+
+
+@st.composite
+def split_clouds(draw):
+    """An odd number of rows in d = 1..4 columns, uniform in [-1, 1) with
+    some exact signed zeros, possibly F-ordered.  The first column's
+    negative values may be -0.0 instead, which makes its min a zero of
+    either sign."""
+    d = draw(st.integers(1, 4))
+    n = 2 * draw(st.integers(0, 150)) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-1.0, 1.0, (n, d))
+    points[rng.random((n, d)) < 0.05] = 0.0
+    points[rng.random((n, d)) < 0.05] = -0.0
+    if draw(st.booleans()):
+        points[points[:, 0] < 0, 0] = -0.0
+    return np.asfortranarray(points) if draw(st.booleans()) else points
+
+
+class TestWorkerCount:
+    """column_bounds, project_cloud and box_counts give the bits of the
+    serial run whatever the number of parts."""
+
+    @pytest.mark.parametrize("ladder", ["halving", "per scale"])
+    @settings(max_examples=40, deadline=None)
+    @given(points=split_clouds(), finest=st.integers(0, 8), data=st.data())
+    def test_results_do_not_depend_on_the_worker_count(self, ladder, points, finest, data):
+        d = points.shape[1]
+        matrix = np.random.default_rng(finest).normal(size=(data.draw(st.integers(1, 3)), d))
+        if ladder == "halving":
+            scales = [2.0 ** (k - finest) for k in range(data.draw(st.integers(2, 5)))]
+        else:
+            scales = [0.7 * 2.0**-finest, 0.3, 1.1]
+        cloud = cloud_of(points)
+        results = []
+        for count in (1, 2, 3):
+            with workers(count):
+                lo, hi = column_bounds(points)
+                projected = project_cloud(cloud, LinearMap(matrix)).points
+                results.append((lo.tobytes(), hi.tobytes(), projected.tobytes(), box_counts(points, scales)))
+        assert results[1] == results[0] and results[2] == results[0]
+        assert results[0][3] == [per_scale_count(points, s) for s in scales]
+        assert results[0][2] == (points @ matrix.T).tobytes()
+        assert_axis_bounds(points)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_nan_in_the_last_part_raises(self, count):
+        points = np.random.default_rng(7).uniform(size=(301, 2))
+        points[-1, 1] = math.nan
+        with pytest.raises(GeometryError) as serial:
+            box_counts(points, [0.5, 0.25])
+        with workers(count):
+            lo, hi = column_bounds(points)
+            assert not math.isnan(lo[0]) and math.isnan(lo[1]) and math.isnan(hi[1])
+            with pytest.raises(GeometryError) as split:
+                box_counts(points, [0.5, 0.25])
+        assert str(split.value) == str(serial.value)
+
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 31, 32, 47, 48, 301])
+    def test_parts_cover_the_rows_in_order(self, n):
+        with workers(3):
+            parts = estimation._in_parts(lambda a, b: (a, b), n)
+        assert 1 <= len(parts) <= max(1, min(3, n // 16))
+        assert [a for a, _ in parts] == [0] + [b for _, b in parts[:-1]]
+        assert parts[-1][1] == n
+        assert all(a % 4 == 0 and (b > a or n == 0) for a, b in parts)
+
+    def test_a_worker_error_reaches_the_caller(self):
+        threads = threading.active_count()
+
+        def fail_last(a, b):
+            if b == 301:
+                raise ValueError(f"part {a}..{b}")
+            return a
+
+        with workers(3):
+            with pytest.raises(ValueError, match=r"part \d+\.\.301"):
+                estimation._in_parts(fail_last, 301)
+        assert threading.active_count() == threads
+
+    def test_more_workers_than_cores_under_frequent_switches(self):
+        # Eight parts on two cores, switching threads every microsecond.
+        # A subnormal in the seventh part sends the ladder to per-scale
+        # counts, which only that part's quantisation sees.
+        rng = np.random.default_rng(11)
+        points = rng.uniform(-1.0, 1.0, (2001, 2))
+        points[1900, 0] = -5e-324
+        scales = [2.0**-k for k in range(2, 8)]
+        expected = [per_scale_count(points, s) for s in scales]
+        assert box_counts(points, scales) == expected
+        matrix = np.array([[0.6, 0.8]])
+        projected = (points @ matrix.T).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with workers(8):
+                for _ in range(5):
+                    assert box_counts(points, scales) == expected
+                    assert project_cloud(cloud_of(points), LinearMap(matrix)).points.tobytes() == projected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestProjectCloud:
