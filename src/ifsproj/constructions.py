@@ -208,7 +208,7 @@ def find_dimension_drop(ifs: SSIFS, l: int) -> DimensionDropResult:
         )
 
     ka, kb = pair
-    witness = OverlapWitness(ifs.word(level.indices(ka)), ifs.word(level.indices(kb)))
+    witness = OverlapWitness(level[ka], level[kb])
     v = level.translation[ka] - level.translation[kb]
     if np.linalg.norm(v) <= tau:
         # The two maps coincide; any subspace works.
@@ -239,14 +239,14 @@ def find_dimension_drop(ifs: SSIFS, l: int) -> DimensionDropResult:
 class Subsystem:
     """A word subsystem of an SSIFS with a ball-disjointness certificate."""
 
-    words: tuple[Word, ...]
+    words: WordLevel
     sim_dim: DimensionReport
     exponent: float
     trivial_fallback: bool = False
 
 
-def _fixed_point_change_words(ifs: SSIFS, root_radius: float) -> list[Word]:
-    """One word per generator, with pairwise distinct fixed points.
+def _fixed_point_change_words(ifs: SSIFS, root_radius: float) -> WordLevel:
+    """A level of one word per generator, with pairwise distinct fixed points.
 
     Word i is p^c * i (or q^c * i) for small c, where p, q are two generators
     with different fixed points; composing with powers of p or q perturbs a
@@ -259,27 +259,19 @@ def _fixed_point_change_words(ifs: SSIFS, root_radius: float) -> list[Word]:
     q = next(
         i for i in range(m) if np.linalg.norm(fps[i] - fps[p]) > tolerances.tau_num()
     )
-    chosen: list[Word] = []
-    points: list[np.ndarray] = []
+    chosen, points = [], []
     for i in range(m):
         for c in range(_FIXED_POINT_POWER_CAP):
-            words = [(lead + 1,) * c + (i + 1,) for lead in (p, q)]
-            level = WordLevel.of_words(ifs, words)
+            level = WordLevel.of_words(ifs, [(lead + 1,) * c + (i + 1,) for lead in (p, q)])
             fps = _fixed_points(level.ratio, level.rotation, level.translation)
             fits = [k for k in (0, 1) if all(np.linalg.norm(fps[k] - x) > spacing for x in points)]
             if fits:
-                chosen.append(ifs.word(words[fits[0]]))
+                chosen.append(level[fits[:1]])
                 points.append(fps[fits[0]])
                 break
         else:
             raise NumericFailureError(f"could not separate the fixed point of generator {i + 1}")
-    return chosen
-
-
-def _word_tuple(level: WordLevel) -> tuple[Word, ...]:
-    """The level's words as Word objects, in row order."""
-    ifs, m = level.ifs, len(level.ifs)
-    return tuple(ifs.word([i + 1 for i in row if i < m]) for row in level.letters.tolist())
+    return WordLevel.concatenate(chosen)
 
 
 def _kept_in_order(centers, radii, separation, pinned: int = 0) -> np.ndarray:
@@ -378,14 +370,14 @@ def ssc_subsystem(
         report = _moran_report(words.ratio)
         if report.value < target:
             return None
-        return Subsystem(_word_tuple(words), report, t)
+        return Subsystem(words, report, t)
 
     target = t - epsilon
     if target <= 0:
         # Trivial two-word fallback with a warning flag.
-        base = _fixed_point_change_words(ifs, radius)[:2]
+        base = _fixed_point_change_words(ifs, radius)
         for n in range(1, _MAX_POWER_ROUNDS + 1):
-            result = pack(WordLevel.of_words(ifs, [w.indices * (2**n) for w in base]), 0.0)
+            result = pack(WordLevel.of_words(ifs, [base.indices(i) * 2**n for i in (0, 1)]), 0.0)
             if result is not None:
                 return Subsystem(result.words, result.sim_dim, t, True)
         raise NumericFailureError("failed to build even the trivial fallback subsystem")
@@ -397,10 +389,9 @@ def ssc_subsystem(
 
     # Seed words: powers of fixed-point-change words, one per generator.
     base = _fixed_point_change_words(ifs, radius)
-    base_rotations = WordLevel.of_words(ifs, [w.indices for w in base]).rotation
     for n in range(1, _MAX_POWER_ROUNDS + 1):
-        k = max(kronecker_power(rotation, n) for rotation in base_rotations)
-        seeds = WordLevel.of_words(ifs, [w.indices * k for w in base])
+        k = max(kronecker_power(rotation, n) for rotation in base.rotation)
+        seeds = WordLevel.of_words(ifs, [base.indices(i) * k for i in range(len(base))])
         seed_balls = seeds.balls(center, radius)
         if _kept_in_order(*seed_balls, separation).all():
             break
@@ -415,14 +406,15 @@ def ssc_subsystem(
     while True:
         level = _extended(level, error)
         kept = _greedy_pack(level, seed_balls, center, radius, separation)
-        report = _moran_report(np.concatenate([seeds.ratio, level.ratio[kept]]))
+        words = WordLevel.concatenate([seeds, level[kept]])
+        report = _moran_report(words.ratio)
         if report.value >= target:
-            return Subsystem(_word_tuple(seeds) + _word_tuple(level[kept]), report, t)
+            return Subsystem(words, report, t)
 
 
 @dataclass(frozen=True)
 class CylinderSelection:
-    words: tuple[Word, ...]
+    words: WordLevel
     delta: float
     exponent: float
     mass: float
@@ -496,7 +488,6 @@ def select_disjoint_cylinders(
     to land near the target.  The walk stops at the first kept word that
     brings the mass to the target.  Kept cylinders are certified pairwise
     disjoint via their bounding balls; conflicting later words are dropped.
-    The kept words stay level rows until the result is built.
     """
     o = np.asarray(rotation_target, dtype=float)
     if not (math.isfinite(delta) and delta > 0 and math.isfinite(t) and t > 0):
@@ -568,17 +559,14 @@ def select_disjoint_cylinders(
             break
         level = level[~hit]
 
-    centers, radii = map(np.concatenate, zip(*(words.balls(center, radius) for words in accepted)))
-    kept = _kept_in_order(centers, radii, separation)
-    starts = np.cumsum([len(words) for words in accepted])[:-1]
-    accepted = [words[keep] for words, keep in zip(accepted, np.split(kept, starts))]
+    words = WordLevel.concatenate(accepted)
+    kept = _kept_in_order(*words.balls(center, radius), separation)
     dropped = int(np.count_nonzero(~kept))
     if dropped:
-        mass = math.fsum(r**t for words in accepted for r in words.ratio.tolist())
+        mass = math.fsum(r**t for r in words.ratio[kept].tolist())
     partial = mass < mass_target
     if mass > 1.0 + tolerances.tau_num():
         raise NumericFailureError(
             f"selected mass {mass} exceeds 1; the exponent t is likely wrong"
         )
-    words = sum(map(_word_tuple, accepted), ())
-    return CylinderSelection(words, delta, t, mass, depth_cap, partial, group, dropped)
+    return CylinderSelection(words[kept], delta, t, mass, depth_cap, partial, group, dropped)

@@ -288,9 +288,11 @@ class WordLevel:
     Word k has the 0-based letters ``letters[k]`` and the similarity
     ``ratio[k]``, ``rotation[k]``, ``translation[k]``.  A level grown from
     ``root`` by ``extend`` holds every word of one length in lexicographic
-    order, so the words of the next depth are k * m + b; ``level[rows]``
-    keeps a subset of the rows.  ``of_words`` and ``fold`` build the maps
-    of any list of words.
+    order, so the words of the next depth are k * m + b.  A level is the
+    sequence of its words: ``level[k]`` and iteration give ``Word`` objects,
+    and ``level[rows]`` keeps a subset of the rows as a level.  ``of_words``
+    and ``fold`` build the maps of any list of words, and ``concatenate``
+    joins levels.
     """
 
     ifs: SSIFS
@@ -340,6 +342,15 @@ class WordLevel:
             rotation = checked_maps(ratio[nonempty], rotation, translation)
         return cls(ifs, letters, ratio, rotation, translation)
 
+    @classmethod
+    def concatenate(cls, levels: Sequence["WordLevel"]) -> "WordLevel":
+        """The rows of the given levels, in order.  Shorter words are padded
+        with letter m, which ``fold`` reads as the identity."""
+        m, depth = len(levels[0].ifs), max(v.depth for v in levels)
+        pad = [np.pad(v.letters, ((0, 0), (0, depth - v.depth)), constant_values=m) for v in levels]
+        arrays = zip(*((v.ratio, v.rotation, v.translation) for v in levels))
+        return cls(levels[0].ifs, np.concatenate(pad), *map(np.concatenate, arrays))
+
     @property
     def depth(self) -> int:
         return self.letters.shape[1]
@@ -347,10 +358,17 @@ class WordLevel:
     def __len__(self) -> int:
         return len(self.ratio)
 
-    def __getitem__(self, rows) -> "WordLevel":
-        """The words of the given rows (a mask or an index array)."""
+    def __getitem__(self, rows) -> "Word | WordLevel":
+        """Word k for an integer k, else the level of the rows (a mask, slice or index array)."""
+        if isinstance(rows, (int, np.integer)):
+            return Word(self.ifs, self.indices(rows))
         arrays = (self.letters, self.ratio, self.rotation, self.translation)
         return WordLevel(self.ifs, *(a[rows] for a in arrays))
+
+    def __iter__(self):
+        """The words as Word objects, in row order."""
+        ifs, m = self.ifs, len(self.ifs)
+        return (Word(ifs, tuple(i + 1 for i in row if i < m)) for row in self.letters.tolist())
 
     def extend(self) -> "WordLevel":
         """Every word followed by every letter, in that order."""
@@ -389,9 +407,10 @@ class Word:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        m = len(self.ifs)
         for i in self.indices:
-            if not 1 <= i <= len(self.ifs):
-                raise GeometryError(f"word index {i} out of range 1..{len(self.ifs)}")
+            if not 1 <= i <= m:
+                raise GeometryError(f"word index {i} out of range 1..{m}")
 
     def __len__(self) -> int:
         return len(self.indices)

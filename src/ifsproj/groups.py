@@ -172,7 +172,9 @@ class TransformationGroup:
     tolerance: float
     reason: str
     margin: tuple[float, float] | None = None
+    # The closure's table, and the canonical index of each matrix it stores.
     _table: _RotationTable | None = field(default=None, compare=False, repr=False)
+    _canonical: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_finite(self) -> bool:
@@ -202,7 +204,7 @@ class TransformationGroup:
             raise GroupClosureError(
                 f"matrix matches {int(counts.max())} group elements; tolerance too loose"
             )
-        return match
+        return self._canonical[match]
 
 
 def _distinct(gens: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -287,12 +289,13 @@ def group_closure(generators, closure_cap: int = 5000) -> TransformationGroup:
         frontier = candidates[table.insert(candidates, closure_cap + 1)[0]]
         if table.size > closure_cap:
             return TransformationGroup(gens, None, table.size, tolerance, "cap_exceeded")
-    elements = table.elements[_canonical_order(table.elements)]
+    order = _canonical_order(table.elements)
+    elements = table.elements[order]
     elements.setflags(write=False)
-    # The elements lie pairwise farther than tol apart, so all are stored.
-    table = _RotationTable(d, tolerance)
-    table.insert(elements)
-    return TransformationGroup(gens, elements, len(elements), tolerance, "closed", _table=table)
+    canonical = np.argsort(order)
+    return TransformationGroup(
+        gens, elements, len(elements), tolerance, "closed", _table=table, _canonical=canonical
+    )
 
 
 class BlockKind(enum.Enum):

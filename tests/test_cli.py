@@ -30,7 +30,7 @@ from ifsproj.documents import (
     write_scale_count_csv,
 )
 from ifsproj.fixtures import BUILDERS, fixture_document, fixture_ifs, fixture_path, write_all
-from ifsproj.geometry import DegenerateSystemError, Similarity
+from ifsproj.geometry import DegenerateSystemError, Similarity, Word
 
 LOG3_LOG2 = math.log(3.0) / math.log(2.0)
 
@@ -40,6 +40,19 @@ def fixture_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("fixtures")
     write_all(directory)
     return directory
+
+
+def words_built(monkeypatch) -> list:
+    """The Word objects built from now on, in order."""
+    built = []
+    post_init = Word.__post_init__
+
+    def spy(word):
+        built.append(word)
+        post_init(word)
+
+    monkeypatch.setattr(Word, "__post_init__", spy)
+    return built
 
 
 def run_json(capsys, argv):
@@ -488,6 +501,34 @@ class TestCliEstimate:
         assert out["word_count"] == 408
         assert out["dropped_words"] == 487
         assert out["partial"]
+
+    def test_cylinders_build_no_word_objects(self, capsys, fixture_dir, monkeypatch):
+        # The cylinders workload's c4 command: the words stay level rows.
+        built = words_built(monkeypatch)
+        code, out = run_json(
+            capsys,
+            [
+                "estimate", "cylinders",
+                "--input", str(fixture_dir / "c4_rotation.json"),
+                "--angle", "1.5707963267948966", "--delta", "0.2", "--mass-target", "0.9",
+            ],
+        )
+        assert code == 0 and out["word_count"] > 0
+        assert built == []
+
+    def test_ssc_approx_builds_only_the_printed_words(self, capsys, fixture_dir, monkeypatch):
+        built = words_built(monkeypatch)
+        code, out = run_json(
+            capsys,
+            [
+                "estimate", "ssc-approx",
+                "--input", str(fixture_dir / "sierpinski_half.json"),
+                "--epsilon", "0.3",
+            ],
+        )
+        assert code == 0
+        assert len(built) == min(50, out["word_count"])
+        assert [list(w.indices) for w in built] == out["words"]
 
     @pytest.mark.parametrize(
         "mode, option, value",

@@ -367,6 +367,50 @@ def same_bits(x, y):
 KERNEL_ROWS = st.sampled_from([0, 1]) | st.integers(2, 40)
 
 
+@st.composite
+def word_levels(draw, ifs):
+    """A level of the system at depth 0..4, cut to a random subset of its rows."""
+    level = WordLevel.root(ifs)
+    for _ in range(draw(st.integers(0, 4))):
+        level = level.extend()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return level[rng.random(len(level)) < draw(st.sampled_from([0.0, 0.5, 1.0]))]
+
+
+class TestWordLevelSequence:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), m=st.integers(2, 3), data=st.data())
+    def test_words_indexing_and_concatenation(self, seed, d, m, data):
+        ifs = random_ssifs(np.random.default_rng(seed), d=d, m=m)
+        parts = data.draw(st.lists(word_levels(ifs), min_size=1, max_size=3))
+        for level in parts:
+            words = list(level)
+            assert all(isinstance(w, Word) and w.ifs is ifs for w in words)
+            assert [w.indices for w in words] == [level.indices(k) for k in range(len(level))]
+            for k in range(len(level)):
+                assert level[k] == level[np.intp(k)] == words[k]
+            tail = level[1:]
+            assert isinstance(tail, WordLevel) and list(tail) == words[1:]
+
+        joined = WordLevel.concatenate(parts)
+        depth = max(level.depth for level in parts)
+        assert joined.depth == depth and len(joined) == sum(map(len, parts))
+        # Oracle: each part's letters in its own rows, the rest letter m.
+        letters, starts = np.full(joined.letters.shape, m), np.cumsum([0, *map(len, parts)])
+        for v, start in zip(parts, starts):
+            letters[start : start + len(v), : v.depth] = v.letters
+        assert np.array_equal(joined.letters, letters)
+        assert [w.indices for w in joined] == [w.indices for v in parts for w in v]
+        for name in ("ratio", "rotation", "translation"):
+            want = np.concatenate([getattr(v, name) for v in parts])
+            assert same_bits(getattr(joined, name), want)
+        center, radius = attractor_bounding_ball(ifs)
+        balls = [v.balls(center, radius) for v in parts]
+        centers, radii = joined.balls(center, radius)
+        assert same_bits(centers, np.concatenate([c for c, _ in balls]))
+        assert same_bits(radii, np.concatenate([r for _, r in balls]))
+
+
 class TestMatmulKernel:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS, m=KERNEL_ROWS)

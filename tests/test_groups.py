@@ -480,6 +480,34 @@ class TestHashedClosure:
             loose.index_of(planar_rotation(math.pi / 4.0))
 
 
+@st.composite
+def finite_groups(draw):
+    """Generators of a random finite group: cyclic or dihedral in the plane,
+    or signed permutations of R^3, conjugated by a random rotation."""
+    if draw(st.booleans()):
+        gens = [planar_rotation(TWO_PI / draw(st.integers(1, 40)))]
+        if draw(st.booleans()):
+            gens.append(np.diag([1.0, -1.0]))
+    else:
+        signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3)
+        parts = st.tuples(st.permutations(range(3)), signs)
+        gens = [signed_permutation(p, s) for p, s in draw(st.lists(parts, min_size=1, max_size=3))]
+    return conjugated(gens, draw(seeds))
+
+
+class TestIndicesOf:
+    @settings(max_examples=60, deadline=None)
+    @given(gens=finite_groups(), data=st.data())
+    def test_matches_a_max_abs_scan(self, gens, data):
+        g = group_closure(gens)
+        assert g.indices_of(g.elements).tolist() == list(range(g.order))
+        products = g.elements @ g.elements[data.draw(st.integers(0, g.order - 1))]
+        # Oracle: the max-abs distance of every product to every element.
+        hits = np.abs(products[:, None] - g.elements[None]).max(axis=(2, 3)) <= g.tolerance
+        assert (hits.sum(axis=1) == 1).all()
+        assert g.indices_of(products).tolist() == hits.argmax(axis=1).tolist()
+
+
 class TestDistinct:
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds, n=st.integers(0, 60), d=st.integers(1, 4), tol_exp=st.integers(-12, -3))
