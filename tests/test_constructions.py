@@ -291,6 +291,60 @@ class TestDimensionDropRegression:
             find_dimension_drop(fixture_ifs("example_7_5_plane"), 1)
 
 
+def array_digest(*arrays) -> str:
+    """The first 16 hex digits of the sha256 over each array's dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for a in map(np.asarray, arrays):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestDeepLevelPins:
+    """The bits of deep word levels and of the dimension drops of the
+    finite-words benchmark, recorded before the large-stack kernels took
+    their entry-major layout."""
+
+    @pytest.mark.parametrize(
+        "name, depth, digests",
+        [
+            ("example_7_5_plane", 8, (
+                "2037104a100d0849", "45f4e76b11913fee", "ede3e5b6aa2de341", "7a1be8ea56b7c916",
+            )),
+            ("c4_rotation", 7, (
+                "cfea996e31544497", "1d0f79904ecd32e9", "b7ae67a77574e875", "440f369f7f19e68b",
+            )),
+            ("irrational_rotation_planar", 7, (
+                "cfea996e31544497", "3c47eccdbb836d67", "939d134c593dfe09", "4d931c2303e1980c",
+            )),
+        ],
+    )
+    def test_level_arrays(self, name, depth, digests):
+        level = level_of(fixture_ifs(name), depth)
+        arrays = (level.letters, level.ratio, level.rotation, level.translation)
+        assert tuple(map(array_digest, arrays)) == digests
+
+    @pytest.mark.parametrize(
+        "name, basis, s_reduced, witness, graph",
+        [
+            ("sierpinski_half", "c13b57c3db01b61b", "0x1.0000000000000p+0",
+             ((1,), (2,)), "b421efba25323ad0"),
+            ("c4_rotation", "5eeb49c7134d3b4b", "0x1.90f4293cae797p+0",
+             ((1, 1), (3, 3)), "98fcbfa28109f59e"),
+            ("example_7_5_plane", "c13b57c3db01b61b", "0x1.26c43a5a5a15cp+0",
+             ((1,) * 8, (1,) * 7 + (2,)), "450818dd760fa253"),
+        ],
+    )
+    def test_dimension_drop(self, name, basis, s_reduced, witness, graph):
+        result = find_dimension_drop(fixture_ifs(name), 1)
+        g = result.dropped_gdifs
+        assert array_digest(result.subspace.basis) == basis
+        assert result.s_reduced.hex() == s_reduced
+        pair = result.overlap_witness
+        assert (pair.word_a.indices, pair.word_b.indices) == witness
+        assert array_digest(g.source, g.target, g.ratio, g.rotation, g.translation) == graph
+
+
 def separated(ball_a, ball_b, separation):
     (ca, ra), (cb, rb) = ball_a, ball_b
     return float(np.linalg.norm(ca - cb)) >= ra + rb + separation
