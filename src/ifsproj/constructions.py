@@ -32,7 +32,7 @@ from .geometry import (
     Word,
     WordLevel,
     _fixed_points,
-    _row_max_abs,
+    _max_abs_distance,
     attractor_bounding_ball,
 )
 from .groups import (
@@ -111,14 +111,19 @@ def build_projection_gdifs(ifs: SSIFS | WordLevel, linear_map: LinearMap) -> Pro
     d2, q = linear_map.codomain_dim, group.order
     targets = group.indices_of((group.elements[:, None] @ distinct[None]).reshape(-1, d, d))
     targets = targets.reshape(q, len(distinct))[:, classes].ravel()
-    translation = np.einsum("lj,ijk,nk->inl", linear_map.matrix, group.elements, translations)
+    # np.einsum("lj,ijk,nk->inl", L, E, t) in the einsum's own order: j-major,
+    # k-minor, each term (L E) t, summed from +0 over the translation columns.
+    factors = linear_map.matrix[None, :, :, None] * group.elements[:, None]
+    translation, term = np.zeros((q, d2, m)), np.empty((q, d2, m))
+    for j, k in np.ndindex(d, d):
+        translation += np.multiply(factors[:, :, j, k, None], translations[:, k], out=term)
     gdifs = GDIFS(
         q,
         np.repeat(np.arange(q), m),
         targets,
         np.tile(ratios, q),
         np.broadcast_to(np.eye(d2), (q * m, d2, d2)),
-        translation.reshape(q * m, d2),
+        translation.transpose(0, 2, 1).reshape(q * m, d2),
         name=name,
     )
     if not is_strongly_connected(gdifs):
@@ -161,7 +166,7 @@ def _identity_equal_ratio_pair(level: WordLevel, tau: float) -> tuple[int, int] 
     none; so ka is the first word in such a run and kb its first partner.
     """
     d = level.ifs.ambient_dim
-    off_identity = _row_max_abs(level.rotation - np.eye(d))
+    off_identity = _max_abs_distance(level.rotation, np.eye(d))
     words = np.flatnonzero(off_identity <= 10.0 * tolerances.tau_orth())
     ratio = level.ratio[words]
     order = np.argsort(ratio, kind="stable")
@@ -447,7 +452,7 @@ def _rotation_word_search(ifs: SSIFS, start: np.ndarray, target: np.ndarray, tol
         stored = table.insert(products, _CORRECTOR_STATE_CAP)[0]
         if not stored.size:
             return None
-        rotations = products[stored]
+        rotations = products.take(stored, axis=0)
         rows = np.column_stack([rows[stored // m], stored % m + 1])
     return None
 
@@ -463,10 +468,22 @@ def verify_pairwise_disjoint(words, center, radius, separation: float):
     nest), so either always meets the earlier ball.  The balls go through
     the in-order kernel `_kept_in_order`, which tests only the pairs whose
     x-intervals overlap, so a family of well-spread words costs about a sort.
+
+    The words are a list of Word objects or a WordLevel.  A level is folded
+    again from its own letters, without its trailing columns of padding
+    only, and no Word is built.  Its balls have the bits of its words'
+    list: a level whose padding trails each row's letters (as every level
+    the searches build) then has the letters ``of_words`` builds, and a
+    padding letter inside a row is an identity step, which changes no bit
+    of a fold's maps (they hold no -0 entry).
     """
     if not words:
         return set()
-    level = WordLevel.of_words(words[0].ifs, [w.indices for w in words])
+    if isinstance(words, WordLevel):
+        used = np.flatnonzero((words.letters < len(words.ifs)).any(axis=0))
+        level = WordLevel.fold(words.ifs, words.letters[:, : used.max(initial=-1) + 1])
+    else:
+        level = WordLevel.of_words(words[0].ifs, [w.indices for w in words])
     kept = _kept_in_order(*level.balls(center, radius), separation)
     return set(np.flatnonzero(~kept).tolist())
 
@@ -524,9 +541,10 @@ def select_disjoint_cylinders(
         empty word if it matches); a word with no corrector is dropped.  Rows
         whose rotations round alike on a delta / 4 grid share the first one's."""
         rows = np.flatnonzero(~hit)
-        keys = np.round(level.rotation[rows] / (delta / 4.0)).astype(int).reshape(len(rows), d * d)
+        keys = np.round(level.rotation.take(rows, axis=0) / (delta / 4.0)).astype(int)
+        keys = keys.reshape(len(rows), d * d)
         _, first, key = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        starts = level.rotation[rows[first]]
+        starts = level.rotation.take(rows[first], axis=0)
         tails = [_rotation_word_search(ifs, start, o, delta / 2.0) for start in starts]
         has_tail = hit.copy()
         has_tail[rows] = np.array([tail is not None for tail in tails], dtype=bool)[key]

@@ -108,9 +108,13 @@ class GDIFS:
     def delete_edge(self, index: int) -> "GDIFS":
         if not 0 <= index < len(self.source):
             raise GdifsStructureError("edge index out of range")
-        keep = np.arange(len(self.source)) != index
-        arrays = (self.source, self.target, self.ratio, self.rotation, self.translation)
-        return GDIFS(self.vertex_count, *(a[keep] for a in arrays), name=self.name)
+        arrays = (self.source, self.target, self.ratio, self.translation)
+        source, target, ratio, translation = (np.delete(a, index, axis=0) for a in arrays)
+        # A broadcast rotation stack (first stride 0) stays one.
+        rotation = self.rotation
+        rotation = rotation[1:] if rotation.strides[0] == 0 else np.delete(rotation, index, axis=0)
+        arrays = (source, target, ratio, rotation, translation)
+        return GDIFS(self.vertex_count, *arrays, name=self.name)
 
 
 def _reach(pattern: np.ndarray) -> np.ndarray:

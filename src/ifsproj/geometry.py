@@ -2,6 +2,26 @@
 
 All types are immutable values and all operations are pure functions, so
 instances can be shared freely between threads.
+
+A deep word level is a stack of tens of thousands of small matrices, and a
+numpy pass that broadcasts over its (N, d, d) rows runs inner loops only d
+or d * d long.  So the passes over deep levels run along the long axis,
+with the bits of the row-major form:
+
+- ``_matmul`` computes a broadcast stack of at least ``_ENTRY_MAJOR_ROWS``
+  (1024) products entry-major; ``extend``'s rotation and translation
+  products, ``fold`` and ``balls`` go through it;
+- ``extend`` adds its translations along the parents, and writes its
+  letters into one (parents, letters, depth) block;
+- ``_max_abs_distance``, the max-abs distance from a stack to one matrix,
+  folds over entry columns (the identity test of the dimension-drop pair
+  search and the near check of ``groups._RotationTable.insert``);
+- stacks are gathered with ``np.take(..., axis=0)`` (``WordLevel[rows]``,
+  the rotation table, the closure and the corrector search);
+- ``constructions.build_projection_gdifs`` sums its translations over
+  whole translation columns, in the order of the einsum it replaced;
+- ``checked_maps`` checks a broadcast stack (first stride 0), such as a
+  projection graph's identity edge rotations, as its one matrix.
 """
 
 from __future__ import annotations
@@ -56,6 +76,14 @@ def reorthonormalize(rotation: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
+# A broadcast stack of at least this many products is multiplied entry-major
+# (see _matmul).  For 2 x 2 matrix products (one BLAS thread, 2-core Xeon,
+# min of 9 x 200 calls, two runs) the row-major passes took 5-10 us at one
+# row, 29-46 us at 512 rows and 51-55 us at 1024; the entry-major ones
+# 31-55, 30-66 and 35-47 us.  Matrix-vector products cross near 2048 rows.
+_ENTRY_MAJOR_ROWS = 1024
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over broadcast stacks of small matrices.
 
@@ -64,11 +92,34 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     broadcasts; a matrix-vector product, b of shape (..., d, 1), only for
     d <= 2, where einsum does not use a SIMD reduction).  np.matmul rounds
     differently (it fuses multiply and add).
+
+    A stack of fewer than ``_ENTRY_MAJOR_ROWS`` products is computed
+    row-major, one broadcast pass per j, whose inner loops run over the few
+    entries of a row.  A larger one is computed entry-major, in the same
+    j order from +0: each output entry is summed over the whole stack in a
+    contiguous buffer, and then stored into its strided column of the
+    result.  The buffers hold the batch axes reversed, so that
+    ``extend``'s (n, 1) x (m,) broadcast runs its inner loops along the n
+    parents.  Either way the result is a C-ordered (..., p, r) array.
     """
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    out += 0.0  # einsum's sum starts at +0, and 0 + (-0) is +0
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j, None] * b[..., None, j, :]
+    batch = np.broadcast(a[..., 0, 0], b[..., 0, 0])
+    if batch.size < _ENTRY_MAJOR_ROWS:
+        out = a[..., :, 0, None] * b[..., None, 0, :]
+        out += 0.0  # einsum's sum starts at +0, and 0 + (-0) is +0
+        for j in range(1, a.shape[-1]):
+            out += a[..., :, j, None] * b[..., None, j, :]
+        return out
+    out = np.empty(batch.shape + (a.shape[-2], b.shape[-1]))
+    # .T reverses every axis: (d, p, *reversed batch), (r, d, ...) and (r, p, ...).
+    at = np.broadcast_to(a, batch.shape + a.shape[-2:]).T
+    bt = np.broadcast_to(b, batch.shape + b.shape[-2:]).T
+    entry, term = np.empty(batch.shape[::-1]), np.empty(batch.shape[::-1])
+    for k, i in np.ndindex(out.shape[:-3:-1]):
+        np.multiply(at[0, i, ...], bt[k, 0, ...], out=entry)
+        entry += 0.0
+        for j in range(1, at.shape[0]):
+            entry += np.multiply(at[j, i, ...], bt[k, j, ...], out=term)
+        out.T[k, i, ...] = entry
     return out
 
 
@@ -80,6 +131,19 @@ def _row_max_abs(x: np.ndarray) -> np.ndarray:
     out = flat[:, 0].copy()
     for column in flat.T[1:]:
         np.maximum(out, column, out=out)
+    return out
+
+
+def _max_abs_distance(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``_row_max_abs(stack - matrix)`` for an (N, d, d) stack and one d x d
+    matrix, folded over the entry columns in the same order: the same bits,
+    with no (N, d, d) temporary."""
+    out, term = np.empty(len(stack)), np.empty(len(stack))
+    for e, (i, j) in enumerate(np.ndindex(matrix.shape)):
+        column = np.subtract(stack[:, i, j], matrix[i, j], out=term if e else out)
+        np.abs(column, out=column)
+        if e:
+            np.maximum(out, column, out=out)
     return out
 
 
@@ -112,19 +176,23 @@ def checked_maps(ratio: np.ndarray, rotation: np.ndarray, translation: np.ndarra
     finite entries, ratios in (0, 1) and orthogonal rotations.  A rotation
     defect above tau_orth raises; one above tau_orth / 10 is repaired.
     Returns the rotations, repaired."""
-    if not all(np.isfinite(a).all() for a in (ratio, rotation, translation)):
+    # A broadcast stack (first stride 0) holds one matrix, checked once.
+    broadcast = rotation.strides[0] == 0
+    matrices = rotation[:1] if broadcast else rotation
+    if not all(np.isfinite(a).all() for a in (ratio, matrices, translation)):
         raise GeometryError("map ratios, rotations and translations must be finite")
     outside = ~((ratio > 0.0) & (ratio < 1.0))
     if outside.any():
         raise GeometryError(f"ratio must lie in (0, 1), got {ratio[outside][0]}")
     tau = tolerances.tau_orth()
-    defect = _orthogonality_defects(rotation)
+    defect = _orthogonality_defects(matrices)
     if (defect > tau).any():
         raise GeometryError(f"rotation is not orthogonal (defect {defect.max():.3e})")
     bad = defect > tau / 10.0
     if bad.any():
-        rotation = rotation.copy()
-        rotation[bad] = [reorthonormalize(r) for r in rotation[bad]]
+        matrices = matrices.copy()
+        matrices[bad] = [reorthonormalize(r) for r in matrices[bad]]
+        rotation = np.broadcast_to(matrices, rotation.shape) if broadcast else matrices
     return rotation
 
 
@@ -335,9 +403,9 @@ class WordLevel:
         # The empty word keeps ratio 1.
         nonempty = (letters < m).any(axis=1)
         for column in letters.T:
-            moved = _matmul(rotation, translations[column, :, None])[..., 0]
+            moved = _matmul(rotation, translations.take(column, axis=0)[..., None])[..., 0]
             translation = ratio[:, None] * moved + translation
-            rotation = _matmul(rotation, rotations[column])
+            rotation = _matmul(rotation, rotations.take(column, axis=0))
             ratio = ratio * ratios[column]
             rotation = checked_maps(ratio[nonempty], rotation, translation)
         return cls(ifs, letters, ratio, rotation, translation)
@@ -362,8 +430,14 @@ class WordLevel:
         """Word k for an integer k, else the level of the rows (a mask, slice or index array)."""
         if isinstance(rows, (int, np.integer)):
             return Word(self.ifs, self.indices(rows))
+        # One index array (a row mask by np.flatnonzero, anything else through
+        # numpy's own indexing checks), and then one np.take per array.
+        if isinstance(rows, np.ndarray) and rows.dtype == bool and rows.shape == (len(self),):
+            rows = np.flatnonzero(rows)
+        else:
+            rows = np.arange(len(self))[rows]
         arrays = (self.letters, self.ratio, self.rotation, self.translation)
-        return WordLevel(self.ifs, *(a[rows] for a in arrays))
+        return WordLevel(self.ifs, *(a.take(rows, axis=0) for a in arrays))
 
     def __iter__(self):
         """The words as Word objects, in row order."""
@@ -374,13 +448,17 @@ class WordLevel:
         """Every word followed by every letter, in that order."""
         ifs = self.ifs
         n, m, d = len(self), len(ifs), ifs.ambient_dim
-        prefix = np.repeat(self.letters, m, axis=0)
-        letters = np.column_stack([prefix, np.tile(np.arange(m, dtype=prefix.dtype), n)])
+        letters = np.empty((n, m, self.depth + 1), dtype=self.letters.dtype)
+        letters[:, :, :-1] = self.letters[:, None]
+        letters[:, :, -1] = np.arange(m)
         rotation = _matmul(self.rotation[:, None], ifs.rotations).reshape(n * m, d, d)
         moved = _matmul(self.rotation[:, None], ifs.translations[..., None])[..., 0]
-        translation = self.ratio[:, None, None] * moved + self.translation[:, None]
-        ratio = (self.ratio[:, None] * ifs.ratios[None]).ravel()
+        translation = np.multiply(self.ratio[:, None, None], moved, out=moved)
+        # Over the transposes in C order, the inner loops run along the parents.
+        np.add(translation.T, self.translation.T[:, None], out=translation.T, order="C")
+        ratio = np.multiply(self.ratio[:, None], ifs.ratios).ravel()
         rotation = checked_maps(ratio, rotation, translation)
+        letters = letters.reshape(n * m, self.depth + 1)
         return WordLevel(ifs, letters, ratio, rotation, translation.reshape(n * m, d))
 
     def indices(self, k: int) -> tuple[int, ...]:

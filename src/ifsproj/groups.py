@@ -39,6 +39,7 @@ from . import tolerances
 from .geometry import (
     GeometryError,
     NumericFailureError,
+    _max_abs_distance,
     _orthogonality_defects,
     _row_max_abs,
     orthogonality_defect,
@@ -102,10 +103,11 @@ class _RotationTable:
         query = np.repeat(np.arange(n), lens)
         offset = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
         stored = self._order[np.repeat(lo, lens) + offset]
-        dist = _row_max_abs(self.elements[stored] - mats[query])
+        dist = _row_max_abs(self.elements.take(stored, axis=0) - mats.take(query, axis=0))
         hit = dist <= self.tol
-        counts += np.bincount(query[hit], minlength=n)
-        match[query[hit]] = stored[hit]
+        hit_query = query.compress(hit)
+        counts += np.bincount(hit_query, minlength=n)
+        match[hit_query] = stored.compress(hit)
         return counts, match
 
     def insert(self, mats: np.ndarray, cap: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
@@ -136,16 +138,15 @@ class _RotationTable:
             # Only unmatched rows with keys in [k - 1, k + 1] can lie within tol.
             lo, hi = sorted_keys.searchsorted([keys[pos] - 1, keys[pos] + 2])
             near = order[lo:hi]
-            near = near[unmatched[near]]
+            near = near.compress(unmatched[near])
             if near.size:
-                diff = mats[rows[near]]
-                diff -= mats[row]
-                near = near[_row_max_abs(diff) <= self.tol]
+                dist = _max_abs_distance(mats.take(rows[near], axis=0), mats[row])
+                near = near.compress(dist <= self.tol)
                 unmatched[near] = False
                 match[rows[near]] = match[row]
         stored_rows = rows[kept]
         if kept:
-            self.elements = np.concatenate([self.elements, mats[stored_rows]])
+            self.elements = np.concatenate([self.elements, mats.take(stored_rows, axis=0)])
             self._keys = np.concatenate([self._keys, keys[kept]])
             self._order = np.argsort(self._keys, kind="stable")
             self._sorted_keys = self._keys[self._order]
@@ -286,11 +287,11 @@ def group_closure(generators, closure_cap: int = 5000) -> TransformationGroup:
     table.insert(frontier)
     while len(frontier):
         candidates = (multipliers[None] @ frontier[:, None]).reshape(-1, d, d)
-        frontier = candidates[table.insert(candidates, closure_cap + 1)[0]]
+        frontier = candidates.take(table.insert(candidates, closure_cap + 1)[0], axis=0)
         if table.size > closure_cap:
             return TransformationGroup(gens, None, table.size, tolerance, "cap_exceeded")
     order = _canonical_order(table.elements)
-    elements = table.elements[order]
+    elements = table.elements.take(order, axis=0)
     elements.setflags(write=False)
     canonical = np.argsort(order)
     return TransformationGroup(

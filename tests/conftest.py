@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from ifsproj import tolerances
+from ifsproj import geometry, tolerances
 from ifsproj.fixtures import fixture_ifs
 from ifsproj.geometry import (
     SSIFS,
@@ -35,6 +35,18 @@ def c4():
 @pytest.fixture
 def irrational():
     return fixture_ifs("irrational_rotation_planar")
+
+
+def spy_on_orthogonality_defects(monkeypatch) -> list:
+    """The row counts of the stacks checked_maps checks from now on."""
+    rows, defects = [], geometry._orthogonality_defects
+
+    def spy(rotation):
+        rows.append(len(rotation))
+        return defects(rotation)
+
+    monkeypatch.setattr(geometry, "_orthogonality_defects", spy)
+    return rows
 
 
 def random_similarity(rng, d=2, ratio_range=(0.2, 0.8)):

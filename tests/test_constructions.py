@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsproj import constructions, tolerances
+from ifsproj import constructions, geometry, tolerances
 from ifsproj.constructions import (
     _CORRECTOR_LENGTH_CAP,
     _CORRECTOR_STATE_CAP,
@@ -36,6 +36,7 @@ from ifsproj.geometry import (
     NumericFailureError,
     SSIFS,
     Similarity,
+    Word,
     WordLevel,
     attractor_bounding_ball,
     cylinder_ball,
@@ -48,6 +49,7 @@ from conftest import (
     kept_in_order_by_loop,
     projection_graph_by_rows,
     random_ssifs,
+    spy_on_orthogonality_defects,
 )
 
 LOG3_LOG2 = math.log(3.0) / math.log(2.0)
@@ -173,6 +175,25 @@ class TestProjectionGraphAgainstRows:
     def test_cyclic_systems_match(self, drawn):
         ifs, depth = drawn
         assert_graph_matches_rows(ifs if depth == 0 else level_of(ifs, depth), X_AXIS)
+
+    def test_level_past_the_kernel_threshold_matches(self):
+        # 3^7 words, each extend past the first few entry-major, and 4 vertices.
+        level = level_of(fixture_ifs("c4_rotation"), 7)
+        assert len(level) >= geometry._ENTRY_MAJOR_ROWS
+        assert build_projection_gdifs(level, X_AXIS).gdifs.vertex_count == 4
+        assert_graph_matches_rows(level, X_AXIS)
+
+
+class TestBroadcastEdgeRotations:
+    def test_edge_rotations_are_checked_as_one_matrix(self, monkeypatch):
+        level = level_of(fixture_ifs("example_7_5_plane"), 8)
+        rows = spy_on_orthogonality_defects(monkeypatch)
+        g = build_projection_gdifs(level, X_AXIS).gdifs
+        reduced = g.delete_edge(5)
+        assert rows == [1, 1]
+        for graph, n in ((g, len(level)), (reduced, len(level) - 1)):
+            assert graph.rotation.strides[0] == 0
+            assert np.array_equal(graph.rotation, np.ones((n, 1, 1)))
 
 
 class TestFindDimensionDrop:
@@ -661,6 +682,60 @@ class TestVerifyPairwiseDisjoint:
             # Of two nested or repeated words, at most one is kept.
             short, long = sorted((indices[j], indices[k]), key=len)
             assert long[: len(short)] != short
+
+
+class TestVerifyPairwiseDisjointLevels:
+    """A WordLevel is certified as the list of its words would be, and
+    builds no Word."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3]),
+        m=st.integers(2, 3),
+        gap=st.sampled_from([0.0, 1e-9, 1e-3, 0.1]),
+        data=st.data(),
+    )
+    def test_a_level_gives_the_dropped_set_of_its_words(self, seed, d, m, gap, data):
+        rng = np.random.default_rng(seed)
+        ifs = random_ssifs(rng, d=d, m=m)
+        center, radius = attractor_bounding_ball(ifs)
+        separation = gap * radius
+        depths = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+        parts = [level_of(ifs, k) for k in depths]
+        joined = WordLevel.concatenate([v[rng.random(len(v)) < 0.7] for v in parts])
+        # Padding (letter m, which fold reads as the identity) in any column
+        # after the first letter, and empty words.
+        letters = rng.integers(0, m + 1, size=(data.draw(st.integers(0, 12)), 4)).astype(np.uint8)
+        letters[:, 0] = np.where(rng.random(len(letters)) < 0.8, letters[:, 0] % m, m)
+        letters[letters[:, 0] == m] = m
+        padded = WordLevel.fold(ifs, letters)
+        for level in (joined, padded):
+            with mock.patch.object(constructions, "_kept_in_order", wraps=_kept_in_order) as kernel:
+                want = verify_pairwise_disjoint(list(level), center, radius, separation)
+                assert verify_pairwise_disjoint(level, center, radius, separation) == want
+            # The kernel saw the word list's balls, bit for bit.
+            if len(level):
+                listed, levelled = (call.args[:2] for call in kernel.call_args_list)
+                for a, b in zip(listed, levelled):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_the_depth_nine_identity_selection(self, irrational):
+        t = sim_dim_ssifs(irrational).value
+        sel = select_disjoint_cylinders(irrational, np.eye(2), 0.2, t, mass_target=0.9, depth_cap=9)
+        assert len(sel.words) == 13123
+        center, radius = attractor_bounding_ball(irrational)
+        built, post_init = [], Word.__post_init__
+
+        def spy(word):
+            built.append(word)
+            post_init(word)
+
+        for separation in (tolerances.TAU_SEP_FACTOR * 2.0 * radius, 1e-3 * radius):
+            with mock.patch.object(Word, "__post_init__", spy):
+                dropped = verify_pairwise_disjoint(sel.words, center, radius, separation)
+            assert not built
+            assert dropped == verify_pairwise_disjoint(list(sel.words), center, radius, separation)
 
 
 @st.composite

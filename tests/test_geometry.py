@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsproj import tolerances
+from ifsproj import geometry, tolerances
 from ifsproj.fixtures import BUILDERS, fixture_ifs
 from ifsproj.geometry import (
     DegenerateSystemError,
@@ -20,6 +21,7 @@ from ifsproj.geometry import (
     WordLevel,
     _fixed_points,
     _matmul,
+    _max_abs_distance,
     _orthogonality_defects,
     _row_max_abs,
     attractor_bounding_ball,
@@ -36,6 +38,7 @@ from conftest import (
     orthogonality_defects_by_gram,
     random_similarity,
     random_ssifs,
+    spy_on_orthogonality_defects,
 )
 
 
@@ -459,6 +462,113 @@ class TestMatmulKernel:
         if n:
             a[n // 2, d - 1, 0] = np.nan
         assert same_bits(_row_max_abs(a), np.abs(a).max(axis=(1, 2)))
+
+
+@contextlib.contextmanager
+def kernel_layout(rows):
+    """``_ENTRY_MAJOR_ROWS`` patched to rows: 0 sends every ``_matmul``
+    stack entry-major, a huge value keeps every one row-major."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_ENTRY_MAJOR_ROWS", rows)
+        yield
+
+
+KERNEL_LAYOUTS = {"entry-major": 0, "row-major": 2**62}
+
+
+def with_non_finite_entries(rng, a):
+    """The stack with about a tenth of its entries NaN, inf or -inf."""
+    a = a.copy()
+    special = rng.random(a.shape) < 0.1
+    a[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+    return a
+
+
+def same_bits_up_to_nan(x, y):
+    """same_bits with every NaN read as np.nan: which NaN a sum of two NaNs
+    gives (its sign, say) depends on numpy's inner loop, not on the sum's order."""
+    return same_bits(np.where(np.isnan(x), np.nan, x), np.where(np.isnan(y), np.nan, y))
+
+
+class TestMatmulLayouts(TestMatmulKernel):
+    """Every TestMatmulKernel example again with every stack in one layout,
+    and non-finite entries against the einsum oracles."""
+
+    @pytest.fixture(autouse=True, scope="class", params=list(KERNEL_LAYOUTS))
+    def layout(self, request):
+        with kernel_layout(KERNEL_LAYOUTS[request.param]):
+            yield
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS, m=KERNEL_ROWS)
+    @np.errstate(invalid="ignore")  # inf - inf and 0 * inf are NaN
+    def test_non_finite_entries_equal_einsum_bitwise(self, seed, d, n, m):
+        rng = np.random.default_rng(seed)
+        a, b, c = (with_non_finite_entries(rng, stack(rng, k, d)) for k in (n, n, m))
+        oracle = EINSUM_MATRIX_PRODUCTS
+        assert same_bits_up_to_nan(_matmul(a, b), oracle["fold rotation"](a, b))
+        assert same_bits_up_to_nan(_matmul(a[:, None], c[None]), oracle["extend rotation"](a, c))
+        if d <= 2:
+            x = with_non_finite_entries(rng, stack(rng, 1, d))[:, 0]
+            want = EINSUM_VECTOR_PRODUCTS["balls"](a, x)
+            assert same_bits_up_to_nan(_matmul(a, x[0][:, None])[..., 0], want)
+
+
+class TestEntryMajorKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS, m=KERNEL_ROWS)
+    @np.errstate(invalid="ignore")  # inf - inf and 0 * inf are NaN
+    def test_layouts_agree_bitwise(self, seed, d, n, m):
+        # Also the matrix-vector products with d >= 3, where einsum rounds apart.
+        rng = np.random.default_rng(seed)
+        a, c = (with_non_finite_entries(rng, stack(rng, k, d)) for k in (n, m))
+        calls = [
+            (a, a),
+            (a[:, None], c[None]),
+            (a.transpose(0, 2, 1), a),
+            (a, a[..., :1]),
+            (a[:, None], c[:, :, :1]),
+            (a, stack(rng, 1, d)[0, :, :1]),
+            (stack(rng, 1, d)[0], stack(rng, 1, d)[0]),
+        ]
+        products = {}
+        for name, rows in KERNEL_LAYOUTS.items():
+            with kernel_layout(rows):
+                products[name] = [_matmul(x, y) for x, y in calls]
+        for got, want in zip(*products.values()):
+            assert same_bits_up_to_nan(got, want) and got.flags.c_contiguous
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS)
+    @np.errstate(invalid="ignore")  # inf - inf and 0 * inf are NaN
+    def test_max_abs_distance_equals_the_row_fold_of_the_difference(self, seed, d, n):
+        rng = np.random.default_rng(seed)
+        a = with_non_finite_entries(rng, stack(rng, n, d))
+        for matrix in (stack(rng, 1, d)[0], np.eye(d), with_non_finite_entries(rng, stack(rng, 1, d))[0]):
+            assert same_bits(_max_abs_distance(a, matrix), _row_max_abs(a - matrix))
+
+
+class TestBroadcastRotationStack:
+    # No change, a repair (a defect between tau_orth / 10 and tau_orth), a
+    # rejection, and non-finite entries.
+    @pytest.mark.parametrize("stretch", [0.0, 1.5e-10, 1e-6, math.nan])
+    def test_one_matrix_gives_the_verdict_of_the_stack(self, stretch, monkeypatch):
+        c, s = math.cos(0.3), math.sin(0.3)
+        matrix, n = np.array([[c, -s], [s, c]]) * (1.0 + stretch), 6
+        ratio, translation = np.full(n, 0.5), np.zeros((n, 2))
+        rows = spy_on_orthogonality_defects(monkeypatch)
+        outcomes = []
+        for rotation in (np.broadcast_to(matrix, (n, 2, 2)), np.repeat(matrix[None], n, axis=0)):
+            try:
+                outcomes.append(checked_maps(ratio, rotation, translation))
+            except GeometryError as error:
+                outcomes.append(str(error))
+        broadcast, full = outcomes
+        if isinstance(full, str):
+            assert broadcast == full
+        else:
+            assert rows == [1, n]
+            assert broadcast.strides[0] == 0 and same_bits(np.asarray(broadcast), full)
 
 
 def rotation_stack(rng, kind, n, d):
