@@ -3,22 +3,6 @@
 Box dimension is a valid numerical proxy for the Hausdorff dimension of a
 self-similar set, which justifies all estimators here as desk-scale checks
 of the exact dimension statements.
-
-The three full-length passes over a sample, ``column_bounds``,
-``project_cloud`` and the finest quantisation of ``box_counts``, are split
-into contiguous parts of rows, one per worker thread (``_in_parts``): up to
-``_WORKERS`` parts, each of at least ``_PART_ROWS`` rows, cut at multiples
-of ``_PART_ALIGN`` rows.  Their numpy calls release the GIL, so the parts
-run on separate cores.  No result depends on the number of parts: min and
-max are exact and are folded over the parts; the projection writes each
-part's rows with the product the whole array would use, on the same
-``_PART_ALIGN``-aligned rows; and each part floors its rows with the same
-per-column cell bounds and key radix, found from the exact column bounds
-before any part starts.  No option, parameter or environment variable sets
-the number of workers: it is the smaller of ``_WORKERS_CAP`` and the CPUs
-this process may run on.  The word tree and the chaos game stay serial:
-their per-block calls take 10-30 us, about what a GIL handoff between two
-threads costs.
 """
 
 from __future__ import annotations
@@ -26,8 +10,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-import os
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,55 +27,13 @@ from .geometry import (
 _BOUNDS_BLOCK = 1024  # rows per block of column_bounds' contiguous reductions
 _CHAOS_BLOCK = 16  # chaos-game steps whose map choices are drawn at once
 _TREE_BLOCK_BYTES = 2**19  # bytes of one block of word-tree images
-_WORKERS_CAP = 4  # each part holds its own chunk temporaries and occupancy mask
-_WORKERS = min(
-    _WORKERS_CAP,
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-)
-# The fewest rows a part is started for, and the rows of one chunk of a
-# part's quantisation loop (its temporaries then stay in cache).  It is far
-# above (_WORKERS_CAP - 1) * _PART_ALIGN, so the last part is never short.
-_PART_ROWS = 2**17
-_PART_ALIGN = 4096  # parts start at multiples of this many rows
+_CHUNK_ROWS = 2**17  # rows per chunk of the quantisation loop: its temporaries stay in cache
 
 
-def _in_parts(fn, n: int) -> list:
-    """``[fn(a, b), ...]`` over contiguous row ranges [a, b) that cover
-    range(n) in order, one part per worker thread.  The calling thread runs
-    part 0; a worker's exception is raised here once every part is done."""
-    parts = max(1, min(_WORKERS, n // _PART_ROWS))
-    if parts == 1:
-        return [fn(0, n)]
-    step = -(-n // parts)
-    step += -step % _PART_ALIGN
-    cuts = [*range(0, n, step), n]
-    results = [None] * (len(cuts) - 1)
-    errors = [None] * len(results)
-
-    def run(i):
-        try:
-            results[i] = fn(cuts[i], cuts[i + 1])
-        except BaseException as exc:  # re-raised in the caller below
-            errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(results))]
-    for thread in threads:
-        thread.start()
-    try:
-        results[0] = fn(cuts[0], cuts[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
-def _chunks(a: int, b: int):
-    """Rows a..b as ranges of at most ``_PART_ROWS`` rows."""
-    for c in range(a, b, _PART_ROWS):
-        yield c, min(c + _PART_ROWS, b)
+def _chunks(n: int):
+    """Rows 0..n as ranges of at most ``_CHUNK_ROWS`` rows."""
+    for c in range(0, n, _CHUNK_ROWS):
+        yield c, min(c + _CHUNK_ROWS, n)
 
 
 class SamplingMethod(enum.Enum):
@@ -134,25 +74,18 @@ def column_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reduces a tall array along axis 0 a few values at a time.  A C-ordered
     array with d > 1 is reduced as rows of ``_BOUNDS_BLOCK * d`` contiguous
     values whose columns are folded afterwards (min and max are exact, so the
-    order does not matter); any other array one column at a time.  Each
-    part of rows (``_in_parts``) is reduced so, and the parts are folded.
-    A zero bound is returned as 0.0: which sign of zero a reduction keeps
-    depends on the order it met them in."""
-    parts = _in_parts(lambda a, b: _part_bounds(points[a:b]), len(points))
-    lo = np.min([lo for lo, _ in parts], axis=0)
-    hi = np.max([hi for _, hi in parts], axis=0)
-    return lo + 0.0, hi + 0.0
-
-
-def _part_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order does not matter); any other array one column at a time.  A zero
+    bound is returned as 0.0: which sign of zero a reduction keeps depends
+    on the order it met them in."""
     n, d = points.shape
     k = n - n % _BOUNDS_BLOCK
     if d == 1 or k == 0 or not points.flags.c_contiguous:
-        return np.array([col.min() for col in points.T]), np.array([col.max() for col in points.T])
-    blocks, rest = points[:k].reshape(-1, _BOUNDS_BLOCK * d), points[k:]
-    lo = np.concatenate([blocks.min(axis=0).reshape(-1, d), rest]).min(axis=0)
-    hi = np.concatenate([blocks.max(axis=0).reshape(-1, d), rest]).max(axis=0)
-    return lo, hi
+        lo, hi = np.array([col.min() for col in points.T]), np.array([col.max() for col in points.T])
+    else:
+        blocks, rest = points[:k].reshape(-1, _BOUNDS_BLOCK * d), points[k:]
+        lo = np.concatenate([blocks.min(axis=0).reshape(-1, d), rest]).min(axis=0)
+        hi = np.concatenate([blocks.max(axis=0).reshape(-1, d), rest]).max(axis=0)
+    return lo + 0.0, hi + 0.0
 
 
 def ifs_digest(ifs: SSIFS) -> str:
@@ -360,7 +293,7 @@ def _quantised(points: np.ndarray, scale: float, lows, highs, guard: float = 0.0
         )
     negative = (q_lo < 0).tolist()
     guards = [guard if neg and q > -guard else 0.0 for neg, q in zip(negative, q_hi.tolist())]
-    close = []  # the columns with a quotient in (-guard, 0), from any part
+    close = []  # the columns with a quotient in (-guard, 0)
 
     def column(j, a, b):
         cells, near = _floor_cells(points[a:b, j], scale, negative[j], guards[j])
@@ -377,17 +310,14 @@ def _distinct_cells(column, n: int, bounds) -> np.ndarray:
     rows a..b of column j ``column(j, a, b)`` returns as a fresh int64
     array, where ``bounds[j]`` is column j's (min, max).
 
-    One mixed-radix key per row, built by ``_in_parts`` a chunk of
-    ``_PART_ROWS`` rows at a time, so only a chunk's cells are alive.  When
-    the key's radix (the product of the column spans) is at most n, each
-    part marks its keys in its own one-byte occupancy mask (one mask shared
-    by two cores runs several times slower), and the marked entries of the
-    masks' union are read back in order.  Otherwise the parts write their
-    keys into one buffer, int32 when the radix is below 2^31 and int64
-    otherwise, which is sorted once and compared with its neighbour: two
-    sorted halves merged by a stable sort took twice as long as one sort.
-    When the radix would overflow int64 the rows are sorted with
-    ``np.lexsort`` instead.
+    One mixed-radix key per row, built a chunk of ``_CHUNK_ROWS`` rows at a
+    time, so only a chunk's cells are alive.  When the key's radix (the
+    product of the column spans) is at most n, each chunk marks its keys in
+    a one-byte occupancy mask whose marked entries are read back in order.
+    Otherwise the chunks write their keys into one buffer, int32 when the
+    radix is below 2^31 and int64 otherwise, which is sorted once and
+    compared with its neighbour.  When the radix would overflow int64 the
+    rows are sorted with ``np.lexsort`` instead.
     """
     d = len(bounds)
     radices, radix = [], 1
@@ -408,25 +338,14 @@ def _distinct_cells(column, n: int, bounds) -> np.ndarray:
         return key
 
     if radix <= n:
-
-        def mark(a, b):
-            occupied = np.zeros(radix, dtype=bool)
-            for c, e in _chunks(a, b):
-                occupied[keys(c, e)] = True
-            return occupied
-
-        occupied, *others = _in_parts(mark, n)
-        for other in others:
-            occupied |= other
+        occupied = np.zeros(radix, dtype=bool)
+        for a, b in _chunks(n):
+            occupied[keys(a, b)] = True
         key = np.flatnonzero(occupied)
     else:
         key = np.empty(n, dtype=np.int32 if radix < 2**31 else np.int64)
-
-        def fill(a, b):
-            for c, e in _chunks(a, b):
-                key[c:e] = keys(c, e)
-
-        _in_parts(fill, n)
+        for a, b in _chunks(n):
+            key[a:b] = keys(a, b)
         key = _sorted_distinct(key)
     out = np.empty((key.size, d), dtype=np.int64)
     for j in range(d - 1, -1, -1):
@@ -552,12 +471,7 @@ def project_cloud(cloud: PointCloud, linear_map: LinearMap) -> PointCloud:
         raise DimensionMismatchError(
             f"cannot apply a map on R^{linear_map.domain_dim} to a cloud in R^{cloud.ambient_dim}"
         )
-    # linear_map(points) in parts, each into its rows of one output.  Parts
-    # start on _PART_ALIGN-aligned rows, so BLAS tiles them as the whole.
-    points, matrix = cloud.points, linear_map.matrix
-    out = np.empty((len(points), linear_map.codomain_dim))
-    _in_parts(lambda a, b: np.matmul(points[a:b], matrix.T, out=out[a:b]), len(points))
-    return replace(cloud, points=out)
+    return replace(cloud, points=linear_map(cloud.points))
 
 
 def covering_sums(cloud: PointCloud, t: float, scales) -> tuple[list[int], list[float]]:

@@ -1,7 +1,5 @@
 import contextlib
 import math
-import sys
-import threading
 import tracemalloc
 import warnings
 
@@ -501,11 +499,11 @@ class TestCellKeyWidth:
         assert sorted_keys == [np.int32 if math.prod(spans) < 2**31 else np.int64]
 
     def test_peak_memory_is_one_quotient_and_a_mask(self):
-        # Each part floors one chunk of _PART_ROWS quotients at a time, in
-        # place, and marks a 2^14-byte mask of its own: 0.33-0.37 x the
-        # column's bytes with two parts.  One float quotient for the whole
-        # column, floored, cast and narrowed in place, with a one-byte guard
-        # mask per point, took 1.1335 x; a separate int32 key over 1.5 x.
+        # One chunk of _CHUNK_ROWS quotients is floored at a time, in place,
+        # and marks one 2^14-byte mask: 0.183 x the column's bytes.  One
+        # float quotient for the whole column, floored, cast and narrowed in
+        # place, with a one-byte guard mask per point, took 1.1335 x; a
+        # separate int32 key over 1.5 x.
         column = np.random.default_rng(9).uniform(-1.0, 1.0, size=(10**6, 1))
         tracemalloc.start()
         try:
@@ -606,15 +604,13 @@ class TestColumnBounds:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_zero_bounds_are_positive_zero(self, d):
-        # min and max keep whichever zero they meet first; a split into
-        # parts meets them in another order.
+        # min and max keep whichever zero they meet first, which depends on
+        # the layout and on the blocks they are reduced in.
         zeros = np.zeros((3 * BLOCK + 5, d))
         zeros[: BLOCK + 3] = -0.0
         for points in (zeros, zeros[::-1], np.asfortranarray(zeros)):
-            for count in (1, 2, 3):
-                with workers(count):
-                    lo, hi = column_bounds(points)
-                assert not np.signbit(lo).any() and not np.signbit(hi).any()
+            lo, hi = column_bounds(points)
+            assert not np.signbit(lo).any() and not np.signbit(hi).any()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_any_layout(self, d):
@@ -628,15 +624,11 @@ class TestColumnBounds:
 
 
 @contextlib.contextmanager
-def workers(count):
-    """``_WORKERS`` patched to count, with parts (and quantisation chunks)
-    of at least 16 rows cut at multiples of 4 rows, so that small clouds
-    split into parts.  No part is then a single row, which BLAS would
-    multiply with another kernel."""
+def small_chunks(rows=16):
+    """``_CHUNK_ROWS`` patched to rows (16 by default), so that small clouds
+    are quantised in several chunks."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(estimation, "_WORKERS", count)
-        patch.setattr(estimation, "_PART_ROWS", 16)
-        patch.setattr(estimation, "_PART_ALIGN", 4)
+        patch.setattr(estimation, "_CHUNK_ROWS", rows)
         yield
 
 
@@ -657,88 +649,62 @@ def split_clouds(draw):
     return np.asfortranarray(points) if draw(st.booleans()) else points
 
 
-class TestWorkerCount:
-    """column_bounds, project_cloud and box_counts give the bits of the
-    serial run whatever the number of parts."""
+class TestChunks:
+    """box_counts quantised in chunks of 16 rows matches the per-scale
+    oracle; column_bounds and project_cloud match their numpy forms."""
 
     @pytest.mark.parametrize("ladder", ["halving", "per scale"])
     @settings(max_examples=40, deadline=None)
     @given(points=split_clouds(), finest=st.integers(0, 8), data=st.data())
-    def test_results_do_not_depend_on_the_worker_count(self, ladder, points, finest, data):
+    def test_results_match_the_oracles(self, ladder, points, finest, data):
         d = points.shape[1]
         matrix = np.random.default_rng(finest).normal(size=(data.draw(st.integers(1, 3)), d))
         if ladder == "halving":
             scales = [2.0 ** (k - finest) for k in range(data.draw(st.integers(2, 5)))]
         else:
             scales = [0.7 * 2.0**-finest, 0.3, 1.1]
-        cloud = cloud_of(points)
-        results = []
-        for count in (1, 2, 3):
-            with workers(count):
-                lo, hi = column_bounds(points)
-                projected = project_cloud(cloud, LinearMap(matrix)).points
-                results.append((lo.tobytes(), hi.tobytes(), projected.tobytes(), box_counts(points, scales)))
-        assert results[1] == results[0] and results[2] == results[0]
-        assert results[0][3] == [per_scale_count(points, s) for s in scales]
-        assert results[0][2] == (points @ matrix.T).tobytes()
-        assert_axis_bounds(points)
-
-    @pytest.mark.parametrize("count", [1, 2, 3])
-    def test_nan_in_the_last_part_raises(self, count):
-        points = np.random.default_rng(7).uniform(size=(301, 2))
-        points[-1, 1] = math.nan
-        with pytest.raises(GeometryError) as serial:
-            box_counts(points, [0.5, 0.25])
-        with workers(count):
-            lo, hi = column_bounds(points)
-            assert not math.isnan(lo[0]) and math.isnan(lo[1]) and math.isnan(hi[1])
-            with pytest.raises(GeometryError) as split:
-                box_counts(points, [0.5, 0.25])
-        assert str(split.value) == str(serial.value)
+        with small_chunks():
+            counts = box_counts(points, scales)
+            projected = project_cloud(cloud_of(points), LinearMap(matrix)).points
+            assert_axis_bounds(points)
+        assert counts == [per_scale_count(points, s) for s in scales]
+        assert projected.tobytes() == (points @ matrix.T).tobytes()
 
     @pytest.mark.parametrize("n", [0, 1, 15, 16, 31, 32, 47, 48, 301])
-    def test_parts_cover_the_rows_in_order(self, n):
-        with workers(3):
-            parts = estimation._in_parts(lambda a, b: (a, b), n)
-        assert 1 <= len(parts) <= max(1, min(3, n // 16))
-        assert [a for a, _ in parts] == [0] + [b for _, b in parts[:-1]]
-        assert parts[-1][1] == n
-        assert all(a % 4 == 0 and (b > a or n == 0) for a, b in parts)
+    def test_chunks_cover_the_rows_in_order(self, n):
+        with small_chunks():
+            chunks = list(estimation._chunks(n))
+        assert len(chunks) == -(-n // 16)
+        assert [a for a, _ in chunks] + [n] == [0] + [b for _, b in chunks]
+        assert all(0 < b - a <= 16 for a, b in chunks)
 
-    def test_a_worker_error_reaches_the_caller(self):
-        threads = threading.active_count()
+    # With 300 rows per chunk the NaN is alone in a one-row last chunk.
+    @pytest.mark.parametrize("rows", [16, 100, 300])
+    def test_nan_in_the_last_chunk_raises(self, rows):
+        points = np.random.default_rng(7).uniform(size=(301, 2))
+        points[-1, 1] = math.nan
+        with pytest.raises(GeometryError) as whole:
+            box_counts(points, [0.5, 0.25])
+        with small_chunks(rows):
+            lo, hi = column_bounds(points)
+            assert not math.isnan(lo[0]) and math.isnan(lo[1]) and math.isnan(hi[1])
+            with pytest.raises(GeometryError) as chunked:
+                box_counts(points, [0.5, 0.25])
+        assert str(chunked.value) == str(whole.value)
 
-        def fail_last(a, b):
-            if b == 301:
-                raise ValueError(f"part {a}..{b}")
-            return a
-
-        with workers(3):
-            with pytest.raises(ValueError, match=r"part \d+\.\.301"):
-                estimation._in_parts(fail_last, 301)
-        assert threading.active_count() == threads
-
-    def test_more_workers_than_cores_under_frequent_switches(self):
-        # Eight parts on two cores, switching threads every microsecond.
-        # A subnormal in the seventh part sends the ladder to per-scale
-        # counts, which only that part's quantisation sees.
+    @pytest.mark.parametrize("rows", [16, 1900])
+    def test_subnormal_in_a_late_chunk_takes_per_scale_counts(self, rows):
+        # A subnormal in a late chunk (the 119th of 126 with 16 rows, the
+        # first row of the second with 1900) sends the ladder to per-scale
+        # counts, which only that chunk's quantisation sees.
         rng = np.random.default_rng(11)
         points = rng.uniform(-1.0, 1.0, (2001, 2))
         points[1900, 0] = -5e-324
         scales = [2.0**-k for k in range(2, 8)]
         expected = [per_scale_count(points, s) for s in scales]
         assert box_counts(points, scales) == expected
-        matrix = np.array([[0.6, 0.8]])
-        projected = (points @ matrix.T).tobytes()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with workers(8):
-                for _ in range(5):
-                    assert box_counts(points, scales) == expected
-                    assert project_cloud(cloud_of(points), LinearMap(matrix)).points.tobytes() == projected
-        finally:
-            sys.setswitchinterval(interval)
+        with small_chunks(rows):
+            assert box_counts(points, scales) == expected
 
 
 class TestProjectCloud:
