@@ -33,6 +33,8 @@ from .geometry import (
     WordLevel,
     _fixed_points,
     _max_abs_distance,
+    _per_row,
+    _stored_matrices,
     attractor_bounding_ball,
 )
 from .groups import (
@@ -166,8 +168,9 @@ def _identity_equal_ratio_pair(level: WordLevel, tau: float) -> tuple[int, int] 
     none; so ka is the first word in such a run and kb its first partner.
     """
     d = level.ifs.ambient_dim
-    off_identity = _max_abs_distance(level.rotation, np.eye(d))
-    words = np.flatnonzero(off_identity <= 10.0 * tolerances.tau_orth())
+    off_identity = _max_abs_distance(_stored_matrices(level.rotation), np.eye(d))
+    identity = off_identity <= 10.0 * tolerances.tau_orth()
+    words = np.flatnonzero(_per_row(identity, level.rotation))
     ratio = level.ratio[words]
     order = np.argsort(ratio, kind="stable")
     close = np.diff(ratio[order]) <= tau
@@ -531,10 +534,10 @@ def select_disjoint_cylinders(
     separation = tolerances.TAU_SEP_FACTOR * 2.0 * radius
 
     def matches(rotation: np.ndarray) -> np.ndarray:
-        dist = np.linalg.norm(rotation - o, 2, axis=(1, 2))
-        if exact_tol is not None:
-            return dist <= exact_tol
-        return dist < delta
+        # A broadcast stack holds one matrix, measured once.
+        dist = np.linalg.norm(_stored_matrices(rotation) - o, 2, axis=(1, 2))
+        hit = dist <= exact_tol if exact_tol is not None else dist < delta
+        return _per_row(hit, rotation)
 
     def corrected(level: WordLevel, hit: np.ndarray) -> WordLevel:
         """The words in row order, each followed by its corrector word (the

@@ -21,7 +21,14 @@ with the bits of the row-major form:
 - ``constructions.build_projection_gdifs`` sums its translations over
   whole translation columns, in the order of the einsum it replaced;
 - ``checked_maps`` checks a broadcast stack (first stride 0), such as a
-  projection graph's identity edge rotations, as its one matrix.
+  projection graph's identity edge rotations, as its one matrix;
+- a level whose words share one rotation (all maps have the same one, as in
+  Example 7.5) holds it as a broadcast stack: ``extend`` makes one product
+  and the m moved translations once, ``WordLevel[rows]`` keeps the
+  broadcast, and ``balls``, ``groups._distinct``, the dimension-drop pair
+  search and the cylinder search's target test visit its one matrix
+  (``_stored_matrices``, and ``_per_row`` for the result).  ``fold`` and
+  ``concatenate``, which mix word lengths, copy it out.
 """
 
 from __future__ import annotations
@@ -171,14 +178,29 @@ def _orthogonality_defects(rotation: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stored_matrices(stack: np.ndarray) -> np.ndarray:
+    """The matrices an (N, d, d) stack stores: the one row of a broadcast
+    stack (first stride 0), else every row.  A per-matrix pass runs over
+    these, and ``_per_row`` gives its result back over the N rows."""
+    return stack[:1] if stack.strides[0] == 0 else stack
+
+
+def _per_row(values: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Values computed over ``_stored_matrices(stack)``, one per row of the
+    stack: the values themselves, or the one value broadcast."""
+    if len(values) == len(stack):
+        return values
+    return np.broadcast_to(values, (len(stack),) + values.shape[1:])
+
+
 def checked_maps(ratio: np.ndarray, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
     """The one check of a stack of maps x -> ratio * rotation @ x + translation:
     finite entries, ratios in (0, 1) and orthogonal rotations.  A rotation
     defect above tau_orth raises; one above tau_orth / 10 is repaired.
     Returns the rotations, repaired."""
-    # A broadcast stack (first stride 0) holds one matrix, checked once.
-    broadcast = rotation.strides[0] == 0
-    matrices = rotation[:1] if broadcast else rotation
+    # A broadcast stack holds one matrix, checked once.
+    matrices = _stored_matrices(rotation)
+    broadcast = matrices is not rotation
     if not all(np.isfinite(a).all() for a in (ratio, matrices, translation)):
         raise GeometryError("map ratios, rotations and translations must be finite")
     outside = ~((ratio > 0.0) & (ratio < 1.0))
@@ -436,8 +458,16 @@ class WordLevel:
             rows = np.flatnonzero(rows)
         else:
             rows = np.arange(len(self))[rows]
-        arrays = (self.letters, self.ratio, self.rotation, self.translation)
-        return WordLevel(self.ifs, *(a.take(rows, axis=0) for a in arrays))
+        letters, ratio, translation = (
+            a.take(rows, axis=0) for a in (self.letters, self.ratio, self.translation)
+        )
+        # A broadcast rotation stack stays one.
+        rotation = _stored_matrices(self.rotation)
+        if rotation is self.rotation:
+            rotation = rotation.take(rows, axis=0)
+        else:
+            rotation = np.broadcast_to(rotation, (len(rows),) + rotation.shape[1:])
+        return WordLevel(self.ifs, letters, ratio, rotation, translation)
 
     def __iter__(self):
         """The words as Word objects, in row order."""
@@ -445,15 +475,29 @@ class WordLevel:
         return (Word(ifs, tuple(i + 1 for i in row if i < m)) for row in self.letters.tolist())
 
     def extend(self) -> "WordLevel":
-        """Every word followed by every letter, in that order."""
+        """Every word followed by every letter, in that order.
+
+        The words hold one rotation when the parents do (one row, or a
+        broadcast stack) and the m generator rotations are bitwise equal.
+        Then the one product and the m moved translations R t_i are computed
+        once and broadcast over the parents, and the rotations are a
+        broadcast stack.  A one-row product rounds as an entry-major one
+        does, so the bits are those of the full products.
+        """
         ifs = self.ifs
         n, m, d = len(self), len(ifs), ifs.ambient_dim
         letters = np.empty((n, m, self.depth + 1), dtype=self.letters.dtype)
         letters[:, :, :-1] = self.letters[:, None]
         letters[:, :, -1] = np.arange(m)
-        rotation = _matmul(self.rotation[:, None], ifs.rotations).reshape(n * m, d, d)
-        moved = _matmul(self.rotation[:, None], ifs.translations[..., None])[..., 0]
-        translation = np.multiply(self.ratio[:, None, None], moved, out=moved)
+        gens, parent = ifs.rotations, _stored_matrices(self.rotation)
+        if len(parent) == 1 and gens.tobytes() == gens[:1].tobytes() * m:
+            rotation = np.broadcast_to(_matmul(parent, gens[:1]), (n * m, d, d))
+            moved = _matmul(parent, ifs.translations[..., None])[..., 0]
+            translation = np.multiply(self.ratio[:, None, None], moved)
+        else:
+            rotation = _matmul(self.rotation[:, None], gens).reshape(n * m, d, d)
+            moved = _matmul(self.rotation[:, None], ifs.translations[..., None])[..., 0]
+            translation = np.multiply(self.ratio[:, None, None], moved, out=moved)
         # Over the transposes in C order, the inner loops run along the parents.
         np.add(translation.T, self.translation.T[:, None], out=translation.T, order="C")
         ratio = np.multiply(self.ratio[:, None], ifs.ratios).ravel()
@@ -469,7 +513,7 @@ class WordLevel:
     def balls(self, root_center, root_radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Centers (N, d) and radii (N,) of the cylinder balls S_w(root ball)."""
         center = np.asarray(root_center, dtype=float)
-        moved = _matmul(self.rotation, center[:, None])[..., 0]
+        moved = _matmul(_stored_matrices(self.rotation), center[:, None])[..., 0]
         return self.ratio[:, None] * moved + self.translation, self.ratio * root_radius
 
     def system(self) -> SSIFS:

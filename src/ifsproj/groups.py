@@ -41,7 +41,9 @@ from .geometry import (
     NumericFailureError,
     _max_abs_distance,
     _orthogonality_defects,
+    _per_row,
     _row_max_abs,
+    _stored_matrices,
     orthogonality_defect,
 )
 
@@ -212,11 +214,13 @@ def _distinct(gens: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, inverse): the generators that lie farther than tol from
     every earlier kept one, in order, and for each generator n the index
     ``inverse[n]`` of the first kept one within tol (its own, when it is
-    kept).  This is one ``_RotationTable.insert`` into an empty table.
+    kept).  This is one ``_RotationTable.insert`` into an empty table; a
+    broadcast stack (first stride 0) inserts its one matrix, and every
+    generator's class is 0.
     """
     table = _RotationTable(gens.shape[1], tol)
-    inverse = table.insert(gens)[1]
-    return table.elements, inverse
+    inverse = table.insert(_stored_matrices(gens))[1]
+    return table.elements, _per_row(inverse, gens)
 
 
 def _cyclic_certificate(gens: np.ndarray, tol: float, cap: int) -> tuple[float, float] | None:

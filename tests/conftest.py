@@ -9,7 +9,9 @@ from ifsproj.geometry import (
     SSIFS,
     DimensionMismatchError,
     Similarity,
+    WordLevel,
     _matmul,
+    checked_maps,
     _row_max_abs,
     orthogonality_defect,
     reorthonormalize,
@@ -83,6 +85,27 @@ def composed_by_oracle(ifs, indices) -> Similarity:
     for the empty word)."""
     maps = [ifs[i - 1] for i in indices]
     return functools.reduce(compose, maps, Similarity.identity(ifs.ambient_dim))
+
+
+def extend_by_rows(level: WordLevel) -> WordLevel:
+    """WordLevel.extend with one rotation product and one moved translation
+    per (parent, letter) row, whatever the rotations: the oracle that the
+    broadcast levels of systems with one shared rotation are checked
+    against."""
+    ifs = level.ifs
+    n, m, d = len(level), len(ifs), ifs.ambient_dim
+    letters = np.empty((n, m, level.depth + 1), dtype=level.letters.dtype)
+    letters[:, :, :-1] = level.letters[:, None]
+    letters[:, :, -1] = np.arange(m)
+    rotation = _matmul(level.rotation[:, None], ifs.rotations).reshape(n * m, d, d)
+    moved = _matmul(level.rotation[:, None], ifs.translations[..., None])[..., 0]
+    translation = np.multiply(level.ratio[:, None, None], moved, out=moved)
+    # Over the transposes in C order, the inner loops run along the parents.
+    np.add(translation.T, level.translation.T[:, None], out=translation.T, order="C")
+    ratio = np.multiply(level.ratio[:, None], ifs.ratios).ravel()
+    rotation = checked_maps(ratio, rotation, translation)
+    letters = letters.reshape(n * m, level.depth + 1)
+    return WordLevel(ifs, letters, ratio, rotation, translation.reshape(n * m, d))
 
 
 def kept_in_order_by_loop(centers, radii, separation, pinned: int = 0) -> np.ndarray:

@@ -196,6 +196,26 @@ class TestBroadcastEdgeRotations:
             assert np.array_equal(graph.rotation, np.ones((n, 1, 1)))
 
 
+class TestBroadcastLevels:
+    def test_dimension_drop_checks_one_rotation_per_level(self, monkeypatch):
+        ifs = fixture_ifs("example_7_5_plane")
+        rows = spy_on_orthogonality_defects(monkeypatch)
+        result = find_dimension_drop(ifs, 1)
+        assert len(result.overlap_witness.word_a) == 8
+        # Eight levels, then the projection graph and the reduced graph.
+        assert rows == [1] * 8 + [1, 1]
+
+    @pytest.mark.parametrize("name", ["c4_rotation", "irrational_rotation_planar"])
+    def test_mixed_rotations_keep_full_stacks(self, name, monkeypatch):
+        ifs = fixture_ifs(name)
+        rows = spy_on_orthogonality_defects(monkeypatch)
+        level = WordLevel.root(ifs)
+        for _ in range(7):
+            level = level.extend()
+            assert level.rotation.strides[0] != 0
+        assert rows == [len(ifs) ** k for k in range(1, 8)]
+
+
 class TestFindDimensionDrop:
     def test_sierpinski_drop_to_one(self, sierpinski):
         result = find_dimension_drop(sierpinski, 1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifsproj import geometry, tolerances
+from ifsproj.constructions import _identity_equal_ratio_pair, build_projection_gdifs
 from ifsproj.fixtures import BUILDERS, fixture_ifs
 from ifsproj.geometry import (
     DegenerateSystemError,
@@ -29,12 +30,14 @@ from ifsproj.geometry import (
     cylinder_ball,
     orthogonality_defect,
 )
+from ifsproj.groups import CLOSURE_TOLERANCE, _distinct
 
 from conftest import (
     EINSUM_MATRIX_PRODUCTS,
     EINSUM_VECTOR_PRODUCTS,
     compose,
     composed_by_oracle,
+    extend_by_rows,
     orthogonality_defects_by_gram,
     random_similarity,
     random_ssifs,
@@ -569,6 +572,117 @@ class TestBroadcastRotationStack:
         else:
             assert rows == [1, n]
             assert broadcast.strides[0] == 0 and same_bits(np.asarray(broadcast), full)
+
+
+def shared_rotation(rng, kind, d):
+    """One orthogonal d x d matrix: the identity, a turn by 2 pi / 3 or by
+    sqrt(2) radians in one plane, or a reflection; all but the identity in
+    a random orthonormal basis."""
+    if kind == "identity":
+        return np.eye(d)
+    block = np.eye(d)
+    if kind == "improper":
+        block[0, 0] = -1.0
+    else:
+        angle = 2.0 * math.pi / 3.0 if kind == "rational" else math.sqrt(2.0)
+        block[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    return q @ block @ q.T
+
+
+@st.composite
+def one_rotation_systems(draw):
+    """A system of 2..5 maps in dimension 1..4 that share one rotation, with
+    ratios from a few values so that equal-ratio words occur."""
+    d = draw(st.integers(1, 4))
+    kinds = ["identity", "improper"] + (["rational", "irrational"] if d > 1 else [])
+    kind, m = draw(st.sampled_from(kinds)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rotation = np.repeat(shared_rotation(rng, kind, d)[None], m, axis=0)
+    ratios = rng.choice([0.25, 0.4, 0.5], size=m)
+    return SSIFS.from_arrays(ratios, rotation, rng.normal(size=(m, d)))
+
+
+def materialised(level):
+    """The level with its rotation stack copied out, one matrix per row."""
+    rotation = np.array(level.rotation)
+    return WordLevel(level.ifs, level.letters, level.ratio, rotation, level.translation)
+
+
+def assert_same_level(got, want):
+    for name in ("letters", "ratio", "rotation", "translation"):
+        assert same_bits(np.asarray(getattr(got, name)), np.asarray(getattr(want, name))), name
+
+
+class TestOneRotationLevels:
+    """Levels of systems whose maps share one rotation hold it as a
+    broadcast stack, with the bits of the per-row oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ifs=one_rotation_systems(), depth=st.integers(0, 6))
+    def test_levels_match_the_row_oracle(self, ifs, depth):
+        # Up to the depth, and on to the first level past _ENTRY_MAJOR_ROWS.
+        level = oracle = WordLevel.root(ifs)
+        while level.depth < depth or len(level) < geometry._ENTRY_MAJOR_ROWS:
+            level, oracle = level.extend(), extend_by_rows(oracle)
+            assert level.rotation.strides[0] == 0
+            assert_same_level(level, oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ifs=one_rotation_systems(), depth=st.integers(1, 6), data=st.data())
+    def test_readers_match_a_materialised_level(self, ifs, depth, data):
+        level = WordLevel.root(ifs)
+        past = data.draw(st.booleans())
+        while level.depth < depth or (past and len(level) < geometry._ENTRY_MAJOR_ROWS):
+            level = level.extend()
+        full = materialised(level)
+        n, rng = len(level), np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        selections = [
+            rng.random(n) < 0.5, np.zeros(n, dtype=bool), data.draw(st.slices(n)),
+            slice(0, 0), np.empty(0, dtype=np.intp), rng.integers(0, n, size=5),
+        ]
+        for rows in selections:
+            part, want = level[rows], full[rows]
+            assert part.rotation.strides[0] == 0
+            assert_same_level(part, want)
+            assert_same_level(part.extend(), want.extend())
+
+        center, radius = attractor_bounding_ball(ifs)
+        for got, want in zip(level.balls(center, radius), full.balls(center, radius)):
+            assert same_bits(got, want)
+        distinct = (_distinct(v.rotation, CLOSURE_TOLERANCE) for v in (level, full))
+        for got, want in zip(*distinct):
+            assert same_bits(np.asarray(got), np.asarray(want))
+        tau = tolerances.tau_num()
+        assert _identity_equal_ratio_pair(level, tau) == _identity_equal_ratio_pair(full, tau)
+
+        d = ifs.ambient_dim
+        linear_map = LinearMap(rng.normal(size=(data.draw(st.integers(1, d)), d)))
+        results = []
+        for source in (level, full):
+            try:
+                results.append(build_projection_gdifs(source, linear_map))
+            except GeometryError as error:
+                results.append(repr(error))
+        got, want = results
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert same_bits(got.group.elements, want.group.elements)
+            for name in ("source", "target", "ratio", "rotation", "translation"):
+                arrays = (np.asarray(getattr(r.gdifs, name)) for r in (got, want))
+                assert same_bits(*arrays), name
+
+    def test_a_signed_zero_keeps_the_full_stack(self):
+        # -0.0 == 0.0, but the generators are not bitwise equal.
+        rotations = np.repeat(np.eye(2)[None], 2, axis=0)
+        rotations[1, 0, 1] = -0.0
+        ifs = SSIFS.from_arrays([0.5, 0.5], rotations, [[0.0, 0.0], [1.0, 0.0]])
+        level = oracle = WordLevel.root(ifs)
+        for _ in range(3):
+            level, oracle = level.extend(), extend_by_rows(oracle)
+            assert level.rotation.strides[0] != 0
+            assert_same_level(level, oracle)
 
 
 def rotation_stack(rng, kind, n, d):
