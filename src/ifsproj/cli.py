@@ -42,7 +42,6 @@ from .estimation import (
     box_dim,
     covering_sums,
     default_scales,
-    project_cloud,
     sample_attractor,
 )
 from .geometry import DegenerateSystemError, GeometryError, LinearMap, NumericFailureError
@@ -147,21 +146,21 @@ def _linear_map_for(args, d: int) -> LinearMap:
     return LinearMap.coordinate_projection(d, _projection_dim(args, d, 1))
 
 
-def _box_scales(args, sample, counted) -> list[float]:
-    """The --scales ladder of the sample's diameter, else the default ladder
-    of the counted cloud."""
+def _box_scales(args, cloud) -> list[float]:
+    """The --scales ladder of the diameter of the sample before any
+    projection, else the default ladder of the counted cloud."""
     if args.scales is None:
-        return default_scales(counted)
-    return _parse_scales(args.scales, sample.diameter())
+        return default_scales(cloud)
+    return _parse_scales(args.scales, cloud.sample_diameter())
 
 
-def _sample(args, ifs):
+def _sample(args, ifs, linear_map=None):
     method = (
         SamplingMethod.CHAOS_GAME
         if args.method == "chaos"
         else SamplingMethod.DETERMINISTIC_DEPTH
     )
-    return sample_attractor(ifs, args.n, seed=args.seed, method=method)
+    return sample_attractor(ifs, args.n, seed=args.seed, method=method, linear_map=linear_map)
 
 
 def _out_dir(args) -> Path:
@@ -246,29 +245,22 @@ def _box_dim_fields(args, counted, scales) -> dict:
 
 def cmd_boxdim(args, ifs, metadata) -> dict:
     cloud = _sample(args, ifs)
-    return {"points": len(cloud), **_box_dim_fields(args, cloud, _box_scales(args, cloud, cloud))}
+    return {"points": len(cloud), **_box_dim_fields(args, cloud, _box_scales(args, cloud))}
 
 
 def cmd_project_boxdim(args, ifs, metadata) -> dict:
-    linear_map = _linear_map_for(args, ifs.ambient_dim)
-    cloud = _sample(args, ifs)
-    projected = project_cloud(cloud, linear_map)
-    scales = _box_scales(args, cloud, projected)
-    del cloud  # the projection is counted without the sample it came from
+    projected = _sample(args, ifs, _linear_map_for(args, ifs.ambient_dim))
     return {
         "points": len(projected),
         "projected_dim": projected.ambient_dim,
-        **_box_dim_fields(args, projected, scales),
+        **_box_dim_fields(args, projected, _box_scales(args, projected)),
     }
 
 
 def cmd_collapse_sweep(args, ifs, metadata) -> dict:
-    linear_map = _linear_map_for(args, ifs.ambient_dim)
-    cloud = _sample(args, ifs)
-    projected = project_cloud(cloud, linear_map)
+    projected = _sample(args, ifs, _linear_map_for(args, ifs.ambient_dim))
     t = args.t if args.t is not None else sim_dim_ssifs(ifs).value
-    scales = _parse_scales(args.scales, cloud.diameter())
-    del cloud  # the projection is counted without the sample it came from
+    scales = _parse_scales(args.scales, projected.sample_diameter())
     counts, sums = covering_sums(projected, t, scales)
     fields = {
         "exponent_t": t,

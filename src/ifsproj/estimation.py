@@ -51,6 +51,7 @@ class PointCloud:
     # Each column's (min, max), when the sampler recorded them.  Not an
     # __init__ argument, so ``replace`` never carries them to other points.
     _bounds: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _sample_diameter: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -65,8 +66,16 @@ class PointCloud:
         return self.points.shape[0]
 
     def diameter(self) -> float:
-        lo, hi = self._bounds or column_bounds(self.points)
-        return float(np.linalg.norm(hi - lo))
+        return _diameter(*(self._bounds or column_bounds(self.points)))
+
+    def sample_diameter(self) -> float:
+        """The diameter of the unprojected sample when the sampler projected
+        this cloud, else ``diameter()``."""
+        return self.diameter() if self._sample_diameter is None else self._sample_diameter
+
+
+def _diameter(lo: np.ndarray, hi: np.ndarray) -> float:
+    return float(np.linalg.norm(hi - lo))
 
 
 def column_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +109,9 @@ def sample_attractor(
     n: int,
     seed: int = 0,
     method: SamplingMethod = SamplingMethod.DETERMINISTIC_DEPTH,
+    linear_map: LinearMap | None = None,
 ) -> PointCloud:
-    """Sample the attractor.
+    """Sample the attractor K, or with ``linear_map`` its image L(K).
 
     Deterministic mode enumerates the depth-k images of the first map's fixed
     point, for the smallest k with m^k >= n: row i m^(k-1) + r of the
@@ -119,11 +129,21 @@ def sample_attractor(
     and maxima are taken too, and their fold is recorded as the cloud's
     column bounds, which ``PointCloud.diameter`` reads.
 
+    With a map L the (m^k, d) sample is never built.  On the last level the
+    rows go instead to a C-ordered (m w, d) scratch buffer, one block's m w
+    images, and one product with L^T projects them into an (m w, l) scratch.
+    Its rows are copied to the (m^k, l) output, and its column minima and
+    maxima are folded while it is in cache.  That fold is recorded as the
+    cloud's column bounds, and the diameter of the block bounds' fold as
+    ``PointCloud.sample_diameter``, the diameter of the unprojected sample.
+
     The chaos game iterates uniformly chosen maps from the fixed point (the
     start lies on the attractor, so a burn-in of 100 steps is kept only for
     contract parity) on 1024 parallel chains.  Each step applies every map to
     every chain with one matmul against the stacked R_i^T and gathers each
-    chain's chosen image straight into the output.
+    chain's chosen image straight into the output.  With a map L the
+    collected rows are projected by one product with L^T, and the
+    projection's bounds and the rows' diameter are recorded.
 
     Both modes run, per coordinate, the IEEE operations of
     ``Similarity.__call__`` in its order: the matmul, then ``* ratio``, then
@@ -136,22 +156,30 @@ def sample_attractor(
     applied to that row alone.  The output stays C-ordered, since
     ``LinearMap.__call__`` projects a column-major cloud to other bits.  So
     the points are bitwise those of applying the maps one by one, as the
-    per-map oracles in the tests check.
+    per-map oracles in the tests check.  Each projection has more than one
+    row too: a block's images of all m maps are projected together, m w >= 2
+    rows even on a depth-1 tree, and only the one point of n = 1 is projected
+    alone, as ``project_cloud`` projects it.  So a projected sample is bitwise
+    ``project_cloud`` of the unprojected one.
     """
     if n < 1:
         raise GeometryError("need n >= 1")
-    digest = ifs_digest(ifs)
     m, d = ifs.translations.shape
+    if linear_map is not None:
+        _check_domain(linear_map, d)
+    digest = ifs_digest(ifs)
     ratios, rotations, translations = ifs.ratios.tolist(), ifs.rotations, ifs.translations
     x0 = _fixed_points(ifs.ratios[:1], rotations[:1], translations[:1])[0]
     if method is SamplingMethod.DETERMINISTIC_DEPTH:
         depth = 0
         while m**depth < n:
             depth += 1
-        points = np.empty((m**depth, d))
         if depth == 0:
-            points[0] = x0
-            return _with_bounds(PointCloud(points, seed, method, digest, depth), x0, x0)
+            points = x0[None] if linear_map is None else linear_map(x0[None])
+            cloud = PointCloud(points, seed, method, digest, depth)
+            return _with_bounds(cloud, (points[0], points[0]), None if linear_map is None else (x0, x0))
+        l = d if linear_map is None else linear_map.codomain_dim
+        points = np.empty((m**depth, l))
         levels = np.empty((d, m ** (depth - 1)))
         levels[:, -1] = x0
         width = m  # the widest power of m, from m on, whose images fit the block bytes
@@ -169,23 +197,40 @@ def sample_attractor(
             # Point r of map i's image goes to target[i, r], an (m, size, d) view.
             last = k == depth - 1
             if last:
-                target = points.reshape(m, size, d)
+                target = points.reshape(m, size, l)
                 lows, highs = np.empty((2, size // w, m * d))
             else:
                 target = levels[:, -m * size :].reshape(d, m, size).transpose(1, 2, 0)
+            # With a map, the last level's images of a block go to the scratch
+            # rows, whose projection goes to the output.
+            gather = last and linear_map is not None
+            if gather:
+                out, target = target, np.empty((m, w, d))
+                projected = np.empty((m * w, l))
+                projected_lows, projected_highs = np.empty((2, size // w, l))
             for c in range(0, size, w):
                 np.matmul(stacked, source[:, c : c + w], out=block)
                 block *= scale
                 block += shift
-                if last:  # the output's bounds, folded while the block is in cache
+                if last:  # the sample's bounds, folded while the block is in cache
                     block.min(axis=1, out=lows[c // w])
                     block.max(axis=1, out=highs[c // w])
+                a = 0 if gather else c
                 for i in range(m):
                     for j in range(d):
-                        target[i, c : c + w, j] = block[i * d + j]
+                        target[i, a : a + w, j] = block[i * d + j]
+                if gather:
+                    np.matmul(target.reshape(m * w, d), linear_map.matrix.T, out=projected)
+                    projected.min(axis=0, out=projected_lows[c // w])
+                    projected.max(axis=0, out=projected_highs[c // w])
+                    out[:, c : c + w] = projected.reshape(m, w, l)
         lo = lows.min(axis=0).reshape(m, d).min(axis=0)
         hi = highs.max(axis=0).reshape(m, d).max(axis=0)
-        return _with_bounds(PointCloud(points, seed, method, digest, depth), lo, hi)
+        cloud = PointCloud(points, seed, method, digest, depth)
+        if linear_map is None:
+            return _with_bounds(cloud, (lo, hi))
+        bounds = projected_lows.min(axis=0), projected_highs.max(axis=0)
+        return _with_bounds(cloud, bounds, (lo, hi))
 
     rng = np.random.default_rng(seed)
     burn_in = 100
@@ -217,13 +262,20 @@ def sample_attractor(
         # mode="clip" writes straight into out; "raise" would buffer it.
         np.take(flat_images, base + row, axis=0, out=x, mode="clip")
     points = collected.reshape(-1, d)[:n]
-    return PointCloud(points, seed, SamplingMethod.CHAOS_GAME, digest)
+    if linear_map is None:
+        return PointCloud(points, seed, SamplingMethod.CHAOS_GAME, digest)
+    projected = PointCloud(linear_map(points), seed, SamplingMethod.CHAOS_GAME, digest)
+    return _with_bounds(projected, column_bounds(projected.points), column_bounds(points))
 
 
-def _with_bounds(cloud: PointCloud, lo: np.ndarray, hi: np.ndarray) -> PointCloud:
+def _with_bounds(cloud: PointCloud, bounds, sample_bounds=None) -> PointCloud:
     """The cloud with its column bounds recorded, zeros as 0.0 (as
-    ``column_bounds`` returns them)."""
+    ``column_bounds`` returns them), and with the diameter of the column
+    bounds of the sample it was projected from, if it was."""
+    lo, hi = bounds
     object.__setattr__(cloud, "_bounds", (lo + 0.0, hi + 0.0))
+    if sample_bounds is not None:
+        object.__setattr__(cloud, "_sample_diameter", _diameter(*sample_bounds))
     return cloud
 
 
@@ -370,7 +422,7 @@ def _distinct_rows_lexsort(cells: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def box_counts(points: np.ndarray, scales) -> list[int]:
+def box_counts(points: np.ndarray, scales, bounds=None) -> list[int]:
     """Occupied origin-anchored grid boxes of side s, for each s in ``scales``
     (counts in the order the scales are given).
 
@@ -384,7 +436,8 @@ def box_counts(points: np.ndarray, scales) -> list[int]:
     some negative point's quotient at the finest scale is small enough that
     a halving could underflow (e.g. x = -5e-324), or the scales do not halve,
     every scale is quantised and counted on its own by the same kernel.
-    The column bounds are found once, for every scale.
+    The column bounds are found once, for every scale, unless ``bounds``
+    gives them: the (min, max) pair of arrays that ``column_bounds`` returns.
 
     Raises GeometryError for a non-positive or non-finite scale, and for
     points that are not finite or whose |x| / scale reaches 2^63.
@@ -396,7 +449,7 @@ def box_counts(points: np.ndarray, scales) -> list[int]:
     n, d = points.shape
     if n == 0:
         return [0] * len(scales)
-    lows, highs = column_bounds(points)
+    lows, highs = column_bounds(points) if bounds is None else bounds
     order = sorted(range(len(scales)), key=lambda i: -scales[i])
     counts = [0] * len(scales)
     ladder = [scales[i] for i in order]
@@ -453,7 +506,7 @@ def box_dim(cloud: PointCloud, scales) -> BoxDimEstimate:
         raise GeometryError("need at least two scales")
     if len(cloud) < 100:
         raise GeometryError("need at least 100 points")
-    counts = box_counts(cloud.points, scales)
+    counts = box_counts(cloud.points, scales, cloud._bounds)
     if len(set(counts)) == 1:
         if counts[0] == 1:
             return BoxDimEstimate(0.0, tuple(scales), tuple(counts), 1.0)
@@ -466,11 +519,15 @@ def box_dim(cloud: PointCloud, scales) -> BoxDimEstimate:
     return BoxDimEstimate(slope, tuple(scales), tuple(counts), r2)
 
 
-def project_cloud(cloud: PointCloud, linear_map: LinearMap) -> PointCloud:
-    if linear_map.domain_dim != cloud.ambient_dim:
+def _check_domain(linear_map: LinearMap, d: int) -> None:
+    if linear_map.domain_dim != d:
         raise DimensionMismatchError(
-            f"cannot apply a map on R^{linear_map.domain_dim} to a cloud in R^{cloud.ambient_dim}"
+            f"cannot apply a map on R^{linear_map.domain_dim} to a cloud in R^{d}"
         )
+
+
+def project_cloud(cloud: PointCloud, linear_map: LinearMap) -> PointCloud:
+    _check_domain(linear_map, cloud.ambient_dim)
     return replace(cloud, points=linear_map(cloud.points))
 
 
@@ -480,7 +537,7 @@ def covering_sums(cloud: PointCloud, t: float, scales) -> tuple[list[int], list[
     a sum that overflows raises NumericFailureError."""
     if not (math.isfinite(t) and t > 0):
         raise GeometryError("t must be finite and positive")
-    counts = box_counts(cloud.points, scales)
+    counts = box_counts(cloud.points, scales, cloud._bounds)
     side = math.sqrt(cloud.ambient_dim)
     try:
         sums = [count * (float(s) * side) ** t for count, s in zip(counts, scales)]

@@ -290,6 +290,26 @@ class TestCliProjectGdifs:
         assert captured.out == ""
         assert captured.err == "schema error: --direction and --l exclude each other\n"
 
+    @pytest.mark.parametrize("mode", ["project-boxdim", "collapse-sweep"])
+    @pytest.mark.parametrize("method", ["deterministic", "chaos"])
+    @pytest.mark.parametrize(
+        "option, message",
+        [("--direction=1,0,0", "--direction needs 2 components"), ("--l=3", "--l must lie in 1..2")],
+    )
+    def test_mismatched_map_exits_two_before_sampling(
+        self, capsys, monkeypatch, fixture_dir, mode, method, option, message
+    ):
+        def unsampled(*args, **kwargs):
+            raise AssertionError("the map is checked before any sampling")
+
+        monkeypatch.setattr(cli, "sample_attractor", unsampled)
+        argv = ["estimate", mode, "--input", str(fixture_dir / "irrational_rotation_planar.json")]
+        code = main([*argv, "--n", "10000", "--method", method, option])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"schema error: {message}\n"
+
     def test_unwritable_out_exits_six(self, capsys, fixture_dir, tmp_path):
         regular = tmp_path / "regular"
         regular.write_text("")

@@ -252,6 +252,53 @@ class TestSampleAttractor:
             lo, hi = other.points.min(axis=0), other.points.max(axis=0)
             assert other.diameter() == float(np.linalg.norm(hi - lo))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_projected_sample_is_project_cloud(self, data):
+        # Sizes m^k and m^k + 1 down to n = 1 and 2 (a depth-1 tree's blocks
+        # have one column), blocks of m or m^2 columns or the default, and
+        # l x d maps that may have a zero row.
+        ifs = data.draw(random_systems((1, 2, 3, 4)))
+        m, d = len(ifs), ifs.ambient_dim
+        n = data.draw(tree_sizes(m, cap=10**4))
+        method = data.draw(st.sampled_from(SamplingMethod))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        matrix = rng.normal(size=(data.draw(st.integers(1, d)), d))
+        if data.draw(st.booleans()):
+            matrix[rng.integers(len(matrix))] = 0.0
+        linear_map = LinearMap(matrix)
+        block_bytes = data.draw(
+            st.sampled_from([estimation._TREE_BLOCK_BYTES, 8 * m * d * m, 8 * m * d * m * m])
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "_TREE_BLOCK_BYTES", block_bytes)
+            cloud = sample_attractor(ifs, n, seed=7, method=method)
+            projected = sample_attractor(ifs, n, seed=7, method=method, linear_map=linear_map)
+        expected = project_cloud(cloud, linear_map).points
+        assert projected.points.shape == expected.shape
+        assert projected.points.tobytes() == expected.tobytes()
+        assert_recorded_bounds(projected)
+        assert projected.sample_diameter() == cloud.diameter()
+        assert (projected.method, projected.depth) == (cloud.method, cloud.depth)
+
+    def test_unprojected_and_derived_clouds_report_their_own_diameter(self, irrational):
+        cloud = sample_attractor(irrational, 10**4)
+        projected = project_cloud(cloud, LinearMap(np.array([[0.6, 0.8]])))
+        for other in (cloud, projected):
+            assert other.sample_diameter() == other.diameter()
+
+    @pytest.mark.parametrize("method", list(SamplingMethod))
+    def test_mismatched_map_fails_before_sampling(self, irrational, method):
+        # 10^7 points would take 80 MB before a projection could fail.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatchError, match=r"map on R\^3 to a cloud in R\^2"):
+                sample_attractor(irrational, 10**7, method=method, linear_map=LinearMap(np.eye(3)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 16])
     @pytest.mark.parametrize("steps, chains", [(7, 3), (40, 64), (17, 256), (33, 1024)])
     def test_chaos_choices_are_those_of_rng_choice(self, m, steps, chains):
@@ -287,6 +334,22 @@ class TestSampleAttractor:
         finally:
             tracemalloc.stop()
         assert peak <= (1 + 1 / len(irrational)) * cloud.points.nbytes + 2**20
+
+    def test_projected_peak_memory_is_output_plus_one_level(self, irrational):
+        # The (m^k, l) output, the level buffer (1/m of the (m^k, d) sample,
+        # which is never built), one block of images and its two scratch
+        # buffers: the (m w, d) rows and their (m w, l) projection.
+        m, d = len(irrational), irrational.ambient_dim
+        tracemalloc.start()
+        try:
+            cloud = sample_attractor(irrational, 10**6, linear_map=LinearMap(np.array([[0.6, 0.8]])))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        level = len(cloud) * d * 8 // m
+        block = estimation._TREE_BLOCK_BYTES
+        assert peak <= cloud.points.nbytes + level + block * (2 + 1 / d) + 2**20
+        assert peak < len(cloud) * d * 8
 
     def test_chaos_game_peak_memory_is_output_plus_one_block(self, irrational):
         # The map choices are drawn a block of steps at a time, which adds
@@ -579,6 +642,28 @@ class TestBoxDim:
         assert list(est.counts) == sorted(est.counts)
         assert 0.0 <= est.r_squared <= 1.0
 
+    @pytest.mark.parametrize("method", list(SamplingMethod))
+    @pytest.mark.parametrize("matrix", [None, [[0.6, 0.8]], [[0.6, 0.8], [0.0, 0.0]]])
+    def test_recorded_bounds_are_not_read_again(self, monkeypatch, irrational, method, matrix):
+        # box_dim and covering_sums hand the sampler's bounds to box_counts;
+        # the counts are those of the bare array, which finds its own.
+        linear_map = None if matrix is None else LinearMap(np.array(matrix))
+        cloud = sample_attractor(irrational, 5 * 10**4, seed=3, method=method, linear_map=linear_map)
+        # A halving ladder, counted by shifts, and one quantised per scale.
+        ladders = [default_scales(cloud), sorted(default_scales(cloud) + [0.3, 0.07], reverse=True)]
+        expected = [box_counts(cloud.points, scales) for scales in ladders]
+        recorded = cloud._bounds is not None  # the unprojected chaos game records none
+        if recorded:
+
+            def unread(points):
+                raise AssertionError("the sampler's bounds are recorded")
+
+            monkeypatch.setattr(estimation, "column_bounds", unread)
+        for scales, counts in zip(ladders, expected):
+            assert box_dim(cloud, scales).counts == tuple(counts)
+            assert covering_sums(cloud, 0.8, scales)[0] == counts
+            if recorded:
+                assert box_counts(cloud.points, scales, cloud._bounds) == counts
 
 BLOCK = estimation._BOUNDS_BLOCK
 
