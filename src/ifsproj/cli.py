@@ -238,7 +238,7 @@ def _box_dim_fields(args, counted, scales) -> dict:
         fields["points_csv"] = str(points_path)
         if counted.ambient_dim == 2:
             pgm_path = out_dir / "cloud.pgm"
-            write_pgm(pgm_path, counted.points)
+            write_pgm(pgm_path, counted.points, bounds=counted._bounds)
             fields["pgm"] = str(pgm_path)
     return fields
 

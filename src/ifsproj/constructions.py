@@ -282,10 +282,9 @@ def _fixed_point_change_words(ifs: SSIFS, root_radius: float) -> WordLevel:
     return WordLevel.concatenate(chosen)
 
 
-def _kept_in_order(centers, radii, separation, pinned: int = 0) -> np.ndarray:
+def _kept_in_order(centers, radii, separation) -> np.ndarray:
     """Keep-mask of balls taken in index order: ball k is kept iff
     ||c_k - c_j|| >= r_k + r_j + separation for every earlier kept ball j.
-    The first `pinned` balls are kept unchecked.
 
     Only balls whose x-intervals [x - r - separation/2, x + r + separation/2]
     overlap can conflict, so one sort-and-sweep over those intervals finds the
@@ -317,7 +316,7 @@ def _kept_in_order(centers, radii, separation, pinned: int = 0) -> np.ndarray:
         a, b = order[i], order[i + 1 + first[start] + np.arange(len(i)) - first[i]]
         j, k = np.minimum(a, b), np.maximum(a, b)
         distance = np.linalg.norm(centers.take(j, axis=0) - centers.take(k, axis=0), axis=1)
-        conflict = (k >= pinned) & ~(distance >= radii[k] + radii[j] + separation)
+        conflict = ~(distance >= radii[k] + radii[j] + separation)
         conflicts.append(np.stack([j[conflict], k[conflict]]))
         start = stop
     earlier, later = np.concatenate(conflicts, axis=1)
@@ -329,15 +328,6 @@ def _kept_in_order(centers, radii, separation, pinned: int = 0) -> np.ndarray:
     kept = np.ones(n, dtype=bool)
     kept[list(dropped)] = False
     return kept
-
-
-def _greedy_pack(level: WordLevel, seed_balls, center, radius, separation) -> np.ndarray:
-    """Keep-mask of the level's words, taken in order after the seeds' balls:
-    a word is kept iff its cylinder ball keeps the separation from every
-    ball kept before it."""
-    n = len(seed_balls[1])
-    centers, radii = map(np.concatenate, zip(seed_balls, level.balls(center, radius)))
-    return _kept_in_order(centers, radii, separation, pinned=n)[n:]
 
 
 def ssc_subsystem(
@@ -406,14 +396,16 @@ def ssc_subsystem(
     else:
         raise NumericFailureError("failed to separate the seed cylinder balls")
 
-    # Greedy lexicographic packing at increasing depth, always keeping seeds.
+    # Greedy lexicographic packing at increasing depth, after the seeds: the
+    # kernel has just kept every seed ball, so it keeps them all again.
     error = "packing depth cap reached before the dimension target; " + (
         "note: t is a box-count estimate" if estimated else "tolerances may be too strict"
     )
     level = WordLevel.root(ifs)
     while True:
         level = _extended(level, error)
-        kept = _greedy_pack(level, seed_balls, center, radius, separation)
+        balls = map(np.concatenate, zip(seed_balls, level.balls(center, radius)))
+        kept = _kept_in_order(*balls, separation)[len(seeds) :]
         words = WordLevel.concatenate([seeds, level[kept]])
         report = _moran_report(words.ratio)
         if report.value >= target:
@@ -472,20 +464,16 @@ def verify_pairwise_disjoint(words, center, radius, separation: float):
     the in-order kernel `_kept_in_order`, which tests only the pairs whose
     x-intervals overlap, so a family of well-spread words costs about a sort.
 
-    The words are a list of Word objects or a WordLevel.  A level is folded
-    again from its own letters, without its trailing columns of padding
-    only, and no Word is built.  Its balls have the bits of its words'
-    list: a level whose padding trails each row's letters (as every level
-    the searches build) then has the letters ``of_words`` builds, and a
-    padding letter inside a row is an identity step, which changes no bit
-    of a fold's maps (they hold no -0 entry).
+    The words are a list of Word objects, folded into a level, or a
+    WordLevel, whose own balls are read, with no Word built.  A level built
+    by ``extend``, a row subset or ``concatenate`` holds bit for bit the
+    maps that ``fold`` gives its letters, so it is certified as the list of
+    its words would be.
     """
     if not words:
         return set()
-    if isinstance(words, WordLevel):
-        used = np.flatnonzero((words.letters < len(words.ifs)).any(axis=0))
-        level = WordLevel.fold(words.ifs, words.letters[:, : used.max(initial=-1) + 1])
-    else:
+    level = words
+    if not isinstance(words, WordLevel):
         level = WordLevel.of_words(words[0].ifs, [w.indices for w in words])
     kept = _kept_in_order(*level.balls(center, radius), separation)
     return set(np.flatnonzero(~kept).tolist())

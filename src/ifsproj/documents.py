@@ -170,12 +170,14 @@ def write_points_csv(path, points) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_pgm(path, points, resolution: int = 512) -> None:
-    """Binary occupancy raster (PGM P5) of a planar point cloud."""
+def write_pgm(path, points, resolution: int = 512, bounds=None) -> None:
+    """Binary occupancy raster (PGM P5) of a planar point cloud, framed by
+    its column bounds: ``bounds`` when given (the (min, max) pair of arrays
+    that ``column_bounds`` returns), else found here."""
     points = np.atleast_2d(points)
     if points.shape[1] != 2:
         raise GeometryError("PGM rendering needs a planar cloud")
-    lo, hi = column_bounds(points)
+    lo, hi = column_bounds(points) if bounds is None else bounds
     span = hi - lo
     span[span == 0.0] = 1.0
     ij = ((points - lo) / span * (resolution - 1)).astype(int)

@@ -226,18 +226,20 @@ def _distinct(gens: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 def _cyclic_certificate(gens: np.ndarray, tol: float, cap: int) -> tuple[float, float] | None:
     """(smallest power distance, threshold) of the first generator whose
     powers T^0..T^cap are pairwise more than 2 tol apart in max-abs norm, or
-    None when no generator certifies this."""
+    None when no generator certifies this.
+
+    A generator's rotation angles are those of its ``block_diagonalize``
+    rotation blocks, in the same order: atan2(Im, Re) of each eigenvalue
+    whose imaginary part exceeds 1e-7, read from ``np.linalg.eigvals``
+    (the eigenvalues of ``eig``, bit for bit) without building the form."""
     d = gens.shape[1]
     threshold = 2.0 * d * tol
     half_k = 0.5 * np.arange(1, cap + 1)
     for g in gens:
-        try:
-            form = block_diagonalize(g)
-        except NumericFailureError:
-            continue
-        for b in form.blocks:
-            if b.kind is BlockKind.ROTATION:
-                chord = 2.0 * float(np.abs(np.sin(half_k * b.angle)).min())
+        for lam in np.linalg.eigvals(g):
+            if lam.imag > 1e-7:
+                angle = math.atan2(lam.imag, lam.real)
+                chord = 2.0 * float(np.abs(np.sin(half_k * angle)).min())
                 if chord > threshold:
                     return chord, threshold
     return None

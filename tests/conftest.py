@@ -108,12 +108,11 @@ def extend_by_rows(level: WordLevel) -> WordLevel:
     return WordLevel(ifs, letters, ratio, rotation, translation.reshape(n * m, d))
 
 
-def kept_in_order_by_loop(centers, radii, separation, pinned: int = 0) -> np.ndarray:
+def kept_in_order_by_loop(centers, radii, separation) -> np.ndarray:
     """Keep-mask of balls taken in index order: ball k is kept iff
     ||c_k - c_j|| >= r_k + r_j + separation for every earlier kept ball j.
-    The first `pinned` balls are kept unchecked.  Each ball is compared with
-    every ball kept so far: the oracle that the sweep of
-    constructions._kept_in_order is checked against."""
+    Each ball is compared with every ball kept so far: the oracle that the
+    sweep of constructions._kept_in_order is checked against."""
     kept = np.zeros(len(radii), dtype=bool)
     # The first n rows hold the balls kept so far.
     kept_centers, kept_radii = np.empty_like(centers), np.empty_like(radii)
@@ -121,7 +120,7 @@ def kept_in_order_by_loop(centers, radii, separation, pinned: int = 0) -> np.nda
     for k in range(len(radii)):
         c, r = centers[k], radii[k]
         distance = np.linalg.norm(kept_centers[:n] - c, axis=1)
-        if k < pinned or (distance >= r + kept_radii[:n] + separation).all():
+        if (distance >= r + kept_radii[:n] + separation).all():
             kept[k] = True
             kept_centers[n], kept_radii[n] = c, r
             n += 1

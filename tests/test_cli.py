@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ifsproj
-from ifsproj import cli, constructions
+from ifsproj import cli, constructions, documents
 from ifsproj.cli import MAX_SAMPLE_SIZE, build_parser, main
 from ifsproj.dimension import sim_dim_gdifs, single_vertex_gdifs
 from ifsproj.documents import (
@@ -29,6 +29,7 @@ from ifsproj.documents import (
     write_points_csv,
     write_scale_count_csv,
 )
+from ifsproj.estimation import box_dim, default_scales, sample_attractor
 from ifsproj.fixtures import BUILDERS, fixture_document, fixture_ifs, fixture_path, write_all
 from ifsproj.geometry import DegenerateSystemError, Similarity, Word
 
@@ -549,6 +550,76 @@ class TestCliEstimate:
         assert code == 0
         assert len(built) == min(50, out["word_count"])
         assert [list(w.indices) for w in built] == out["words"]
+
+    def test_ssc_approx_without_t_estimates_it_by_box_counting(self, capsys, fixture_dir):
+        # c4_rotation carries no osc_certified flag, so t is the box-count
+        # slope of a 10^5-point sample at the --seed.
+        code, out = run_json(
+            capsys,
+            [
+                "estimate", "ssc-approx",
+                "--input", str(fixture_dir / "c4_rotation.json"),
+                "--epsilon", "0.5",
+            ],
+        )
+        assert code == 0
+        cloud = sample_attractor(fixture_ifs("c4_rotation"), 10**5, seed=0)
+        assert out["exponent_t"] == box_dim(cloud, default_scales(cloud)).slope
+
+    def test_cylinders_angle_on_a_spatial_system_exits_two(self, capsys, fixture_dir):
+        code = main(
+            [
+                "estimate", "cylinders",
+                "--input", str(fixture_dir / "example_7_2_r4.json"),
+                "--angle", "0.5",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "schema error: --angle targets need a planar system\n"
+
+    def test_reversed_scales_give_the_same_ladder(self, capsys, fixture_dir):
+        argv = [
+            "estimate", "project-boxdim",
+            "--input", str(fixture_dir / "irrational_rotation_planar.json"),
+            "--n", "20000", "--direction", "1,0",
+        ]
+        reports = [run_json(capsys, [*argv, "--scales", spec]) for spec in ("10..5", "5..10")]
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0 and len(reports[0][1]["scales"]) == 6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boxdim", "--input", "sierpinski_half.json"],
+            ["project-boxdim", "--input", "example_7_2_r4.json", "--l", "2"],
+            ["project-boxdim", "--input", "example_7_2_r4.json", "--l", "2", "--method", "chaos"],
+        ],
+    )
+    def test_pgm_reads_the_recorded_bounds(self, capsys, fixture_dir, tmp_path, monkeypatch, argv):
+        # Every sampled cloud but the unprojected chaos game's records its
+        # bounds, and the raster is framed by them: the bytes of bounds
+        # found again over the counted cloud.
+        argv = ["estimate", *argv, "--n", "20000", "--out", str(tmp_path)]
+        argv[3] = str(fixture_dir / argv[3])
+        written = []
+
+        def spy(path, points, **kwargs):
+            written.append(points)
+            write_pgm(path, points, **kwargs)
+
+        monkeypatch.setattr(cli, "write_pgm", spy)
+
+        def unread(points):
+            raise AssertionError("write_pgm found the column bounds again")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(documents, "column_bounds", unread)
+            code, _ = run_json(capsys, argv)
+        assert code == 0 and len(written) == 1
+        write_pgm(tmp_path / "again.pgm", written[0])
+        assert (tmp_path / "cloud.pgm").read_bytes() == (tmp_path / "again.pgm").read_bytes()
 
     @pytest.mark.parametrize(
         "mode, option, value",

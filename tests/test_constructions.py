@@ -17,7 +17,6 @@ from ifsproj.constructions import (
     _CORRECTOR_LENGTH_CAP,
     _CORRECTOR_STATE_CAP,
     HypothesisViolationError,
-    _greedy_pack,
     _identity_equal_ratio_pair,
     _kept_in_order,
     _rotation_word_search,
@@ -405,6 +404,9 @@ def word_by_word_pack(ifs, depth, seeds, center, radius, separation):
 
 
 class TestGreedyPack:
+    """ssc_subsystem's packing step, one kernel call over the seeds' balls
+    followed by a level's, against the loop that keeps every seed."""
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), depth=st.integers(1, 3))
     def test_matches_word_by_word_loop(self, seed, m, depth):
@@ -412,13 +414,19 @@ class TestGreedyPack:
         ifs = random_ssifs(rng, d=2, m=m)
         center, radius = attractor_bounding_ball(ifs)
         separation = 1e-3 * radius * float(rng.uniform(0.0, 1.0))
-        seeds = [ifs.word(tuple(rng.integers(1, m + 1, size=4))) for _ in range(2)]
+        # Seeds whose balls the kernel keeps whole, as ssc_subsystem's always are.
+        while True:
+            seeds = [ifs.word(tuple(rng.integers(1, m + 1, size=4))) for _ in range(2)]
+            seed_balls = WordLevel.of_words(ifs, [w.indices for w in seeds]).balls(center, radius)
+            if _kept_in_order(*seed_balls, separation).all():
+                break
         level = WordLevel.root(ifs)
         for _ in range(depth):
             level = level.extend()
-        seed_balls = WordLevel.of_words(ifs, [w.indices for w in seeds]).balls(center, radius)
-        kept = _greedy_pack(level, seed_balls, center, radius, separation)
-        packed = seeds + [ifs.word(level.indices(k)) for k in np.flatnonzero(kept)]
+        balls = map(np.concatenate, zip(seed_balls, level.balls(center, radius)))
+        kept = _kept_in_order(*balls, separation)
+        assert kept[:2].all()
+        packed = seeds + [ifs.word(level.indices(k)) for k in np.flatnonzero(kept[2:])]
         expected = word_by_word_pack(ifs, depth, seeds, center, radius, separation)
         assert [w.indices for w in packed] == [w.indices for w in expected]
 
@@ -706,7 +714,7 @@ class TestVerifyPairwiseDisjoint:
 
 class TestVerifyPairwiseDisjointLevels:
     """A WordLevel is certified as the list of its words would be, and
-    builds no Word."""
+    builds no Word and folds nothing."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -752,7 +760,10 @@ class TestVerifyPairwiseDisjointLevels:
             post_init(word)
 
         for separation in (tolerances.TAU_SEP_FACTOR * 2.0 * radius, 1e-3 * radius):
-            with mock.patch.object(Word, "__post_init__", spy):
+            with (
+                mock.patch.object(Word, "__post_init__", spy),
+                mock.patch.object(WordLevel, "fold", side_effect=AssertionError),
+            ):
                 dropped = verify_pairwise_disjoint(sel.words, center, radius, separation)
             assert not built
             assert dropped == verify_pairwise_disjoint(list(sel.words), center, radius, separation)
@@ -760,7 +771,7 @@ class TestVerifyPairwiseDisjointLevels:
 
 @st.composite
 def ball_layouts(draw):
-    """(centers, radii, separation, pinned) for the in-order ball kernel."""
+    """(centers, radii, separation) for the in-order ball kernel."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, d = draw(st.integers(0, 60)), draw(st.sampled_from([1, 2, 3]))
     kind = draw(st.sampled_from(["spread", "ties", "nested", "one x"]))
@@ -786,20 +797,18 @@ def ball_layouts(draw):
         # Every x-interval overlaps every other: the sweep tests all pairs.
         centers[:, 0] = 0.25
         radii *= 1e-3
-    return centers, radii, separation, draw(st.integers(0, n))
+    return centers, radii, separation
 
 
 class TestKeptInOrder:
     @settings(max_examples=150, deadline=None)
     @given(layout=ball_layouts(), chunk=st.sampled_from([1, 7, 64, constructions._PAIR_CHUNK]))
     def test_matches_the_loop(self, layout, chunk):
-        centers, radii, separation, pinned = layout
+        centers, radii, separation = layout
         with mock.patch.object(constructions, "_PAIR_CHUNK", chunk):
-            kept = _kept_in_order(centers, radii, separation, pinned)
+            kept = _kept_in_order(centers, radii, separation)
         assert kept.dtype == bool
-        np.testing.assert_array_equal(
-            kept, kept_in_order_by_loop(centers, radii, separation, pinned)
-        )
+        np.testing.assert_array_equal(kept, kept_in_order_by_loop(centers, radii, separation))
 
     def test_exact_tie_keeps_both_balls(self):
         centers = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0 + 2.0**-40]])
@@ -816,12 +825,6 @@ class TestKeptInOrder:
         centers, radii = np.array([[x0, 0.0], [x1, 0.0]]), np.array([r0, r1])
         assert _kept_in_order(centers, radii, 0.1).tolist() == [True, False]
 
-    def test_overlapping_pinned_balls_are_all_kept(self):
-        centers = np.zeros((4, 2))
-        assert _kept_in_order(centers, np.ones(4), 0.0, pinned=3).tolist() == [
-            True, True, True, False,
-        ]
-
     def test_shared_x_crosses_the_pair_chunk(self):
         # 300 balls on one vertical line: all 44 850 pairs are candidates,
         # several blocks of _PAIR_CHUNK pairs.
@@ -830,8 +833,8 @@ class TestKeptInOrder:
         radii = 10.0 ** rng.uniform(-6.0, -2.0, 300)
         assert 300 * 299 // 2 > 4 * constructions._PAIR_CHUNK
         np.testing.assert_array_equal(
-            _kept_in_order(centers, radii, 1e-3, pinned=5),
-            kept_in_order_by_loop(centers, radii, 1e-3, pinned=5),
+            _kept_in_order(centers, radii, 1e-3),
+            kept_in_order_by_loop(centers, radii, 1e-3),
         )
 
     def test_chain_of_200000_balls(self):

@@ -283,8 +283,8 @@ class TestWordLevel:
         folded = WordLevel.of_words(c4, [level.indices(k) for k in range(len(level))])
         assert np.array_equal(folded.letters, level.letters)
         assert np.array_equal(folded.ratio, level.ratio)
-        assert np.abs(folded.rotation - level.rotation).max() <= 1e-15
-        assert np.abs(folded.translation - level.translation).max() <= 1e-15
+        assert np.array_equal(folded.rotation, level.rotation)
+        assert np.array_equal(folded.translation, level.translation)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -683,6 +683,39 @@ class TestOneRotationLevels:
             level, oracle = level.extend(), extend_by_rows(oracle)
             assert level.rotation.strides[0] != 0
             assert_same_level(level, oracle)
+
+
+@st.composite
+def fold_systems(draw):
+    """A system of 2..4 maps in dimension 1..3 whose rotations are one
+    matrix, bitwise (its levels are broadcast stacks), or drawn apart."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if not draw(st.booleans()):
+        return random_ssifs(rng, d=d, m=m)
+    kinds = ["identity", "improper"] + (["rational", "irrational"] if d > 1 else [])
+    rotation = np.repeat(shared_rotation(rng, draw(st.sampled_from(kinds)), d)[None], m, axis=0)
+    return SSIFS.from_arrays(rng.uniform(0.2, 0.8, size=m), rotation, rng.normal(size=(m, d)))
+
+
+class TestLevelsAreTheirFold:
+    """A level built by extend, a row subset or concatenate holds, bit for
+    bit, the maps that fold gives its letters; verify_pairwise_disjoint
+    reads a level's own balls on this ground."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ifs=fold_systems(), depth=st.integers(0, 5), data=st.data())
+    def test_levels_subsets_and_joins_match_their_fold(self, ifs, depth, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        levels = [WordLevel.root(ifs)]
+        for _ in range(depth):
+            levels.append(levels[-1].extend())
+        chosen = data.draw(st.lists(st.sampled_from(levels), min_size=1, max_size=3))
+        parts = [v[rng.random(len(v)) < 0.5] for v in chosen]
+        for level in (*levels, *parts, WordLevel.concatenate(parts)):
+            folded = WordLevel.fold(ifs, level.letters)
+            for name in ("ratio", "rotation", "translation"):
+                assert same_bits(np.asarray(getattr(level, name)), getattr(folded, name)), name
 
 
 def rotation_stack(rng, kind, n, d):

@@ -1,20 +1,23 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifsproj import groups
 from ifsproj.fixtures import fixture_ifs
 from ifsproj.geometry import GeometryError, NumericFailureError, WordLevel
 from ifsproj.groups import (
+    CLOSURE_TOLERANCE,
     BlockKind,
     GroupClosureError,
     OrbitDensity,
     TransformationGroup,
+    _cyclic_certificate,
     _RotationTable,
     angle_order,
     block_diagonalize,
@@ -690,3 +693,66 @@ class TestBlockDiagonalizeOracle:
         assert np.allclose(got, built, rtol=0.0, atol=1e-12)
         signs = sorted(b.kind.value for b in form.blocks if b.kind is not BlockKind.ROTATION)
         assert signs == sorted("+1" if v > 0 else "-1" for kind, v in parts if kind == "sign")
+
+
+def certificate_by_normal_form(gens, tol, cap):
+    """The cyclic certificate read from each generator's block_diagonalize
+    rotation blocks: the oracle that groups._cyclic_certificate is checked
+    against, for generators whose normal form passes its reassembly check."""
+    threshold = 2.0 * gens.shape[1] * tol
+    half_k = 0.5 * np.arange(1, cap + 1)
+    for g in gens:
+        for b in block_diagonalize(g).blocks:
+            if b.kind is BlockKind.ROTATION:
+                chord = 2.0 * float(np.abs(np.sin(half_k * b.angle)).min())
+                if chord > threshold:
+                    return chord, threshold
+    return None
+
+
+@st.composite
+def block_matrices(draw, d):
+    """An orthogonal d x d matrix of [1] and [-1] blocks and rotation blocks
+    of finite order 2 pi p / k (0 and pi among them) or of any angle, in a
+    random orthonormal basis or not."""
+    blocks = []
+    while sum(map(len, blocks)) < d:
+        kind = draw(st.sampled_from(["sign", "finite", "angle"]))
+        if kind == "sign" or sum(map(len, blocks)) == d - 1:
+            blocks.append(np.array([[draw(st.sampled_from([1.0, -1.0]))]]))
+        elif kind == "finite":
+            k = draw(st.integers(1, 12))
+            blocks.append(planar_rotation(TWO_PI * draw(st.integers(0, k - 1)) / k))
+        else:
+            blocks.append(planar_rotation(draw(st.floats(0.0, TWO_PI))))
+    t = block_diag(*blocks)
+    if draw(st.booleans()):
+        q = random_orthogonal(np.random.default_rng(draw(seeds)), d)
+        t = q @ t @ q.T
+    return t
+
+
+class TestCyclicCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 5), data=st.data())
+    def test_matches_the_normal_form_angles(self, d, data):
+        gens = np.array(data.draw(st.lists(block_matrices(d), min_size=1, max_size=3)))
+        try:
+            want = certificate_by_normal_form(gens, CLOSURE_TOLERANCE, 5000)
+        except NumericFailureError:
+            # A form that fails its reassembly check; see the test below.
+            assume(False)
+        with mock.patch.object(groups, "block_diagonalize", side_effect=AssertionError):
+            assert _cyclic_certificate(gens, CLOSURE_TOLERANCE, 5000) == want
+
+    def test_a_generator_without_a_normal_form_is_certified_by_its_angles(self):
+        # A 1e-7 turn's eigenvalues have imaginary parts just below 1e-7, so
+        # block_diagonalize reads two [1] blocks and its reassembly misses t
+        # by 1e-7.  The one-radian block still certifies the infinite orbit.
+        t = block_diag(np.eye(1), planar_rotation(1.0), planar_rotation(1e-7))
+        with pytest.raises(NumericFailureError):
+            block_diagonalize(t)
+        g = group_closure([t])
+        assert g.reason == "cyclic_orbit_exceeds_cap" and g.witness_count == 5001
+        chord = 2.0 * float(np.abs(np.sin(0.5 * np.arange(1, 5001))).min())
+        assert g.margin == (pytest.approx(chord, abs=1e-12), 2.0 * 5 * CLOSURE_TOLERANCE)
