@@ -151,7 +151,7 @@ def _box_scales(args, cloud) -> list[float]:
     projection, else the default ladder of the counted cloud."""
     if args.scales is None:
         return default_scales(cloud)
-    return _parse_scales(args.scales, cloud.sample_diameter())
+    return _parse_scales(args.scales, cloud.sample_diameter)
 
 
 def _sample(args, ifs, linear_map=None):
@@ -238,7 +238,7 @@ def _box_dim_fields(args, counted, scales) -> dict:
         fields["points_csv"] = str(points_path)
         if counted.ambient_dim == 2:
             pgm_path = out_dir / "cloud.pgm"
-            write_pgm(pgm_path, counted.points, bounds=counted._bounds)
+            write_pgm(pgm_path, counted.points, counted.bounds)
             fields["pgm"] = str(pgm_path)
     return fields
 
@@ -260,7 +260,7 @@ def cmd_project_boxdim(args, ifs, metadata) -> dict:
 def cmd_collapse_sweep(args, ifs, metadata) -> dict:
     projected = _sample(args, ifs, _linear_map_for(args, ifs.ambient_dim))
     t = args.t if args.t is not None else sim_dim_ssifs(ifs).value
-    scales = _parse_scales(args.scales, projected.sample_diameter())
+    scales = _parse_scales(args.scales, projected.sample_diameter)
     counts, sums = covering_sums(projected, t, scales)
     fields = {
         "exponent_t": t,

@@ -32,6 +32,7 @@ from .geometry import (
     NumericFailureError,
     SSIFS,
     Similarity,
+    _stored_matrices,
     checked_maps,
 )
 
@@ -110,9 +111,9 @@ class GDIFS:
             raise GdifsStructureError("edge index out of range")
         arrays = (self.source, self.target, self.ratio, self.translation)
         source, target, ratio, translation = (np.delete(a, index, axis=0) for a in arrays)
-        # A broadcast rotation stack (first stride 0) stays one.
-        rotation = self.rotation
-        rotation = rotation[1:] if rotation.strides[0] == 0 else np.delete(rotation, index, axis=0)
+        # A broadcast rotation stack stays one.
+        broadcast = _stored_matrices(self.rotation) is not self.rotation
+        rotation = self.rotation[1:] if broadcast else np.delete(self.rotation, index, axis=0)
         arrays = (source, target, ratio, rotation, translation)
         return GDIFS(self.vertex_count, *arrays, name=self.name)
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import tolerances
 from .dimension import GDIFS
-from .estimation import column_bounds
 from .geometry import DegenerateSystemError, GeometryError, SSIFS
 
 SCHEMA_VERSION = "1"
@@ -170,14 +169,13 @@ def write_points_csv(path, points) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_pgm(path, points, resolution: int = 512, bounds=None) -> None:
+def write_pgm(path, points, bounds, resolution: int = 512) -> None:
     """Binary occupancy raster (PGM P5) of a planar point cloud, framed by
-    its column bounds: ``bounds`` when given (the (min, max) pair of arrays
-    that ``column_bounds`` returns), else found here."""
+    its column bounds ``bounds``, a (min, max) pair of arrays."""
     points = np.atleast_2d(points)
     if points.shape[1] != 2:
         raise GeometryError("PGM rendering needs a planar cloud")
-    lo, hi = column_bounds(points) if bounds is None else bounds
+    lo, hi = bounds
     span = hi - lo
     span[span == 0.0] = 1.0
     ij = ((points - lo) / span * (resolution - 1)).astype(int)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,15 +43,17 @@ class SamplingMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class PointCloud:
+    """Sample points with ``bounds``, each column's (min, max) with zeros as
+    0.0, and ``sample_diameter``, the diameter of the sample before any
+    projection.  Whoever builds a cloud records both."""
+
     points: np.ndarray
     seed: int
     method: SamplingMethod
     source_hash: str
+    bounds: tuple
+    sample_diameter: float
     depth: int | None = None
-    # Each column's (min, max), when the sampler recorded them.  Not an
-    # __init__ argument, so ``replace`` never carries them to other points.
-    _bounds: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _sample_diameter: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -66,12 +68,7 @@ class PointCloud:
         return self.points.shape[0]
 
     def diameter(self) -> float:
-        return _diameter(*(self._bounds or column_bounds(self.points)))
-
-    def sample_diameter(self) -> float:
-        """The diameter of the unprojected sample when the sampler projected
-        this cloud, else ``diameter()``."""
-        return self.diameter() if self._sample_diameter is None else self._sample_diameter
+        return _diameter(*self.bounds)
 
 
 def _diameter(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -126,24 +123,25 @@ def sample_attractor(
     coordinate of the output's rows on the last level.  Map m - 1's images of
     a block land on the block's own columns, which the matmul has already
     read, so no level is copied.  On the last level each block's row minima
-    and maxima are taken too, and their fold is recorded as the cloud's
-    column bounds, which ``PointCloud.diameter`` reads.
+    and maxima are taken too, and their fold gives the cloud's ``bounds``
+    and ``sample_diameter``.
 
     With a map L the (m^k, d) sample is never built.  On the last level the
     rows go instead to a C-ordered (m w, d) scratch buffer, one block's m w
     images, and one product with L^T projects them into an (m w, l) scratch.
     Its rows are copied to the (m^k, l) output, and its column minima and
-    maxima are folded while it is in cache.  That fold is recorded as the
-    cloud's column bounds, and the diameter of the block bounds' fold as
-    ``PointCloud.sample_diameter``, the diameter of the unprojected sample.
+    maxima are folded while it is in cache.  That fold is the cloud's
+    ``bounds``, and the diameter of the block bounds' fold its
+    ``sample_diameter``, the diameter of the unprojected sample.
 
     The chaos game iterates uniformly chosen maps from the fixed point (the
     start lies on the attractor, so a burn-in of 100 steps is kept only for
     contract parity) on 1024 parallel chains.  Each step applies every map to
     every chain with one matmul against the stacked R_i^T and gathers each
-    chain's chosen image straight into the output.  With a map L the
-    collected rows are projected by one product with L^T, and the
-    projection's bounds and the rows' diameter are recorded.
+    chain's chosen image straight into the output.  One ``column_bounds``
+    pass over the collected rows gives their bounds and diameter; with a map
+    L the cloud is ``project_cloud`` of them, one product with L^T and one
+    pass that bounds the projection.
 
     Both modes run, per coordinate, the IEEE operations of
     ``Similarity.__call__`` in its order: the matmul, then ``* ratio``, then
@@ -160,7 +158,7 @@ def sample_attractor(
     row too: a block's images of all m maps are projected together, m w >= 2
     rows even on a depth-1 tree, and only the one point of n = 1 is projected
     alone, as ``project_cloud`` projects it.  So a projected sample is bitwise
-    ``project_cloud`` of the unprojected one.
+    ``project_cloud`` of the unprojected one, in every field.
     """
     if n < 1:
         raise GeometryError("need n >= 1")
@@ -176,8 +174,7 @@ def sample_attractor(
             depth += 1
         if depth == 0:
             points = x0[None] if linear_map is None else linear_map(x0[None])
-            cloud = PointCloud(points, seed, method, digest, depth)
-            return _with_bounds(cloud, (points[0], points[0]), None if linear_map is None else (x0, x0))
+            return PointCloud(points, seed, method, digest, column_bounds(points), 0.0, depth)
         l = d if linear_map is None else linear_map.codomain_dim
         points = np.empty((m**depth, l))
         levels = np.empty((d, m ** (depth - 1)))
@@ -226,11 +223,10 @@ def sample_attractor(
                     out[:, c : c + w] = projected.reshape(m, w, l)
         lo = lows.min(axis=0).reshape(m, d).min(axis=0)
         hi = highs.max(axis=0).reshape(m, d).max(axis=0)
-        cloud = PointCloud(points, seed, method, digest, depth)
-        if linear_map is None:
-            return _with_bounds(cloud, (lo, hi))
-        bounds = projected_lows.min(axis=0), projected_highs.max(axis=0)
-        return _with_bounds(cloud, bounds, (lo, hi))
+        sample_diameter = _diameter(lo, hi)
+        if linear_map is not None:
+            lo, hi = projected_lows.min(axis=0), projected_highs.max(axis=0)
+        return PointCloud(points, seed, method, digest, (lo + 0.0, hi + 0.0), sample_diameter, depth)
 
     rng = np.random.default_rng(seed)
     burn_in = 100
@@ -262,21 +258,9 @@ def sample_attractor(
         # mode="clip" writes straight into out; "raise" would buffer it.
         np.take(flat_images, base + row, axis=0, out=x, mode="clip")
     points = collected.reshape(-1, d)[:n]
-    if linear_map is None:
-        return PointCloud(points, seed, SamplingMethod.CHAOS_GAME, digest)
-    projected = PointCloud(linear_map(points), seed, SamplingMethod.CHAOS_GAME, digest)
-    return _with_bounds(projected, column_bounds(projected.points), column_bounds(points))
-
-
-def _with_bounds(cloud: PointCloud, bounds, sample_bounds=None) -> PointCloud:
-    """The cloud with its column bounds recorded, zeros as 0.0 (as
-    ``column_bounds`` returns them), and with the diameter of the column
-    bounds of the sample it was projected from, if it was."""
-    lo, hi = bounds
-    object.__setattr__(cloud, "_bounds", (lo + 0.0, hi + 0.0))
-    if sample_bounds is not None:
-        object.__setattr__(cloud, "_sample_diameter", _diameter(*sample_bounds))
-    return cloud
+    bounds = column_bounds(points)
+    cloud = PointCloud(points, seed, SamplingMethod.CHAOS_GAME, digest, bounds, _diameter(*bounds))
+    return cloud if linear_map is None else project_cloud(cloud, linear_map)
 
 
 def _chaos_choices(rng: np.random.Generator, m: int, steps: int, chains: int):
@@ -506,7 +490,7 @@ def box_dim(cloud: PointCloud, scales) -> BoxDimEstimate:
         raise GeometryError("need at least two scales")
     if len(cloud) < 100:
         raise GeometryError("need at least 100 points")
-    counts = box_counts(cloud.points, scales, cloud._bounds)
+    counts = box_counts(cloud.points, scales, cloud.bounds)
     if len(set(counts)) == 1:
         if counts[0] == 1:
             return BoxDimEstimate(0.0, tuple(scales), tuple(counts), 1.0)
@@ -527,8 +511,13 @@ def _check_domain(linear_map: LinearMap, d: int) -> None:
 
 
 def project_cloud(cloud: PointCloud, linear_map: LinearMap) -> PointCloud:
+    """L(points), with their own bounds and the sample diameter of ``cloud``."""
     _check_domain(linear_map, cloud.ambient_dim)
-    return replace(cloud, points=linear_map(cloud.points))
+    points = linear_map(cloud.points)
+    return PointCloud(
+        points, cloud.seed, cloud.method, cloud.source_hash, column_bounds(points),
+        cloud.sample_diameter, cloud.depth,
+    )
 
 
 def covering_sums(cloud: PointCloud, t: float, scales) -> tuple[list[int], list[float]]:
@@ -537,7 +526,7 @@ def covering_sums(cloud: PointCloud, t: float, scales) -> tuple[list[int], list[
     a sum that overflows raises NumericFailureError."""
     if not (math.isfinite(t) and t > 0):
         raise GeometryError("t must be finite and positive")
-    counts = box_counts(cloud.points, scales, cloud._bounds)
+    counts = box_counts(cloud.points, scales, cloud.bounds)
     side = math.sqrt(cloud.ambient_dim)
     try:
         sums = [count * (float(s) * side) ** t for count, s in zip(counts, scales)]

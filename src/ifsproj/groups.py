@@ -230,14 +230,15 @@ def _cyclic_certificate(gens: np.ndarray, tol: float, cap: int) -> tuple[float, 
 
     A generator's rotation angles are those of its ``block_diagonalize``
     rotation blocks, in the same order: atan2(Im, Re) of each eigenvalue
-    whose imaginary part exceeds 1e-7, read from ``np.linalg.eigvals``
+    whose imaginary part exceeds tau_orth, read from ``np.linalg.eigvals``
     (the eigenvalues of ``eig``, bit for bit) without building the form."""
     d = gens.shape[1]
     threshold = 2.0 * d * tol
     half_k = 0.5 * np.arange(1, cap + 1)
+    tau = tolerances.tau_orth()
     for g in gens:
         for lam in np.linalg.eigvals(g):
-            if lam.imag > 1e-7:
+            if lam.imag > tau:
                 angle = math.atan2(lam.imag, lam.real)
                 chord = 2.0 * float(np.abs(np.sin(half_k * angle)).min())
                 if chord > threshold:
@@ -348,22 +349,23 @@ class BlockForm:
 def block_diagonalize(t: np.ndarray) -> BlockForm:
     """Real normal form of an orthogonal matrix: [1], [-1] and rotation blocks.
 
-    A pair e^{+-i theta} of eig(T) with sin theta > 1e-7 is a rotation block
-    on sqrt(2) [Re u, Im u], u an eigenvector of e^{-i theta}; the other
-    eigenvalues give [1] or [-1].  eig(T) separates 1 from e^{i theta} by
-    about theta ((T + T^T) / 2 would by theta^2 / 2), so tiny angles keep
-    their planes.  Eigenvectors of a repeated eigenvalue need not be
-    orthogonal (those of distinct ones are, T being normal): one QR of all
-    columns normalises them, orthogonalises each cluster and moves the rest
-    by rounding.
+    A pair e^{+-i theta} of eig(T) with sin theta > tau_orth is a rotation
+    block on sqrt(2) [Re u, Im u], u an eigenvector of e^{-i theta}; the
+    other eigenvalues give [1] or [-1], so a pair read as two of them misses
+    T by at most tau_orth, inside the reassembly check's 10 tau_orth.
+    eig(T) separates 1 from e^{i theta} by about theta ((T + T^T) / 2 would
+    by theta^2 / 2), so tiny angles keep their planes.  Eigenvectors of a
+    repeated eigenvalue need not be orthogonal (those of distinct ones are,
+    T being normal): one QR of all columns normalises them, orthogonalises
+    each cluster and moves the rest by rounding.
     """
     t = np.asarray(t, dtype=float)
-    if orthogonality_defect(t) > tolerances.tau_orth():
+    tau = tolerances.tau_orth()
+    if orthogonality_defect(t) > tau:
         raise GeometryError("matrix is not orthogonal")
     w, v = np.linalg.eig(t)
     columns: list[np.ndarray] = []
     blocks: list[Block] = []
-    off_tol = 1e-7
     for lam, u in zip(w, v.T):
         sign = BlockKind.PLUS_ONE if lam.real > 0 else BlockKind.MINUS_ONE
         if lam.imag == 0:
@@ -371,14 +373,14 @@ def block_diagonalize(t: np.ndarray) -> BlockForm:
             blocks.append(Block(sign))
         elif lam.imag > 0:  # one member of each conjugate pair
             columns += [u.real, -u.imag]
-            if lam.imag > off_tol:
+            if lam.imag > tau:
                 blocks.append(Block(BlockKind.ROTATION, math.atan2(lam.imag, lam.real)))
             else:
                 blocks += [Block(sign), Block(sign)]
     q, r = np.linalg.qr(np.array(columns).T)
     form = BlockForm(q * np.where(np.diag(r) < 0, -1.0, 1.0), tuple(blocks))
     residual = np.abs(form.reassemble() - t).max()
-    if residual > 10.0 * tolerances.tau_orth():
+    if residual > 10.0 * tau:
         raise NumericFailureError(
             f"block reassembly residual {residual:.3e} exceeds tolerance"
         )

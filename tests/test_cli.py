@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ifsproj
-from ifsproj import cli, constructions, documents
+from ifsproj import cli, constructions, estimation
 from ifsproj.cli import MAX_SAMPLE_SIZE, build_parser, main
 from ifsproj.dimension import sim_dim_gdifs, single_vertex_gdifs
 from ifsproj.documents import (
@@ -29,7 +29,7 @@ from ifsproj.documents import (
     write_points_csv,
     write_scale_count_csv,
 )
-from ifsproj.estimation import box_dim, default_scales, sample_attractor
+from ifsproj.estimation import box_dim, column_bounds, default_scales, sample_attractor
 from ifsproj.fixtures import BUILDERS, fixture_document, fixture_ifs, fixture_path, write_all
 from ifsproj.geometry import DegenerateSystemError, Similarity, Word
 
@@ -118,8 +118,8 @@ class TestDocuments:
 
     def test_pgm_header_and_size(self, tmp_path):
         path = tmp_path / "cloud.pgm"
-        rng = np.random.default_rng(0)
-        write_pgm(path, rng.uniform(size=(1000, 2)), resolution=64)
+        points = np.random.default_rng(0).uniform(size=(1000, 2))
+        write_pgm(path, points, column_bounds(points), resolution=64)
         data = path.read_bytes()
         assert data.startswith(b"P5\n64 64\n255\n")
         assert len(data) == len(b"P5\n64 64\n255\n") + 64 * 64
@@ -595,31 +595,54 @@ class TestCliEstimate:
             ["boxdim", "--input", "sierpinski_half.json"],
             ["project-boxdim", "--input", "example_7_2_r4.json", "--l", "2"],
             ["project-boxdim", "--input", "example_7_2_r4.json", "--l", "2", "--method", "chaos"],
+            ["boxdim", "--input", "sierpinski_half.json", "--method", "chaos"],
         ],
     )
     def test_pgm_reads_the_recorded_bounds(self, capsys, fixture_dir, tmp_path, monkeypatch, argv):
-        # Every sampled cloud but the unprojected chaos game's records its
-        # bounds, and the raster is framed by them: the bytes of bounds
-        # found again over the counted cloud.
+        # Every sampled cloud records its bounds, and the raster is framed by
+        # them: the bytes of bounds found again over the counted cloud.
         argv = ["estimate", *argv, "--n", "20000", "--out", str(tmp_path)]
         argv[3] = str(fixture_dir / argv[3])
         written = []
 
-        def spy(path, points, **kwargs):
-            written.append(points)
-            write_pgm(path, points, **kwargs)
+        def spy(path, points, bounds, **kwargs):
+            written.append((points, bounds))
+            write_pgm(path, points, bounds, **kwargs)
 
         monkeypatch.setattr(cli, "write_pgm", spy)
-
-        def unread(points):
-            raise AssertionError("write_pgm found the column bounds again")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(documents, "column_bounds", unread)
-            code, _ = run_json(capsys, argv)
+        code, _ = run_json(capsys, argv)
         assert code == 0 and len(written) == 1
-        write_pgm(tmp_path / "again.pgm", written[0])
+        points, bounds = written[0]
+        found = column_bounds(points)
+        assert [b.tobytes() for b in bounds] == [b.tobytes() for b in found]
+        write_pgm(tmp_path / "again.pgm", points, found)
         assert (tmp_path / "cloud.pgm").read_bytes() == (tmp_path / "again.pgm").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, passes",
+        [
+            (["boxdim", "--input", "sierpinski_half.json", "--method", "chaos"], 1),
+            (["boxdim", "--input", "sierpinski_half.json"], 0),
+            (["project-boxdim", "--input", "example_7_2_r4.json", "--l", "2", "--method", "chaos"], 2),
+            (["project-boxdim", "--input", "example_7_2_r4.json", "--l", "2"], 0),
+        ],
+    )
+    def test_each_sample_is_bounded_once(self, capsys, fixture_dir, tmp_path, monkeypatch, argv, passes):
+        # The chaos game bounds its rows once and its projection once; the
+        # tree folds its bounds while it runs.  The default scales, the box
+        # counts and the raster read them.
+        calls = []
+
+        def spy(points):
+            calls.append(len(points))
+            return column_bounds(points)
+
+        monkeypatch.setattr(estimation, "column_bounds", spy)
+        argv = ["estimate", *argv, "--n", "20000", "--out", str(tmp_path)]
+        argv[3] = str(fixture_dir / argv[3])
+        code, report = run_json(capsys, argv)
+        assert code == 0 and "pgm" in report
+        assert calls == [20000] * passes
 
     @pytest.mark.parametrize(
         "mode, option, value",

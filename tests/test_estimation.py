@@ -35,7 +35,10 @@ from conftest import random_ssifs
 
 
 def cloud_of(points):
-    return PointCloud(np.asarray(points, dtype=float), 0, SamplingMethod.DETERMINISTIC_DEPTH, "test")
+    points = np.asarray(points, dtype=float)
+    lo, hi = column_bounds(points)
+    diameter = float(np.linalg.norm(hi - lo))
+    return PointCloud(points, 0, SamplingMethod.DETERMINISTIC_DEPTH, "test", (lo, hi), diameter)
 
 
 def per_scale_count(points, scale):
@@ -146,8 +149,8 @@ def sixteen_maps():
 
 
 def assert_recorded_bounds(cloud):
-    """The sampler's recorded bounds are, bit for bit, column_bounds'."""
-    lo, hi = cloud._bounds
+    """The cloud's recorded bounds are, bit for bit, column_bounds'."""
+    lo, hi = cloud.bounds
     expected_lo, expected_hi = column_bounds(cloud.points)
     assert lo.tobytes() == expected_lo.tobytes() and hi.tobytes() == expected_hi.tobytes()
     assert np.array_equal(lo, cloud.points.min(axis=0))
@@ -243,18 +246,11 @@ class TestSampleAttractor:
         monkeypatch.setattr(estimation, "column_bounds", unread)
         assert cloud.diameter() == expected
 
-    def test_projections_and_chaos_clouds_record_no_bounds(self, irrational):
-        cloud = sample_attractor(irrational, 10**4)
-        projected = project_cloud(cloud, LinearMap(np.array([[0.6, 0.8]])))
-        chaos = sample_attractor(irrational, 10**4, seed=1, method=SamplingMethod.CHAOS_GAME)
-        for other in (projected, chaos):
-            assert other._bounds is None
-            lo, hi = other.points.min(axis=0), other.points.max(axis=0)
-            assert other.diameter() == float(np.linalg.norm(hi - lo))
-
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_projected_sample_is_project_cloud(self, data):
+        # Every cloud records its bounds: the tree and the chaos game,
+        # projected or not, and project_cloud.
         # Sizes m^k and m^k + 1 down to n = 1 and 2 (a depth-1 tree's blocks
         # have one column), blocks of m or m^2 columns or the default, and
         # l x d maps that may have a zero row.
@@ -274,18 +270,18 @@ class TestSampleAttractor:
             patch.setattr(estimation, "_TREE_BLOCK_BYTES", block_bytes)
             cloud = sample_attractor(ifs, n, seed=7, method=method)
             projected = sample_attractor(ifs, n, seed=7, method=method, linear_map=linear_map)
-        expected = project_cloud(cloud, linear_map).points
-        assert projected.points.shape == expected.shape
-        assert projected.points.tobytes() == expected.tobytes()
-        assert_recorded_bounds(projected)
-        assert projected.sample_diameter() == cloud.diameter()
-        assert (projected.method, projected.depth) == (cloud.method, cloud.depth)
-
-    def test_unprojected_and_derived_clouds_report_their_own_diameter(self, irrational):
-        cloud = sample_attractor(irrational, 10**4)
-        projected = project_cloud(cloud, LinearMap(np.array([[0.6, 0.8]])))
-        for other in (cloud, projected):
-            assert other.sample_diameter() == other.diameter()
+        expected = project_cloud(cloud, linear_map)
+        # A projection of a projection still carries the first sample's diameter.
+        twice = project_cloud(projected, LinearMap(np.ones((1, len(matrix)))))
+        lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
+        for other in (cloud, projected, expected, twice):
+            assert_recorded_bounds(other)
+            assert other.sample_diameter == float(np.linalg.norm(hi - lo))
+        assert projected.points.shape == expected.points.shape
+        assert projected.points.tobytes() == expected.points.tobytes()
+        assert [b.tobytes() for b in projected.bounds] == [b.tobytes() for b in expected.bounds]
+        for name in ("method", "depth", "seed", "source_hash"):
+            assert getattr(projected, name) == getattr(expected, name) == getattr(cloud, name)
 
     @pytest.mark.parametrize("method", list(SamplingMethod))
     def test_mismatched_map_fails_before_sampling(self, irrational, method):
@@ -645,25 +641,23 @@ class TestBoxDim:
     @pytest.mark.parametrize("method", list(SamplingMethod))
     @pytest.mark.parametrize("matrix", [None, [[0.6, 0.8]], [[0.6, 0.8], [0.0, 0.0]]])
     def test_recorded_bounds_are_not_read_again(self, monkeypatch, irrational, method, matrix):
-        # box_dim and covering_sums hand the sampler's bounds to box_counts;
-        # the counts are those of the bare array, which finds its own.
+        # box_dim and covering_sums hand every sampled cloud's bounds to
+        # box_counts; the counts are those of the bare array, which finds
+        # its own.
         linear_map = None if matrix is None else LinearMap(np.array(matrix))
         cloud = sample_attractor(irrational, 5 * 10**4, seed=3, method=method, linear_map=linear_map)
         # A halving ladder, counted by shifts, and one quantised per scale.
         ladders = [default_scales(cloud), sorted(default_scales(cloud) + [0.3, 0.07], reverse=True)]
         expected = [box_counts(cloud.points, scales) for scales in ladders]
-        recorded = cloud._bounds is not None  # the unprojected chaos game records none
-        if recorded:
 
-            def unread(points):
-                raise AssertionError("the sampler's bounds are recorded")
+        def unread(points):
+            raise AssertionError("the sampler's bounds are recorded")
 
-            monkeypatch.setattr(estimation, "column_bounds", unread)
+        monkeypatch.setattr(estimation, "column_bounds", unread)
         for scales, counts in zip(ladders, expected):
             assert box_dim(cloud, scales).counts == tuple(counts)
             assert covering_sums(cloud, 0.8, scales)[0] == counts
-            if recorded:
-                assert box_counts(cloud.points, scales, cloud._bounds) == counts
+            assert box_counts(cloud.points, scales, cloud.bounds) == counts
 
 BLOCK = estimation._BOUNDS_BLOCK
 

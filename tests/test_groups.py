@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ifsproj import groups
+from ifsproj import groups, tolerances
 from ifsproj.fixtures import fixture_ifs
 from ifsproj.geometry import GeometryError, NumericFailureError, WordLevel
 from ifsproj.groups import (
@@ -222,6 +222,26 @@ class TestBlockDiagonalize:
             t = random_orthogonal(rng, d)
             form = block_diagonalize(t)
             assert np.abs(form.reassemble() - t).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "blocks, angles",
+        [
+            ([planar_rotation(5e-8)], [5e-8]),
+            ([planar_rotation(math.pi - 5e-8)], [math.pi - 5e-8]),
+            ([planar_rotation(1.0), planar_rotation(5e-8)], [5e-8, 1.0]),
+        ],
+    )
+    def test_small_turns_are_rotation_blocks(self, blocks, angles):
+        # sin theta in (tau_orth, 1e-7]: read as two [1] or two [-1] blocks,
+        # the pair would miss t by about 5e-8, above the reassembly check.
+        t = block_diag(*blocks)
+        form = block_diagonalize(t)
+        assert np.abs(form.reassemble() - t).max() <= 10.0 * tolerances.tau_orth()
+        got = sorted(
+            min(b.angle, TWO_PI - b.angle) for b in form.blocks if b.kind is BlockKind.ROTATION
+        )
+        assert np.allclose(got, angles, rtol=0.0, atol=1e-12)
+        assert kronecker_power(t, 1) >= 3
 
     def test_power_matches_repeated_multiplication(self):
         t = planar_rotation(0.7)
@@ -686,7 +706,9 @@ class TestBlockDiagonalizeOracle:
         got = sorted(
             min(b.angle, TWO_PI - b.angle) for b in form.blocks if b.kind is BlockKind.ROTATION
         )
-        want = sorted(abs(math.atan2(z.imag, z.real)) for z in eig if z.imag > 1e-7)
+        want = sorted(
+            abs(math.atan2(z.imag, z.real)) for z in eig if z.imag > tolerances.tau_orth()
+        )
         built = sorted(min(v, TWO_PI - v) for kind, v in parts if kind == "angle")
         assert len(got) == len(want) == len(built)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -740,19 +762,21 @@ class TestCyclicCertificate:
         try:
             want = certificate_by_normal_form(gens, CLOSURE_TOLERANCE, 5000)
         except NumericFailureError:
-            # A form that fails its reassembly check; see the test below.
+            # A form that fails its reassembly check has no angles to compare.
             assume(False)
         with mock.patch.object(groups, "block_diagonalize", side_effect=AssertionError):
             assert _cyclic_certificate(gens, CLOSURE_TOLERANCE, 5000) == want
 
-    def test_a_generator_without_a_normal_form_is_certified_by_its_angles(self):
-        # A 1e-7 turn's eigenvalues have imaginary parts just below 1e-7, so
-        # block_diagonalize reads two [1] blocks and its reassembly misses t
-        # by 1e-7.  The one-radian block still certifies the infinite orbit.
+    def test_a_generator_with_a_tiny_turn_is_certified_by_its_angles(self):
+        # A 1e-7 turn's eigenvalues have imaginary parts just below 1e-7,
+        # above tau_orth, so block_diagonalize reads a rotation block and its
+        # reassembly passes.  The one-radian block certifies the infinite
+        # orbit, as the normal form's angles do.
         t = block_diag(np.eye(1), planar_rotation(1.0), planar_rotation(1e-7))
-        with pytest.raises(NumericFailureError):
-            block_diagonalize(t)
+        form = block_diagonalize(t)
+        assert np.abs(form.reassemble() - t).max() <= 10.0 * tolerances.tau_orth()
         g = group_closure([t])
+        assert g.margin == certificate_by_normal_form(t[None], CLOSURE_TOLERANCE, 5000)
         assert g.reason == "cyclic_orbit_exceeds_cap" and g.witness_count == 5001
         chord = 2.0 * float(np.abs(np.sin(0.5 * np.arange(1, 5001))).min())
         assert g.margin == (pytest.approx(chord, abs=1e-12), 2.0 * 5 * CLOSURE_TOLERANCE)
