@@ -500,6 +500,8 @@ def select_disjoint_cylinders(
     o = np.asarray(rotation_target, dtype=float)
     if not (math.isfinite(delta) and delta > 0 and math.isfinite(t) and t > 0):
         raise GeometryError("delta and t must be finite and positive")
+    if not np.isfinite(o).all():
+        raise GeometryError("rotation target must be finite")
     if not 0 < mass_target < 1:
         raise GeometryError("mass_target must lie in (0, 1)")
     if depth_cap < 1:

@@ -176,8 +176,8 @@ def spectral_radius(a) -> float:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise GeometryError("matrix must be square")
-    if (a < 0).any():
-        raise GeometryError("matrix must be entrywise nonnegative")
+    if not (np.isfinite(a) & (a >= 0)).all():
+        raise GeometryError("matrix must be finite and entrywise nonnegative")
     comps = _components(a != 0)
     return max((_perron(a[np.ix_(comp, comp)])[0] for comp in comps), default=0.0)
 

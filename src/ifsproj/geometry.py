@@ -597,6 +597,8 @@ class LinearMap:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_matrix(np.atleast_2d(self.matrix)))
+        if not np.isfinite(self.matrix).all():
+            raise GeometryError("linear map must be finite")
 
     @property
     def domain_dim(self) -> int:
@@ -632,8 +634,8 @@ class Subspace:
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _as_matrix(np.atleast_2d(self.basis)))
-        if self.basis.ndim != 2:
-            raise GeometryError("basis must be a d x l matrix")
+        if self.basis.ndim != 2 or not np.isfinite(self.basis).all():
+            raise GeometryError("basis must be a finite d x l matrix")
         l = self.basis.shape[1]
         defect = np.abs(self.basis.T @ self.basis - np.eye(l)).max()
         if defect > tolerances.tau_orth():

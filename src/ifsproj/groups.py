@@ -228,19 +228,15 @@ def _cyclic_certificate(gens: np.ndarray, tol: float, cap: int) -> tuple[float, 
     powers T^0..T^cap are pairwise more than 2 tol apart in max-abs norm, or
     None when no generator certifies this.
 
-    A generator's rotation angles are those of its ``block_diagonalize``
-    rotation blocks, in the same order: atan2(Im, Re) of each eigenvalue
-    whose imaginary part exceeds tau_orth, read from ``np.linalg.eigvals``
-    (the eigenvalues of ``eig``, bit for bit) without building the form."""
+    The angles are ``_blocks`` of ``np.linalg.eigvals`` (bitwise ``eig``'s):
+    those of ``block_diagonalize``, in order, without building the form."""
     d = gens.shape[1]
     threshold = 2.0 * d * tol
     half_k = 0.5 * np.arange(1, cap + 1)
-    tau = tolerances.tau_orth()
     for g in gens:
-        for lam in np.linalg.eigvals(g):
-            if lam.imag > tau:
-                angle = math.atan2(lam.imag, lam.real)
-                chord = 2.0 * float(np.abs(np.sin(half_k * angle)).min())
+        for b in _blocks(np.linalg.eigvals(g)):
+            if b.kind is BlockKind.ROTATION:
+                chord = 2.0 * float(np.abs(np.sin(half_k * b.angle)).min())
                 if chord > threshold:
                     return chord, threshold
     return None
@@ -328,62 +324,69 @@ class BlockForm:
     blocks: tuple[Block, ...]
 
     def reassemble(self) -> np.ndarray:
-        return self.power(1)
-
-    def power(self, n: int) -> np.ndarray:
-        """T^n computed block-wise (cheap for large n)."""
         q = self.basis_change
         core = np.zeros(q.shape)
         i = 0
         for b in self.blocks:
             if b.kind is BlockKind.ROTATION:
-                a = (b.angle * n) % TWO_PI
-                c, s = math.cos(a), math.sin(a)
+                c, s = math.cos(b.angle), math.sin(b.angle)
                 core[i : i + 2, i : i + 2] = [[c, -s], [s, c]]
             else:
-                core[i, i] = -1.0 if b.kind is BlockKind.MINUS_ONE and n % 2 else 1.0
+                core[i, i] = -1.0 if b.kind is BlockKind.MINUS_ONE else 1.0
             i += b.size
         return q @ core @ q.T
+
+
+def _orthogonal(t) -> np.ndarray:
+    """t as a float array, checked to be a finite orthogonal matrix."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all() or orthogonality_defect(t) > tolerances.tau_orth():
+        raise GeometryError("matrix is not a finite orthogonal matrix")
+    return t
+
+
+def _blocks(eigenvalues: np.ndarray) -> list[Block]:
+    """An orthogonal matrix's normal-form blocks, in its eigenvalues' order: a
+    pair with Im > tau_orth is a rotation block of angle atan2(Im, Re); a real
+    eigenvalue is [1] or [-1], and a pair with 0 < Im <= tau_orth two of them
+    (a miss of at most tau_orth, inside ``block_diagonalize``'s check)."""
+    tau = tolerances.tau_orth()
+    blocks: list[Block] = []
+    for lam in eigenvalues:
+        sign = Block(BlockKind.PLUS_ONE if lam.real > 0 else BlockKind.MINUS_ONE)
+        if lam.imag == 0:
+            blocks.append(sign)
+        elif lam.imag > tau:
+            blocks.append(Block(BlockKind.ROTATION, math.atan2(lam.imag, lam.real)))
+        elif lam.imag > 0:
+            blocks += [sign, sign]
+    return blocks
 
 
 def block_diagonalize(t: np.ndarray) -> BlockForm:
     """Real normal form of an orthogonal matrix: [1], [-1] and rotation blocks.
 
-    A pair e^{+-i theta} of eig(T) with sin theta > tau_orth is a rotation
-    block on sqrt(2) [Re u, Im u], u an eigenvector of e^{-i theta}; the
-    other eigenvalues give [1] or [-1], so a pair read as two of them misses
-    T by at most tau_orth, inside the reassembly check's 10 tau_orth.
-    eig(T) separates 1 from e^{i theta} by about theta ((T + T^T) / 2 would
-    by theta^2 / 2), so tiny angles keep their planes.  Eigenvectors of a
-    repeated eigenvalue need not be orthogonal (those of distinct ones are,
-    T being normal): one QR of all columns normalises them, orthogonalises
-    each cluster and moves the rest by rounding.
+    The blocks are ``_blocks`` of eig(T), a rotation block on sqrt(2) [Re u,
+    Im u] for u an eigenvector of e^{-i theta}.  eig(T) separates 1 from
+    e^{i theta} by about theta ((T + T^T) / 2 would by theta^2 / 2), so tiny
+    angles keep their planes.  Eigenvectors of a repeated eigenvalue need
+    not be orthogonal (those of distinct ones are, T being normal): one QR
+    of all columns normalises them, orthogonalises each cluster and moves
+    the rest by rounding.
     """
-    t = np.asarray(t, dtype=float)
-    tau = tolerances.tau_orth()
-    if orthogonality_defect(t) > tau:
-        raise GeometryError("matrix is not orthogonal")
+    t = _orthogonal(t)
     w, v = np.linalg.eig(t)
     columns: list[np.ndarray] = []
-    blocks: list[Block] = []
     for lam, u in zip(w, v.T):
-        sign = BlockKind.PLUS_ONE if lam.real > 0 else BlockKind.MINUS_ONE
         if lam.imag == 0:
             columns.append(u.real)
-            blocks.append(Block(sign))
         elif lam.imag > 0:  # one member of each conjugate pair
             columns += [u.real, -u.imag]
-            if lam.imag > tau:
-                blocks.append(Block(BlockKind.ROTATION, math.atan2(lam.imag, lam.real)))
-            else:
-                blocks += [Block(sign), Block(sign)]
     q, r = np.linalg.qr(np.array(columns).T)
-    form = BlockForm(q * np.where(np.diag(r) < 0, -1.0, 1.0), tuple(blocks))
+    form = BlockForm(q * np.where(np.diag(r) < 0, -1.0, 1.0), tuple(_blocks(w)))
     residual = np.abs(form.reassemble() - t).max()
-    if residual > 10.0 * tau:
-        raise NumericFailureError(
-            f"block reassembly residual {residual:.3e} exceeds tolerance"
-        )
+    if residual > 10.0 * tolerances.tau_orth():
+        raise NumericFailureError(f"block reassembly residual {residual:.3e} exceeds tolerance")
     return form
 
 
@@ -394,6 +397,8 @@ def angle_order(alpha: float) -> int | None:
     found along the continued-fraction convergents; ties at the tolerance
     boundary resolve to the finite order.
     """
+    if not math.isfinite(alpha):
+        raise GeometryError("angle must be finite")
     x = (alpha % TWO_PI) / TWO_PI
     # Continued-fraction convergents p/q of x.
     p_prev, q_prev = 1, 0
@@ -413,38 +418,36 @@ def angle_order(alpha: float) -> int | None:
 
 
 def power_witness(t: np.ndarray, k: int, z_cap: int = 10**5):
-    """Smallest z <= z_cap minimizing ||T^(k z) - T||, restricted to z = 1 mod k0.
+    """Smallest z <= z_cap minimizing ||T^(k z) - T||, restricted to k z = 1 mod k0.
 
-    Returns (z, residual).  The restriction keeps the finite-order blocks
-    matching exactly, so the residual is driven by the irrational angles only.
+    k0, the lcm of the finite block orders, keeps those blocks matching
+    exactly; the admissible z are z0 + j k0, z0 = k^-1 mod k0 (1 if k0 = 1).
+    Returns (z, residual), the residual being the largest chord
+    2|sin((k z - 1) alpha / 2)| over the irrational angles alpha, or 0.0 at
+    z = z0 when there are none.  Raises NumericFailureError when k z alpha
+    2^-52, the float rounding of (k z - 1) alpha at the largest admissible
+    z, exceeds _WITNESS_DELTA / 10: the witness would be rounding noise.
     """
-    form = block_diagonalize(np.asarray(t, dtype=float))
-    finite_orders = []
-    irrational = []
-    for b in form.blocks:
-        if b.kind is BlockKind.MINUS_ONE:
-            finite_orders.append(2)
-        elif b.kind is BlockKind.ROTATION:
-            order = angle_order(b.angle)
-            if order is None:
-                irrational.append(b.angle)
-            else:
-                finite_orders.append(order)
-    k0 = math.lcm(*finite_orders) if finite_orders else 1
-    # z must satisfy k z = 1 (mod k0) for the finite blocks to reproduce T.
+    orders, irrational = [], []
+    for b in _blocks(np.linalg.eigvals(_orthogonal(t))):
+        # A [1] block's angle is 0, of order 1.
+        order = 2 if b.kind is BlockKind.MINUS_ONE else angle_order(b.angle)
+        if order is None:
+            irrational.append(b.angle)
+        else:
+            orders.append(order)
+    k0 = math.lcm(*orders)
     if math.gcd(k, k0) != 1:
         raise NumericFailureError("k is not invertible modulo the finite block order")
-    zs = np.arange(1, z_cap + 1)
-    zs = zs[(k * zs - 1) % k0 == 0]
-    if zs.size == 0:
+    z0 = pow(k, -1, k0) if k0 > 1 else 1
+    if z0 > z_cap:
         raise NumericFailureError("no admissible witness exponent below the cap")
     if not irrational:
-        z = int(zs[0])
-        return z, float(np.abs(form.power(k * z) - np.asarray(t, dtype=float)).max())
-    residual = np.zeros(zs.shape)
-    for alpha in irrational:
-        delta = (np.asarray(zs, dtype=float) * k - 1.0) * alpha
-        residual = np.maximum(residual, 2.0 * np.abs(np.sin(delta / 2.0)))
+        return z0, 0.0
+    zs = np.arange(z0, z_cap + 1, k0, dtype=float)
+    if k * int(zs[-1]) > _WITNESS_DELTA / 10.0 * 2.0**52 / max(irrational):
+        raise NumericFailureError("k z is too large for the witness angles to resolve")
+    residual = np.max([2.0 * np.abs(np.sin((zs * k - 1.0) * a / 2.0)) for a in irrational], axis=0)
     best = int(np.argmin(residual))
     return int(zs[best]), float(residual[best])
 
@@ -452,22 +455,16 @@ def power_witness(t: np.ndarray, k: int, z_cap: int = 10**5):
 def kronecker_power(t: np.ndarray, n: int) -> int:
     """An exponent k >= N such that the powers of T^k come back near T.
 
-    k = 2^N * (product of finite rotation-block orders) + 1; the density of
-    the group generated by T^k inside the closure of <T> is certified
-    constructively by a witness z <= 10^5 (``power_witness``'s cap) with
-    ||T^(k z) - T|| < 0.05.
+    k = 2^N * (product of finite rotation-block orders) + 1, the blocks
+    ``_blocks`` of eigvals(T); the density of the group generated by T^k in
+    the closure of <T> is certified constructively by ``power_witness``'s
+    z <= 10^5 with ||T^(k z) - T|| < 0.05.
     """
     if n < 1:
         raise GeometryError("N must be >= 1")
-    t = np.asarray(t, dtype=float)
-    form = block_diagonalize(t)
-    k0 = 2**n
-    for b in form.blocks:
-        if b.kind is BlockKind.ROTATION:
-            order = angle_order(b.angle)
-            if order is not None:
-                k0 *= order
-    k = k0 + 1
+    t = _orthogonal(t)
+    rotations = [b for b in _blocks(np.linalg.eigvals(t)) if b.kind is BlockKind.ROTATION]
+    k = 2**n * math.prod(angle_order(b.angle) or 1 for b in rotations) + 1
     z, residual = power_witness(t, k)
     if residual >= _WITNESS_DELTA:
         raise NumericFailureError(

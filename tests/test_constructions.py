@@ -113,6 +113,11 @@ class TestBuildProjectionGdifs:
         with pytest.raises(GeometryError):
             build_projection_gdifs(sierpinski, LinearMap(np.zeros((1, 2))))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_map(self, sierpinski, bad):
+        with pytest.raises(GeometryError, match="linear map must be finite"):
+            build_projection_gdifs(sierpinski, LinearMap([[bad, 0.0]]))
+
 
 def level_of(ifs, depth):
     level = WordLevel.root(ifs)
@@ -517,6 +522,12 @@ class TestSelectDisjointCylinders:
             select_disjoint_cylinders(sierpinski, np.eye(2), -0.1, 1.0)
         with pytest.raises(GeometryError):
             select_disjoint_cylinders(sierpinski, np.eye(2), 0.1, 1.0, mass_target=1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_target(self, sierpinski, bad):
+        target = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(GeometryError, match="rotation target must be finite"):
+            select_disjoint_cylinders(sierpinski, target, 0.1, 1.0)
 
 
 def queue_selection(ifs, o, delta, t, mass_target, depth_cap):

@@ -107,6 +107,11 @@ class TestSpectralRadius:
         with pytest.raises(GeometryError):
             spectral_radius([[1.0, -0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(GeometryError, match="finite and entrywise nonnegative"):
+            spectral_radius([[1.0, bad], [0.0, 1.0]])
+
 
 class TestStronglyConnected:
     def test_single_vertex_self_loop(self):

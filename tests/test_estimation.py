@@ -362,6 +362,10 @@ class TestSampleAttractor:
         with pytest.raises(GeometryError):
             sample_attractor(sierpinski, 0)
 
+    def test_a_non_finite_map_samples_no_cloud(self, irrational):
+        with pytest.raises(GeometryError, match="linear map must be finite"):
+            sample_attractor(irrational, 100, linear_map=LinearMap([[math.nan, 0.0]]))
+
 
 class TestBoxCount:
     def test_single_point(self):

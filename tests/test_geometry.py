@@ -834,6 +834,11 @@ class TestLinearMap:
         L = LinearMap(np.array([[2.0, 0.0], [0.0, 0.0]]))
         assert abs(L.operator_norm() - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(GeometryError, match="linear map must be finite"):
+            LinearMap([[bad, 0.0]])
+
     def test_coordinate_projection(self):
         L = LinearMap.coordinate_projection(3, 2)
         assert np.array_equal(L(np.array([1.0, 2.0, 3.0])), [1.0, 2.0])
@@ -850,6 +855,11 @@ class TestSubspace:
     def test_requires_orthonormal_basis(self):
         with pytest.raises(GeometryError):
             Subspace(np.array([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_basis(self, bad):
+        with pytest.raises(GeometryError, match="finite d x l"):
+            Subspace(np.array([[bad], [0.0]]))
 
     def test_complement_is_orthogonal_to_vector(self):
         rng = np.random.default_rng(8)

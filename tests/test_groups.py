@@ -243,14 +243,16 @@ class TestBlockDiagonalize:
         assert np.allclose(got, angles, rtol=0.0, atol=1e-12)
         assert kronecker_power(t, 1) >= 3
 
-    def test_power_matches_repeated_multiplication(self):
-        t = planar_rotation(0.7)
-        form = block_diagonalize(t)
-        assert np.abs(form.power(11) - np.linalg.matrix_power(t, 11)).max() < 1e-10
-
     def test_rejects_non_orthogonal(self):
         with pytest.raises(Exception):
             block_diagonalize(np.array([[2.0, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="finite orthogonal"):
+                block_diagonalize(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestAngleOrder:
@@ -270,6 +272,11 @@ class TestAngleOrder:
         for q in range(1, 2000):
             assert abs(x * q - round(x * q)) > 1e-9 * 2000
         assert angle_order(1.0) is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(GeometryError, match="angle must be finite"):
+            angle_order(bad)
 
     @pytest.mark.parametrize("q", range(2, 101))
     def test_reduced_fractions_recover_denominator(self, q):
@@ -303,6 +310,43 @@ class TestKroneckerPower:
         for t in (planar_rotation(math.pi / 2.0), np.array([[-1.0]])):
             with pytest.raises(NumericFailureError, match="k is not invertible"):
                 power_witness(t, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        t = np.array([[bad, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="finite orthogonal"):
+                kronecker_power(t, 1)
+            with pytest.raises(GeometryError, match="finite orthogonal"):
+                power_witness(t, 3)
+
+    def test_identity_at_n_64(self):
+        # Every block is [1]: z = 1, whatever the size of k.
+        assert kronecker_power(np.eye(2), 64) == 2**64 + 1
+        assert power_witness(np.eye(2), 2**64 + 1) == (1, 0.0)
+
+    def test_a_witness_below_float_resolution_raises(self):
+        # k z alpha 2^-52 is about 4e8 here: (k z - 1) alpha is rounding noise.
+        with pytest.raises(NumericFailureError, match="too large"):
+            kronecker_power(planar_rotation(1.0), 64)
+
+    @pytest.mark.parametrize("angle", [1.0, math.pi - 1e-3])
+    def test_irrational_witnesses_resolve_up_to_n_12(self, angle):
+        t = block_diag(planar_rotation(angle), planar_rotation(TWO_PI / 7.0))
+        for n in range(1, 13):
+            assert kronecker_power(t, n) == 2**n * 7 + 1
+
+    @pytest.mark.parametrize("t", [np.eye(2), planar_rotation(TWO_PI / 3.0)])
+    def test_no_candidate_array_without_an_irrational_block(self, t):
+        kronecker_power(t, 1)
+        tracemalloc.start()
+        try:
+            kronecker_power(t, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_result_at_least_n(self):
         rng = np.random.default_rng(11)
@@ -735,16 +779,20 @@ def certificate_by_normal_form(gens, tol, cap):
 @st.composite
 def block_matrices(draw, d):
     """An orthogonal d x d matrix of [1] and [-1] blocks and rotation blocks
-    of finite order 2 pi p / k (0 and pi among them) or of any angle, in a
-    random orthonormal basis or not."""
+    of finite order 2 pi p / k (0 and pi among them), of any angle, or of a
+    turn in (1e-8, 1e-7] from 0 or pi, in a random orthonormal basis or
+    not."""
     blocks = []
     while sum(map(len, blocks)) < d:
-        kind = draw(st.sampled_from(["sign", "finite", "angle"]))
+        kind = draw(st.sampled_from(["sign", "finite", "angle", "turn"]))
         if kind == "sign" or sum(map(len, blocks)) == d - 1:
             blocks.append(np.array([[draw(st.sampled_from([1.0, -1.0]))]]))
         elif kind == "finite":
             k = draw(st.integers(1, 12))
             blocks.append(planar_rotation(TWO_PI * draw(st.integers(0, k - 1)) / k))
+        elif kind == "turn":
+            turn = draw(st.floats(1e-8, 1e-7, exclude_min=True))
+            blocks.append(planar_rotation(draw(st.sampled_from([turn, math.pi - turn]))))
         else:
             blocks.append(planar_rotation(draw(st.floats(0.0, TWO_PI))))
     t = block_diag(*blocks)
@@ -752,6 +800,80 @@ def block_matrices(draw, d):
         q = random_orthogonal(np.random.default_rng(draw(seeds)), d)
         t = q @ t @ q.T
     return t
+
+
+class TestBlockRule:
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 6), data=st.data())
+    def test_eigvals_give_the_normal_form_blocks(self, d, data):
+        t = data.draw(block_matrices(d))
+        try:
+            form = block_diagonalize(t)
+        except NumericFailureError:
+            assume(False)
+        got = [(b.kind, b.angle.hex()) for b in groups._blocks(np.linalg.eigvals(t))]
+        assert got == [(b.kind, b.angle.hex()) for b in form.blocks]
+
+
+def witness_by_scan(t, k, z_cap):
+    """power_witness read from the normal form's blocks as a filter of
+    1..z_cap and an argmin, or None where it must raise: the oracle for its
+    arithmetic progression."""
+    orders, irrational = [], []
+    for b in block_diagonalize(t).blocks:
+        if b.kind is BlockKind.MINUS_ONE:
+            orders.append(2)
+        elif b.kind is BlockKind.ROTATION:
+            order = angle_order(b.angle)
+            if order is None:
+                irrational.append(b.angle)
+            else:
+                orders.append(order)
+    k0 = math.lcm(*orders)
+    zs = np.arange(1, z_cap + 1)
+    zs = zs[(k * zs - 1) % k0 == 0]
+    if math.gcd(k, k0) != 1 or zs.size == 0:
+        return None
+    if not irrational:
+        return int(zs[0]), 0.0
+    residual = np.zeros(zs.shape)
+    for alpha in irrational:
+        delta = (zs.astype(float) * k - 1.0) * alpha
+        residual = np.maximum(residual, 2.0 * np.abs(np.sin(delta / 2.0)))
+    best = int(np.argmin(residual))
+    return int(zs[best]), float(residual[best])
+
+
+class TestPowerWitnessOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 5), data=st.data())
+    def test_matches_the_scan(self, d, data):
+        t = data.draw(block_matrices(d))
+        k = data.draw(st.integers(1, 10**4))
+        z_cap = data.draw(st.integers(1, 2000))
+        try:
+            want = witness_by_scan(t, k, z_cap)
+        except NumericFailureError:
+            assume(False)
+        if want is None:
+            with pytest.raises(NumericFailureError):
+                power_witness(t, k, z_cap)
+        else:
+            z, residual = power_witness(t, k, z_cap)
+            assert (z, residual.hex()) == (want[0], want[1].hex())
+
+    @pytest.mark.parametrize("irrational", [True, False])
+    def test_matches_the_scan_at_the_default_cap(self, irrational):
+        t = block_diag(
+            planar_rotation(1.0 if irrational else TWO_PI / 5.0),
+            planar_rotation(TWO_PI / 3.0),
+            np.array([[-1.0]]),
+        )
+        k = kronecker_power(t, 3)
+        z, residual = power_witness(t, k)
+        want = witness_by_scan(t, k, 10**5)
+        assert (z, residual.hex()) == (want[0], want[1].hex())
+        assert (residual > 0.0) is irrational
 
 
 class TestCyclicCertificate:
