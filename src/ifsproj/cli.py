@@ -208,6 +208,8 @@ def cmd_project_gdifs(args, ifs, metadata) -> dict:
 
 def cmd_dimdrop(args, ifs, metadata) -> dict:
     d = ifs.ambient_dim
+    if d < 2:
+        raise SchemaError(f"dimdrop projects onto 1..d-1 dimensions; the system has d={d}")
     result = find_dimension_drop(ifs, _projection_dim(args, d - 1, d - 1))
     return {
         "subspace_basis": [list(map(float, col)) for col in result.subspace.basis.T],

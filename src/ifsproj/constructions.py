@@ -32,7 +32,6 @@ from .geometry import (
     Word,
     WordLevel,
     _fixed_points,
-    _max_abs_distance,
     _per_row,
     _stored_matrices,
     attractor_bounding_ball,
@@ -168,7 +167,7 @@ def _identity_equal_ratio_pair(level: WordLevel, tau: float) -> tuple[int, int] 
     none; so ka is the first word in such a run and kb its first partner.
     """
     d = level.ifs.ambient_dim
-    off_identity = _max_abs_distance(_stored_matrices(level.rotation), np.eye(d))
+    off_identity = np.abs(_stored_matrices(level.rotation) - np.eye(d)).max(axis=(1, 2))
     identity = off_identity <= 10.0 * tolerances.tau_orth()
     words = np.flatnonzero(_per_row(identity, level.rotation))
     ratio = level.ratio[words]

@@ -1,8 +1,9 @@
-"""Attractor sampling, box counting, and covering-sum upper bounds.
+"""Attractor sampling, box counting, and covering sums of a sample.
 
 Box dimension is a valid numerical proxy for the Hausdorff dimension of a
 self-similar set, which justifies all estimators here as desk-scale checks
-of the exact dimension statements.
+of the exact dimension statements.  A sample's box count is only a lower
+bound on the set's, so its covering sums estimate, not bound, the set's.
 """
 
 from __future__ import annotations
@@ -521,9 +522,9 @@ def project_cloud(cloud: PointCloud, linear_map: LinearMap) -> PointCloud:
 
 
 def covering_sums(cloud: PointCloud, t: float, scales) -> tuple[list[int], list[float]]:
-    """Grid-cover upper bounds on the t-dimensional Hausdorff content, one per
-    scale in the order given: N(s) (s sqrt(d))^t.  Returns (counts, sums);
-    a sum that overflows raises NumericFailureError."""
+    """Grid-cover sums N(s) (s sqrt(d))^t of the sample, one per scale in the
+    order given: they bound the sample's t-dimensional Hausdorff content and
+    estimate the set's.  Returns (counts, sums); an overflow raises NumericFailureError."""
     if not (math.isfinite(t) and t > 0):
         raise GeometryError("t must be finite and positive")
     counts = box_counts(cloud.points, scales, cloud.bounds)
@@ -538,5 +539,5 @@ def covering_sums(cloud: PointCloud, t: float, scales) -> tuple[list[int], list[
 
 
 def covering_sum_upper_bound(cloud: PointCloud, t: float, scale: float) -> float:
-    """Grid-cover upper bound on the t-dimensional Hausdorff content."""
+    """``covering_sums`` at one scale: a bound for the sample, not for the set."""
     return covering_sums(cloud, t, [scale])[1][0]

@@ -3,19 +3,13 @@
 All types are immutable values and all operations are pure functions, so
 instances can be shared freely between threads.
 
-A deep word level is a stack of tens of thousands of small matrices, and a
-numpy pass that broadcasts over its (N, d, d) rows runs inner loops only d
-or d * d long.  So the passes over deep levels run along the long axis,
-with the bits of the row-major form:
+A deep word level is a stack of tens of thousands of small matrices, and
+its passes keep the bits of the row-major form:
 
-- ``_matmul`` computes a broadcast stack of at least ``_ENTRY_MAJOR_ROWS``
-  (1024) products entry-major; ``extend``'s rotation and translation
-  products, ``fold`` and ``balls`` go through it;
+- ``_matmul`` is the one small-matrix kernel, row-major; ``extend``'s
+  rotation and translation products, ``fold`` and ``balls`` go through it;
 - ``extend`` adds its translations along the parents, and writes its
   letters into one (parents, letters, depth) block;
-- ``_max_abs_distance``, the max-abs distance from a stack to one matrix,
-  folds over entry columns (the identity test of the dimension-drop pair
-  search and the near check of ``groups._RotationTable.insert``);
 - stacks are gathered with ``np.take(..., axis=0)`` (``WordLevel[rows]``,
   the rotation table, the closure and the corrector search);
 - ``constructions.build_projection_gdifs`` sums its translations over
@@ -83,74 +77,19 @@ def reorthonormalize(rotation: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-# A broadcast stack of at least this many products is multiplied entry-major
-# (see _matmul).  For 2 x 2 matrix products (one BLAS thread, 2-core Xeon,
-# min of 9 x 200 calls, two runs) the row-major passes took 5-10 us at one
-# row, 29-46 us at 512 rows and 51-55 us at 1024; the entry-major ones
-# 31-55, 30-66 and 35-47 us.  Matrix-vector products cross near 2048 rows.
-_ENTRY_MAJOR_ROWS = 1024
-
-
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over broadcast stacks of small matrices.
+    """a @ b over broadcast stacks of small matrices, C-ordered (..., p, r).
 
-    The sum over j runs in order from 0, as np.einsum's does, so the bits
-    equal those of the einsum products it replaces ("nij,njk->nik" and its
-    broadcasts; a matrix-vector product, b of shape (..., d, 1), only for
-    d <= 2, where einsum does not use a SIMD reduction).  np.matmul rounds
-    differently (it fuses multiply and add).
-
-    A stack of fewer than ``_ENTRY_MAJOR_ROWS`` products is computed
-    row-major, one broadcast pass per j, whose inner loops run over the few
-    entries of a row.  A larger one is computed entry-major, in the same
-    j order from +0: each output entry is summed over the whole stack in a
-    contiguous buffer, and then stored into its strided column of the
-    result.  The buffers hold the batch axes reversed, so that
-    ``extend``'s (n, 1) x (m,) broadcast runs its inner loops along the n
-    parents.  Either way the result is a C-ordered (..., p, r) array.
+    One broadcast pass per j sums in order from +0, as np.einsum does, so
+    the bits equal those of the einsum products it replaces ("nij,njk->nik"
+    and its broadcasts; a matrix-vector product, b of shape (..., d, 1),
+    only for d <= 2, where einsum does not use a SIMD reduction).  np.matmul
+    rounds differently (it fuses multiply and add).
     """
-    batch = np.broadcast(a[..., 0, 0], b[..., 0, 0])
-    if batch.size < _ENTRY_MAJOR_ROWS:
-        out = a[..., :, 0, None] * b[..., None, 0, :]
-        out += 0.0  # einsum's sum starts at +0, and 0 + (-0) is +0
-        for j in range(1, a.shape[-1]):
-            out += a[..., :, j, None] * b[..., None, j, :]
-        return out
-    out = np.empty(batch.shape + (a.shape[-2], b.shape[-1]))
-    # .T reverses every axis: (d, p, *reversed batch), (r, d, ...) and (r, p, ...).
-    at = np.broadcast_to(a, batch.shape + a.shape[-2:]).T
-    bt = np.broadcast_to(b, batch.shape + b.shape[-2:]).T
-    entry, term = np.empty(batch.shape[::-1]), np.empty(batch.shape[::-1])
-    for k, i in np.ndindex(out.shape[:-3:-1]):
-        np.multiply(at[0, i, ...], bt[k, 0, ...], out=entry)
-        entry += 0.0
-        for j in range(1, at.shape[0]):
-            entry += np.multiply(at[j, i, ...], bt[k, j, ...], out=term)
-        out.T[k, i, ...] = entry
-    return out
-
-
-def _row_max_abs(x: np.ndarray) -> np.ndarray:
-    """np.abs(x).max over every axis but the first, as a fold over the
-    entry columns: max is exact, so the bits are the same, and d * d passes
-    over N values beat one reduction over N short rows."""
-    flat = np.abs(x).reshape(len(x), math.prod(x.shape[1:]))
-    out = flat[:, 0].copy()
-    for column in flat.T[1:]:
-        np.maximum(out, column, out=out)
-    return out
-
-
-def _max_abs_distance(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``_row_max_abs(stack - matrix)`` for an (N, d, d) stack and one d x d
-    matrix, folded over the entry columns in the same order: the same bits,
-    with no (N, d, d) temporary."""
-    out, term = np.empty(len(stack)), np.empty(len(stack))
-    for e, (i, j) in enumerate(np.ndindex(matrix.shape)):
-        column = np.subtract(stack[:, i, j], matrix[i, j], out=term if e else out)
-        np.abs(column, out=column)
-        if e:
-            np.maximum(out, column, out=out)
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    out += 0.0  # einsum's sum starts at +0, and 0 + (-0) is +0
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
     return out
 
 
@@ -159,11 +98,11 @@ def _orthogonality_defects(rotation: np.ndarray) -> np.ndarray:
 
     The Gram matrix R^T R is built one upper-triangle entry at a time, each
     a pass over the whole stack summed over j in ``_matmul``'s order, so the
-    defects are bitwise those of ``_row_max_abs(_matmul(R^T, R) - I)``: the
-    Gram matrix is bitwise symmetric, max is exact, and ``_matmul``'s
-    ``+= 0.0`` changes only the sign of a zero, which abs drops.  Entry-major
-    keeps the temporaries at N values and wins on large stacks; a one-row
-    stack pays a few more calls.  NaN entries give a NaN defect.
+    defects are bitwise the max-abs of each matrix of ``_matmul(R^T, R) - I``:
+    the Gram matrix is bitwise symmetric, max is exact, and ``_matmul``'s
+    ``+= 0.0`` changes only the sign of a zero, which abs drops.  One entry
+    at a time keeps the temporaries at N values, which wins on large stacks;
+    a one-row stack pays a few more calls.  NaN entries give a NaN defect.
     """
     d = rotation.shape[1]
     out = np.zeros(len(rotation))
@@ -481,8 +420,8 @@ class WordLevel:
         broadcast stack) and the m generator rotations are bitwise equal.
         Then the one product and the m moved translations R t_i are computed
         once and broadcast over the parents, and the rotations are a
-        broadcast stack.  A one-row product rounds as an entry-major one
-        does, so the bits are those of the full products.
+        broadcast stack.  ``_matmul`` rounds each product on its own, so the
+        bits are those of the full products.
         """
         ifs = self.ifs
         n, m, d = len(self), len(ifs), ifs.ambient_dim
@@ -589,6 +528,13 @@ def attractor_bounding_ball(ifs: SSIFS):
     return center, radius
 
 
+def _checked_dim(l: int, largest: int) -> int:
+    """l, the dimension of a projection or subspace, if 1 <= l <= largest."""
+    if not 1 <= l <= largest:
+        raise GeometryError(f"need 1 <= l <= {largest}, got l={l}")
+    return l
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """A d2 x d real matrix acting on row vectors of points."""
@@ -617,8 +563,8 @@ class LinearMap:
 
     @classmethod
     def coordinate_projection(cls, d: int, l: int) -> "LinearMap":
-        """Projection onto the first l coordinates."""
-        return cls(np.eye(d)[:l])
+        """Projection onto the first l coordinates, 1 <= l <= d."""
+        return cls(np.eye(d)[: _checked_dim(l, d)])
 
     @classmethod
     def projection_onto(cls, subspace: "Subspace") -> "LinearMap":
@@ -637,6 +583,8 @@ class Subspace:
         if self.basis.ndim != 2 or not np.isfinite(self.basis).all():
             raise GeometryError("basis must be a finite d x l matrix")
         l = self.basis.shape[1]
+        if l == 0:
+            raise GeometryError("basis must have at least one column")
         defect = np.abs(self.basis.T @ self.basis - np.eye(l)).max()
         if defect > tolerances.tau_orth():
             raise GeometryError(f"basis is not orthonormal (defect {defect:.3e})")
@@ -651,11 +599,11 @@ class Subspace:
 
     @classmethod
     def orthogonal_complement_of_vector(cls, v, l: int | None = None) -> "Subspace":
-        """An l-dimensional subspace orthogonal to v (default l = d-1)."""
+        """An l-dimensional subspace orthogonal to v, 1 <= l <= d-1 (default
+        l = d-1)."""
         v = np.asarray(v, dtype=float)
         d = v.shape[0]
-        if l is None:
-            l = d - 1
+        l = _checked_dim(d - 1 if l is None else l, d - 1)
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise GeometryError("cannot take the complement of the zero vector")
@@ -665,4 +613,5 @@ class Subspace:
 
     @classmethod
     def span_of_first_axes(cls, d: int, l: int) -> "Subspace":
-        return cls(np.eye(d)[:, :l])
+        """The span of the first l coordinate axes, 1 <= l <= d."""
+        return cls(np.eye(d)[:, : _checked_dim(l, d)])

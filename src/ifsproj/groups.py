@@ -39,10 +39,8 @@ from . import tolerances
 from .geometry import (
     GeometryError,
     NumericFailureError,
-    _max_abs_distance,
     _orthogonality_defects,
     _per_row,
-    _row_max_abs,
     _stored_matrices,
     orthogonality_defect,
 )
@@ -105,7 +103,8 @@ class _RotationTable:
         query = np.repeat(np.arange(n), lens)
         offset = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
         stored = self._order[np.repeat(lo, lens) + offset]
-        dist = _row_max_abs(self.elements.take(stored, axis=0) - mats.take(query, axis=0))
+        diff = self.elements.take(stored, axis=0) - mats.take(query, axis=0)
+        dist = np.abs(diff).max(axis=(1, 2))
         hit = dist <= self.tol
         hit_query = query.compress(hit)
         counts += np.bincount(hit_query, minlength=n)
@@ -142,7 +141,7 @@ class _RotationTable:
             near = order[lo:hi]
             near = near.compress(unmatched[near])
             if near.size:
-                dist = _max_abs_distance(mats.take(rows[near], axis=0), mats[row])
+                dist = np.abs(mats.take(rows[near], axis=0) - mats[row]).max(axis=(1, 2))
                 near = near.compress(dist <= self.tol)
                 unmatched[near] = False
                 match[rows[near]] = match[row]

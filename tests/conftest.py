@@ -12,7 +12,6 @@ from ifsproj.geometry import (
     WordLevel,
     _matmul,
     checked_maps,
-    _row_max_abs,
     orthogonality_defect,
     reorthonormalize,
 )
@@ -143,11 +142,12 @@ EINSUM_VECTOR_PRODUCTS = {
 
 def orthogonality_defects_by_gram(rotation: np.ndarray) -> np.ndarray:
     """max |R^T R - I| of every matrix of an (N, d, d) stack from the whole
-    Gram stack, one row-major product: the oracle that the entry-major
-    geometry._orthogonality_defects is checked against."""
+    Gram stack, one ``_matmul`` product and a max-abs over each matrix: the
+    oracle that geometry._orthogonality_defects, which builds one Gram entry
+    at a time, is checked against."""
     gram = _matmul(rotation.transpose(0, 2, 1), rotation)
     gram -= np.eye(rotation.shape[1])
-    return _row_max_abs(gram)
+    return np.abs(gram).max(axis=(1, 2))
 
 
 def projection_graph_by_rows(ratios, rotations, translations, matrix):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import json
 import math
@@ -368,11 +369,17 @@ class TestCliDimdrop:
         assert captured.out == ""
         assert captured.err == "schema error: --l must lie in 1..1\n"
 
-    def test_one_dimensional_system_without_l_exits_five(self, capsys, fixture_dir):
-        code = main(["dimdrop", "--input", str(fixture_dir / "cantor_third.json")])
+    @pytest.mark.parametrize("name", ["cantor_third", "example_7_4_line"])
+    @pytest.mark.parametrize("l_args", [[], ["--l", "1"]])
+    def test_one_dimensional_system_exits_two(self, capsys, fixture_dir, name, l_args):
+        # The default l = d - 1 = 0 once skipped the --l check and exited 5.
+        code = main(["dimdrop", "--input", str(fixture_dir / f"{name}.json"), *l_args])
         captured = capsys.readouterr()
-        assert code == 5
-        assert captured.err.startswith("numeric failure:")
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "schema error: dimdrop projects onto 1..d-1 dimensions; the system has d=1\n"
+        )
 
 
 class TestCliEstimate:
@@ -883,6 +890,8 @@ def leaf_parsers(parser, path=()):
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 README_CLI = README.split("## CLI", 1)[1].split("\n## ", 1)[0]
 README_LIBRARY = README.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+# A double-backquoted dotted name in a docstring, alone or called: ``a.b``, ``a(x)``.
+DOCSTRING_NAME = re.compile(r"``([A-Za-z_]\w*(?:\.\w+)*)(?=``|\()")
 
 
 def readme_commands():
@@ -962,6 +971,31 @@ class TestCliOptions:
             obj = importlib.import_module(f"ifsproj.{module}")
             for part in path.split("."):
                 obj = getattr(obj, part)
+
+    def test_docstring_private_names_resolve(self):
+        # The same staleness in the package's own docstrings: a ``name`` or
+        # ``name(...)`` with a private part resolves in its module, and
+        # ``module.name`` in ifsproj.module.  Dunders are not private names.
+        paths = sorted(Path(ifsproj.__file__).parent.glob("*.py"))
+        modules = {p.stem for p in paths} - {"__init__"}
+        checked = 0
+        for path in paths:
+            home = "ifsproj" if path.stem == "__init__" else f"ifsproj.{path.stem}"
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                    continue
+                for name in DOCSTRING_NAME.findall(ast.get_docstring(node) or ""):
+                    parts = name.split(".")
+                    if not any(p.startswith("_") and not p.endswith("__") for p in parts):
+                        continue
+                    obj = importlib.import_module(home)
+                    if parts[0] in modules:
+                        obj, parts = importlib.import_module(f"ifsproj.{parts[0]}"), parts[1:]
+                    for part in parts:
+                        assert hasattr(obj, part), f"{path.name}: ``{name}``"
+                        obj = getattr(obj, part)
+                    checked += 1
+        assert checked
 
 
 HEADER_KEYS = ["tool", "version", "tolerances", "input", "fixture"]

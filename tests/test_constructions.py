@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsproj import constructions, geometry, tolerances
+from ifsproj import constructions, tolerances
 from ifsproj.constructions import (
     _CORRECTOR_LENGTH_CAP,
     _CORRECTOR_STATE_CAP,
@@ -181,9 +181,9 @@ class TestProjectionGraphAgainstRows:
         assert_graph_matches_rows(ifs if depth == 0 else level_of(ifs, depth), X_AXIS)
 
     def test_level_past_the_kernel_threshold_matches(self):
-        # 3^7 words, each extend past the first few entry-major, and 4 vertices.
+        # 3^7 words, at least 1024, and 4 vertices.
         level = level_of(fixture_ifs("c4_rotation"), 7)
-        assert len(level) >= geometry._ENTRY_MAJOR_ROWS
+        assert len(level) >= 1024
         assert build_projection_gdifs(level, X_AXIS).gdifs.vertex_count == 4
         assert_graph_matches_rows(level, X_AXIS)
 
@@ -347,8 +347,7 @@ def array_digest(*arrays) -> str:
 
 class TestDeepLevelPins:
     """The bits of deep word levels and of the dimension drops of the
-    finite-words benchmark, recorded before the large-stack kernels took
-    their entry-major layout."""
+    finite-words benchmark, recorded with the row-major kernels."""
 
     @pytest.mark.parametrize(
         "name, depth, digests",

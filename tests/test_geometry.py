@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import math
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsproj import geometry, tolerances
+from ifsproj import tolerances
 from ifsproj.constructions import _identity_equal_ratio_pair, build_projection_gdifs
 from ifsproj.fixtures import BUILDERS, fixture_ifs
 from ifsproj.geometry import (
@@ -22,9 +21,7 @@ from ifsproj.geometry import (
     WordLevel,
     _fixed_points,
     _matmul,
-    _max_abs_distance,
     _orthogonality_defects,
-    _row_max_abs,
     attractor_bounding_ball,
     checked_maps,
     cylinder_ball,
@@ -417,6 +414,20 @@ class TestWordLevelSequence:
         assert same_bits(radii, np.concatenate([r for _, r in balls]))
 
 
+def with_non_finite_entries(rng, a):
+    """The stack with about a tenth of its entries NaN, inf or -inf."""
+    a = a.copy()
+    special = rng.random(a.shape) < 0.1
+    a[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+    return a
+
+
+def same_bits_up_to_nan(x, y):
+    """same_bits with every NaN read as np.nan: which NaN a sum of two NaNs
+    gives (its sign, say) depends on numpy's inner loop, not on the sum's order."""
+    return same_bits(np.where(np.isnan(x), np.nan, x), np.where(np.isnan(y), np.nan, y))
+
+
 class TestMatmulKernel:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS, m=KERNEL_ROWS)
@@ -459,50 +470,6 @@ class TestMatmulKernel:
         assert not np.signbit(_matmul(a, b)).any()
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS)
-    def test_row_max_abs_equals_the_axis_reduction(self, seed, d, n):
-        a = stack(np.random.default_rng(seed), n, d)
-        if n:
-            a[n // 2, d - 1, 0] = np.nan
-        assert same_bits(_row_max_abs(a), np.abs(a).max(axis=(1, 2)))
-
-
-@contextlib.contextmanager
-def kernel_layout(rows):
-    """``_ENTRY_MAJOR_ROWS`` patched to rows: 0 sends every ``_matmul``
-    stack entry-major, a huge value keeps every one row-major."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geometry, "_ENTRY_MAJOR_ROWS", rows)
-        yield
-
-
-KERNEL_LAYOUTS = {"entry-major": 0, "row-major": 2**62}
-
-
-def with_non_finite_entries(rng, a):
-    """The stack with about a tenth of its entries NaN, inf or -inf."""
-    a = a.copy()
-    special = rng.random(a.shape) < 0.1
-    a[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
-    return a
-
-
-def same_bits_up_to_nan(x, y):
-    """same_bits with every NaN read as np.nan: which NaN a sum of two NaNs
-    gives (its sign, say) depends on numpy's inner loop, not on the sum's order."""
-    return same_bits(np.where(np.isnan(x), np.nan, x), np.where(np.isnan(y), np.nan, y))
-
-
-class TestMatmulLayouts(TestMatmulKernel):
-    """Every TestMatmulKernel example again with every stack in one layout,
-    and non-finite entries against the einsum oracles."""
-
-    @pytest.fixture(autouse=True, scope="class", params=list(KERNEL_LAYOUTS))
-    def layout(self, request):
-        with kernel_layout(KERNEL_LAYOUTS[request.param]):
-            yield
-
-    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS, m=KERNEL_ROWS)
     @np.errstate(invalid="ignore")  # inf - inf and 0 * inf are NaN
     def test_non_finite_entries_equal_einsum_bitwise(self, seed, d, n, m):
@@ -515,40 +482,6 @@ class TestMatmulLayouts(TestMatmulKernel):
             x = with_non_finite_entries(rng, stack(rng, 1, d))[:, 0]
             want = EINSUM_VECTOR_PRODUCTS["balls"](a, x)
             assert same_bits_up_to_nan(_matmul(a, x[0][:, None])[..., 0], want)
-
-
-class TestEntryMajorKernels:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS, m=KERNEL_ROWS)
-    @np.errstate(invalid="ignore")  # inf - inf and 0 * inf are NaN
-    def test_layouts_agree_bitwise(self, seed, d, n, m):
-        # Also the matrix-vector products with d >= 3, where einsum rounds apart.
-        rng = np.random.default_rng(seed)
-        a, c = (with_non_finite_entries(rng, stack(rng, k, d)) for k in (n, m))
-        calls = [
-            (a, a),
-            (a[:, None], c[None]),
-            (a.transpose(0, 2, 1), a),
-            (a, a[..., :1]),
-            (a[:, None], c[:, :, :1]),
-            (a, stack(rng, 1, d)[0, :, :1]),
-            (stack(rng, 1, d)[0], stack(rng, 1, d)[0]),
-        ]
-        products = {}
-        for name, rows in KERNEL_LAYOUTS.items():
-            with kernel_layout(rows):
-                products[name] = [_matmul(x, y) for x, y in calls]
-        for got, want in zip(*products.values()):
-            assert same_bits_up_to_nan(got, want) and got.flags.c_contiguous
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=KERNEL_ROWS)
-    @np.errstate(invalid="ignore")  # inf - inf and 0 * inf are NaN
-    def test_max_abs_distance_equals_the_row_fold_of_the_difference(self, seed, d, n):
-        rng = np.random.default_rng(seed)
-        a = with_non_finite_entries(rng, stack(rng, n, d))
-        for matrix in (stack(rng, 1, d)[0], np.eye(d), with_non_finite_entries(rng, stack(rng, 1, d))[0]):
-            assert same_bits(_max_abs_distance(a, matrix), _row_max_abs(a - matrix))
 
 
 class TestBroadcastRotationStack:
@@ -621,9 +554,9 @@ class TestOneRotationLevels:
     @settings(max_examples=40, deadline=None)
     @given(ifs=one_rotation_systems(), depth=st.integers(0, 6))
     def test_levels_match_the_row_oracle(self, ifs, depth):
-        # Up to the depth, and on to the first level past _ENTRY_MAJOR_ROWS.
+        # Up to the depth, and on to the first level of 1024 rows or more.
         level = oracle = WordLevel.root(ifs)
-        while level.depth < depth or len(level) < geometry._ENTRY_MAJOR_ROWS:
+        while level.depth < depth or len(level) < 1024:
             level, oracle = level.extend(), extend_by_rows(oracle)
             assert level.rotation.strides[0] == 0
             assert_same_level(level, oracle)
@@ -633,7 +566,7 @@ class TestOneRotationLevels:
     def test_readers_match_a_materialised_level(self, ifs, depth, data):
         level = WordLevel.root(ifs)
         past = data.draw(st.booleans())
-        while level.depth < depth or (past and len(level) < geometry._ENTRY_MAJOR_ROWS):
+        while level.depth < depth or (past and len(level) < 1024):
             level = level.extend()
         full = materialised(level)
         n, rng = len(level), np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -843,6 +776,11 @@ class TestLinearMap:
         L = LinearMap.coordinate_projection(3, 2)
         assert np.array_equal(L(np.array([1.0, 2.0, 3.0])), [1.0, 2.0])
 
+    @pytest.mark.parametrize("l", [-1, 0, 4])
+    def test_coordinate_projection_rejects_l_outside_one_to_d(self, l):
+        with pytest.raises(GeometryError, match=rf"need 1 <= l <= 3, got l={l}"):
+            LinearMap.coordinate_projection(3, l)
+
     def test_projection_onto_subspace_coordinates(self):
         sub = Subspace.orthogonal_complement_of_vector(np.array([1.0, 0.0]))
         L = LinearMap.projection_onto(sub)
@@ -873,6 +811,20 @@ class TestSubspace:
         with pytest.raises(GeometryError):
             Subspace.orthogonal_complement_of_vector(np.zeros(3))
 
+    @pytest.mark.parametrize("d, l", [(3, -1), (3, 0), (3, 3), (3, 5), (1, None)])
+    def test_complement_rejects_l_outside_one_to_d_minus_one(self, d, l):
+        with pytest.raises(GeometryError, match=rf"need 1 <= l <= {d - 1}, got l="):
+            Subspace.orthogonal_complement_of_vector(np.arange(1.0, d + 1), l)
+
+    def test_rejects_basis_with_no_columns(self):
+        with pytest.raises(GeometryError, match="at least one column"):
+            Subspace(np.zeros((3, 0)))
+
     def test_span_of_first_axes(self):
         sub = Subspace.span_of_first_axes(3, 2)
         assert np.array_equal(sub.basis, np.eye(3)[:, :2])
+
+    @pytest.mark.parametrize("l", [-1, 0, 4, 5])
+    def test_span_of_first_axes_rejects_l_outside_one_to_d(self, l):
+        with pytest.raises(GeometryError, match=rf"need 1 <= l <= 3, got l={l}"):
+            Subspace.span_of_first_axes(3, l)
